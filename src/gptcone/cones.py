@@ -158,9 +158,11 @@ def make_named_cone(tag: str, params: dict | None = None,
 
 def min_product_expectation(X, dims: BipartiteDims, restarts: int = 64,
                             iters: int = 60, tol: float = 1e-12, seed: int = 0):
-    """Heuristic minimum of ``<a(x)b| X |a(x)b>`` over product unit vectors.
+    """Local search for the minimum of ``<a(x)b| X |a(x)b>`` over product
+    unit vectors.
 
-    Alternates smallest-eigenvector updates of the two local factors.
+    Alternates smallest-eigenvector updates of the two local factors from
+    ``restarts`` random starts.
     Returns ``(value, a, b)``; a negative value is a certified
     block-positivity violation, a nonnegative one is only evidence.
     """
@@ -297,7 +299,7 @@ def membership(cone: ConeRep, x, tol: float = DEFAULT_TOL,
     if cone.oracle == CR:
         from .pses import cr_membership
 
-        return cr_membership(x, cone.params["pses"], tol=tol, seed=seed)
+        return cr_membership(x, cone.params["pses"], tol=tol)
     if cone.generators:
         res = conic_feasibility(x, cone.generators, include_psd=False,
                                 tol=max(tol, 1e-8))

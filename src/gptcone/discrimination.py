@@ -4,9 +4,9 @@ cone-restricted minimum error, plus the preceding-work criteria."""
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .cones import ConeRep, Measurement
+from .dual import _adj, _basis, _op, _solve, _stack
 from .herm import ValidationError, ensure_herm, norm, partial_transpose, trace_inner
 from .herm import BipartiteDims
 
@@ -44,25 +44,21 @@ def helstrom(rho1, rho2) -> tuple[float, Measurement]:
     return value, Measurement(effects=[m1, m2])
 
 
-def _negsum_weighted(B_sqrt, delta):
-    """min over 0 <= X <= I of <B^1/2 delta B^1/2, X> and its argmin."""
-    core = B_sqrt @ delta @ B_sqrt
-    core = (core + core.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(core)
-    proj = (vecs * (vals < 0.0)) @ vecs.conj().T
-    return float(np.sum(np.minimum(vals, 0.0))), proj
-
-
-def min_error_over_cone(rho1, rho2, dual_cone: ConeRep,
-                        iters: int = 300) -> tuple[float, Measurement]:
+def min_error_over_cone(rho1, rho2,
+                        dual_cone: ConeRep) -> tuple[float, Measurement]:
     """Minimum error sum when effects range over ``dual_cone``.
 
     The effect cone is ``cone(generators) + PSD`` (PSD included when the
-    cone's oracle is PSD or it carries no oracle).  Writing the effect as
-    ``M = sum mu_k g_k + T`` with both M and u - M in the cone, the PSD
-    block T is eliminated in closed form (a weighted Helstrom step), and
-    the generator coefficients are optimized numerically from a grid of
-    endpoint starts.  Ties are broken toward the smallest coefficients.
+    cone's oracle is PSD or it carries no oracle).  Writing the effects
+    as ``M = sum mu_k g_k + T`` and ``I - M = sum nu_k g_k + S`` gives the
+    conic program
+
+        min 1 + <rho2 - rho1, sum mu_k g_k + T>
+        s.t. sum (mu_k + nu_k) g_k + T + S = I,  mu, nu >= 0,  T, S PSD,
+
+    with no PSD blocks for a pure generator cone, solved by the
+    interior-point method of :mod:`gptcone.dual` to a certified duality
+    gap.  The returned effects ``M`` and ``I - M`` are exactly Hermitian.
     """
     rho1 = _check_state(rho1)
     rho2 = _check_state(rho2)
@@ -72,73 +68,22 @@ def min_error_over_cone(rho1, rho2, dual_cone: ConeRep,
     gens = [ensure_herm(g) for g in dual_cone.generators]
     include_psd = dual_cone.oracle in ("PSD", None)
     m = len(gens)
+    if not (m or include_psd):
+        raise ValidationError("effect cone has no generators")
 
-    if not include_psd:
-        # Pure generator cone: both effects must decompose exactly over the
-        # generators, which is a small LP in the coefficient vectors.
-        from scipy.optimize import linprog
-
-        if m == 0:
-            raise ValidationError("effect cone has no generators")
-        herm_vec = lambda A: np.concatenate([A.real.reshape(-1),
-                                             A.imag.reshape(-1)])
-        G = np.array([herm_vec(g) for g in gens]).T
-        A_eq = np.hstack([G, G])
-        c = np.concatenate([[trace_inner(delta, g) for g in gens],
-                            np.zeros(m)])
-        lp = linprog(c, A_eq=A_eq, b_eq=herm_vec(u), bounds=(0, None))
-        if not lp.success:
-            raise ValidationError("unit is not decomposable over the cone")
-        M = sum(a * g for a, g in zip(lp.x[:m], gens))
-        return 1.0 + trace_inner(delta, M), Measurement(effects=[M, u - M])
-
-    def sqrt_psd(B):
-        vals, vecs = np.linalg.eigh(B)
-        return (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.conj().T
-
-    def value_and_effect(z):
-        mu, nu = z[:m], z[m:]
-        B = u - sum((a + b) * g for a, b, g in zip(mu, nu, gens)) \
-            if m else u
-        bvals = np.linalg.eigvalsh(B)
-        pen = max(-bvals[0], 0.0)
-        Bs = sqrt_psd(B)
-        neg, proj = _negsum_weighted(Bs, delta)
-        Mgen = sum(a * g for a, g in zip(mu, gens)) if m else np.zeros_like(u)
-        val = 1.0 + trace_inner(delta, Mgen) + neg
-        T = Bs @ proj @ Bs
-        return val + 100.0 * pen, val, Mgen + (T + T.conj().T) / 2.0
-
-    if m == 0:
-        f, val, M = value_and_effect(np.zeros(0))
-        return val, Measurement(effects=[M, u - M])
-
-    # Endpoint grid: no generators, plus each (mu_k, nu_l) pair at weight 1.
-    starts = [np.zeros(2 * m)]
-    for k in range(m):
-        for l in range(m):
-            z = np.zeros(2 * m)
-            z[k], z[m + l] = 1.0, 1.0
-            if np.linalg.eigvalsh(u - gens[k] - gens[l])[0] >= -1e-9:
-                starts.append(z)
-        z = np.zeros(2 * m)
-        z[k] = 1.0
-        if np.linalg.eigvalsh(u - gens[k])[0] >= -1e-9:
-            starts.append(z)
-
-    best = (np.inf, np.inf, None, np.inf)
-    for z0 in starts:
-        res = minimize(lambda z: value_and_effect(z)[0], z0, method="Powell",
-                       bounds=[(0.0, None)] * (2 * m),
-                       options={"maxiter": iters, "xtol": 1e-10, "ftol": 1e-12})
-        f, val, M = value_and_effect(np.maximum(res.x, 0.0))
-        coeff_norm = float(np.linalg.norm(res.x))
-        key = (round(val, 12), coeff_norm)
-        if val < best[0] - 1e-12 or (abs(val - best[0]) <= 1e-12
-                                     and coeff_norm < best[3]):
-            best = (val, f, M, coeff_norm)
-    val, _, M, _ = best
-    return val, Measurement(effects=[M, u - M])
+    E, stack = _basis(d), _stack(gens, d)
+    G = _op(E, stack)
+    cost = np.concatenate([_op(stack, delta), np.zeros(m)])
+    blocks = [(delta, E), (np.zeros_like(u), E)] if include_psd else []
+    sol = _solve(_op(E, u), cost, np.hstack([G, G]), blocks)
+    if not sol.converged:
+        raise ValidationError("effect-cone program did not converge "
+                              "(is the unit decomposable over the cone?)")
+    M = _adj(stack, sol.u[:m])
+    if include_psd:
+        M = M + sol.X[0]
+    M = (M + M.conj().T) / 2.0
+    return 1.0 + trace_inner(delta, M), Measurement(effects=[M, u - M])
 
 
 def perfectly_distinguishable(states, measurement, tol: float = 1e-9) -> bool:

@@ -14,7 +14,6 @@ from .dual import (
     Infeasible,
     conic_feasibility,
     gram_predual_check,
-    min_over_spectrahedron,
 )
 from .herm import (
     BipartiteDims,
@@ -150,17 +149,20 @@ def r_of_eps(eps: float) -> float:
     return eps * eps / (2.0 * (4.0 - eps * eps))
 
 
-def cr_membership(x, params: PsesParams, tol: float = 1e-9,
-                  seed: int = 0) -> MembershipVerdict:
+def cr_membership(x, params: PsesParams,
+                  tol: float = 1e-9) -> MembershipVerdict:
     """Membership in the deformed cone ``(C_r^(0)* + NPM_r)*``.
 
-    In needs (a) nonnegative pairing with every deformation endpoint and
-    (b) no negative value from the spectrahedron search over
-    ``PSD intersect {<., N_k> >= 0}`` (the dual of SES + NPM_r).  A
-    violation of either produces Out with the dual element as witness.
-    PSD elements clearing (a) are In exactly (every dual element is PSD);
-    for indefinite x the search only finds violations, so a clean search
-    yields Unknown.
+    The dual of SES + NPM_r is ``PSD intersect {<., N_k> >= 0}``, whose
+    own dual is ``PSD + cone(N_k)``.  So x is In exactly when it pairs
+    nonnegatively with every deformation endpoint N_k and decomposes as
+    ``x = sum_k lam_k N_k + P`` with ``lam >= 0`` and P PSD.  A negative
+    endpoint pairing gives Out with that endpoint as witness; PSD x
+    clearing the pairings is In with ``lam = 0, P = x``.  Otherwise
+    :func:`conic_feasibility` decides: In with the decomposition as a
+    :class:`ConicCertificate` witness, or Out with a trace-one W PSD,
+    ``<W, N_k> >= 0`` and ``<W, x> < 0``.  Unknown is left only for a
+    solve that certifies neither.
     """
     x = ensure_herm(x)
     gens = npm_endpoint_generators(params)
@@ -170,14 +172,19 @@ def cr_membership(x, params: PsesParams, tol: float = 1e-9,
         return MembershipVerdict(OUT, witness=gens[k], margin=pairings[k],
                                  tier="npm-endpoint")
     lam = float(np.linalg.eigvalsh(x)[0])
-    if lam >= -tol:
-        return MembershipVerdict(IN, margin=min(lam, pairings[k]), tier="psd")
-    val, y = min_over_spectrahedron(x, halfspaces=gens, seed=seed)
-    if val < -tol:
-        return MembershipVerdict(OUT, witness=y, margin=val,
+    if lam >= 0.0:
+        return MembershipVerdict(
+            IN, witness=ConicCertificate(np.zeros(len(gens)), x, 0.0),
+            margin=min(lam, pairings[k]), tier="psd")
+    res = conic_feasibility(x, gens, include_psd=True, tol=tol)
+    if isinstance(res, ConicCertificate):
+        return MembershipVerdict(IN, witness=res, margin=-res.residual,
+                                 tier="decomposition")
+    if res.witness is not None:
+        return MembershipVerdict(OUT, witness=res.witness,
+                                 margin=trace_inner(res.witness, x),
                                  tier="spectrahedron-search")
-    return MembershipVerdict(UNKNOWN, margin=min(val, pairings[k]),
-                             tier="spectrahedron-search")
+    return MembershipVerdict(UNKNOWN, margin=0.0, tier="spectrahedron-search")
 
 
 @dataclass
@@ -251,11 +258,13 @@ def predual_audit(params: PsesParams, product_samples: int = 10_000,
 
 def hierarchy_audit(r_list, family_set, dims: BipartiteDims,
                     tol: float = 1e-9) -> AuditReport:
-    """Strictness evidence for the inclusion chain over decreasing r.
+    """Strictness certificates for the inclusion chain over decreasing r.
 
-    For consecutive r1 > r2 the endpoint ``N(r1)`` has a more negative
-    eigenvalue than anything in the smaller hull, so it is conic-
-    infeasible over the r2 endpoints; each strict step is recorded.  A
+    For consecutive r1 > r2 the endpoint ``N(r1)`` lies outside
+    ``PSD + cone(r2 endpoints)``.  A step is strict when
+    :func:`conic_feasibility` returns a separator W that passes direct
+    checks: W PSD, ``<W, N> >= -tol`` for every r2 endpoint N and
+    ``<W, N(r1)> < -tol``.  W and the checked values are recorded.  A
     passing chain certifies (by the general theory, existence only) an
     n-independent family of self-dual modifications.
     """
@@ -270,14 +279,28 @@ def hierarchy_audit(r_list, family_set, dims: BipartiteDims,
         return report
     for i, (r1, r2) in enumerate(zip(r_list, r_list[1:])):
         p2 = PsesParams(family_set=family_set, r=r2, dims=dims)
-        witness = npm_element(r1, family_set[0])
-        res = conic_feasibility(witness, npm_endpoint_generators(p2),
-                                include_psd=True, tol=1e-7)
-        strict = isinstance(res, Infeasible)
-        lam_w = float(np.linalg.eigvalsh(witness)[0])
+        gens = npm_endpoint_generators(p2)
+        n_outer = npm_element(r1, family_set[0])
+        res = conic_feasibility(n_outer, gens, include_psd=True, tol=1e-7)
+        lam_w = float(np.linalg.eigvalsh(n_outer)[0])
+        detail = {}
+        strict = isinstance(res, Infeasible) and res.witness is not None
+        if strict:
+            # Re-verify the separator directly: W PSD, W in the dual of
+            # every inner generator, and W strictly negative on N(r1).
+            W = res.witness
+            detail = {
+                "separator": W,
+                "separator_min_eigenvalue": float(np.linalg.eigvalsh(W)[0]),
+                "separator_min_pairing": min(trace_inner(W, g) for g in gens),
+                "separator_pairing": trace_inner(W, n_outer),
+            }
+            strict = (detail["separator_min_eigenvalue"] >= -tol
+                      and detail["separator_min_pairing"] >= -tol
+                      and detail["separator_pairing"] < -tol)
         report.add(f"strict_step_{i}", strict, r_outer=r1, r_inner=r2,
                    witness_min_eigenvalue=lam_w,
-                   infeasibility_bound=res.bound if strict else 0.0)
+                   infeasibility_bound=res.bound if strict else 0.0, **detail)
     report.add("self_dual_family_certified", report.ok,
                levels=len(r_list), note="existence only; no construction")
     return report
@@ -442,7 +465,7 @@ def self_duality_verifier(candidate_generators, outer: PsesParams,
     for g in cands:
         if norm(g, "hilbert_schmidt") < 1e-12:
             continue
-        v = cr_membership(g, outer, tol=tol, seed=seed)
+        v = cr_membership(g, outer, tol=tol)
         if v.status == OUT:
             sandwich_ok = False
             break

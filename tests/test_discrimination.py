@@ -15,6 +15,13 @@ from gptcone.discrimination import (
 )
 from gptcone.dovm import classify
 from gptcone.herm import ValidationError, norm, trace_inner
+from gptcone.pses import (
+    PsesParams,
+    dist_example,
+    generalized_bell,
+    npm_endpoint_generators,
+    swap_pair,
+)
 from gptcone.sampling import random_pure_state, random_state
 
 
@@ -87,6 +94,23 @@ def test_min_error_over_cone_antitone_in_generators():
         e_small, _ = min_error_over_cone(a, b, small)
         e_big, _ = min_error_over_cone(a, b, big)
         assert e_big <= e_small + 1e-7
+
+
+def test_min_error_over_cone_dist_example_3x3():
+    # The non-orthogonal 3x3 pair is perfectly discriminated in C_r, and
+    # the returned effects are exactly Hermitian.
+    fam = generalized_bell(3)
+    params = PsesParams(family_set=swap_pair(fam), r=0.1, dims=fam.dims)
+    cone = ConeRep(dim=9, generators=npm_endpoint_generators(params),
+                   oracle=None)
+    _, (rho1, rho2), _ = dist_example(0.1, fam)
+    cval, meas = min_error_over_cone(rho1, rho2, cone)
+    m1, m2 = meas.effects
+    assert abs(cval) <= 1e-8
+    assert np.max(np.abs(m1 + m2 - np.eye(9))) <= 1e-8
+    assert np.array_equal(m1, m1.conj().T) and np.array_equal(m2, m2.conj().T)
+    assert err_of_measurement(rho1, rho2, meas) == pytest.approx(cval,
+                                                                 abs=1e-8)
 
 
 def test_min_error_restricted_cone_at_least_helstrom():

@@ -65,7 +65,7 @@ def test_gram_predual_check():
 def test_min_over_spectrahedron_matches_min_eigenvalue():
     rng = np.random.default_rng(0)
     X = random_herm(3, rng)
-    val, y = min_over_spectrahedron(X, halfspaces=[], seed=0)
+    val, y = min_over_spectrahedron(X, halfspaces=[])
     lam = np.linalg.eigvalsh(X)[0]
     assert val == pytest.approx(lam, abs=1e-6)
     assert np.trace(y).real == pytest.approx(1.0, abs=1e-8)
@@ -75,8 +75,7 @@ def test_min_over_spectrahedron_matches_min_eigenvalue():
 def test_min_over_spectrahedron_respects_halfspaces():
     X = np.diag([-1.0, 1.0]).astype(complex)
     # Forbid weight on the first axis: the minimum flips to +1.
-    val, y = min_over_spectrahedron(X, halfspaces=[np.diag([-1.0, 0.0])],
-                                    seed=0)
+    val, y = min_over_spectrahedron(X, halfspaces=[np.diag([-1.0, 0.0])])
     assert trace_inner(y, np.diag([-1.0, 0.0])) >= -1e-7
     assert val >= -1e-6
 

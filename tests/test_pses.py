@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gptcone.dual import conic_feasibility, Infeasible
+from gptcone.dual import ConicCertificate, Infeasible, conic_feasibility
 from gptcone.herm import BipartiteDims, ValidationError, partial_trace, trace_inner
 from gptcone.pses import (
     MeopFamily,
@@ -113,6 +113,23 @@ def test_cr_membership_cases(params01, bell_family):
     assert cr_membership(rho2, params01).status != OUT
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_cr_membership_own_generator_is_in(m):
+    fam = generalized_bell(m)
+    params = PsesParams(family_set=swap_pair(fam), r=0.1, dims=fam.dims)
+    x = npm_element(0.1, fam)
+    v = cr_membership(x, params)
+    assert v.status == IN
+    cert = v.witness
+    assert isinstance(cert, ConicCertificate)
+    assert np.all(cert.coefficients >= 0)
+    assert np.linalg.eigvalsh(cert.psd_part)[0] >= -1e-12
+    gens = npm_endpoint_generators(params)
+    recomposed = sum(c * g for c, g in zip(cert.coefficients, gens)) \
+        + cert.psd_part
+    assert np.linalg.norm(recomposed - x) <= 1e-9
+
+
 def test_predual_audit_passes_at_small_r(params01):
     rep = predual_audit(params01, product_samples=3000, dual_samples=100)
     assert rep.ok
@@ -147,6 +164,17 @@ def test_hierarchy_audit(bell_family):
     rep = hierarchy_audit([0.2, 0.1], swap_pair(bell_family),
                           bell_family.dims)
     assert rep.ok
+    step = rep.checks["strict_step_0"]
+    W = step["separator"]
+    inner = npm_endpoint_generators(PsesParams(
+        family_set=swap_pair(bell_family), r=0.1, dims=bell_family.dims))
+    assert np.linalg.eigvalsh(W)[0] >= -1e-9
+    assert min(trace_inner(W, N) for N in inner) >= -1e-9
+    outer = npm_element(0.2, bell_family)
+    assert trace_inner(W, outer) == pytest.approx(step["separator_pairing"])
+    assert step["separator_pairing"] < 0
+    assert step["infeasibility_bound"] == pytest.approx(
+        -step["separator_pairing"] / np.linalg.norm(W))
     single = hierarchy_audit([0.1], swap_pair(bell_family), bell_family.dims)
     assert single.ok
     with pytest.raises(ValidationError):
