@@ -48,7 +48,6 @@ from .dovm import (
     aq_from_subcone_witness,
     bq_witness_states,
     classify,
-    gurvits_ball,
     random_dovm,
 )
 from .dual import (

@@ -8,11 +8,12 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
 from . import pses, simulability, symmetry
-from .cones import capacity_demo, ses_model
+from .cones import PSD, capacity_demo, make_named_cone, ses_model
 from .discrimination import (
     entropy_example_audit,
     err_of_measurement,
@@ -91,7 +92,7 @@ def _guess_dims(d: int, spec: str | None) -> BipartiteDims:
         return BipartiteDims(m, m)
     if d % 2 == 0:
         return BipartiteDims(2, d // 2)
-    return BipartiteDims(1, d)
+    raise UsageError(f"pass --dims: cannot guess a split of dimension {d}")
 
 
 def _load_dovm(path: str, dims_spec: str | None) -> Dovm:
@@ -254,41 +255,57 @@ def cmd_symmetry(args) -> int:
     return PASS if report["pass"] else FAIL
 
 
+@contextmanager
+def _check(checks: dict, name: str):
+    """A ValidationError inside the block fails check ``name`` alone."""
+    try:
+        yield
+    except ValidationError as exc:
+        checks[name] = {"ok": False, "error": str(exc)}
+
+
 def _appendix_checks(seed: int) -> dict:
     checks = {}
     e1, e2 = appendix_measurement()
     dovm = Dovm(m1=e1, m2=e2, dims=DIMS_22, seed=seed)
-    cls = classify(dovm)
-    spec = np.linalg.eigvalsh(e1)
-    checks["classification"] = {
-        "ok": cls.tag == "BQ"
-        and np.max(np.abs(spec - [-0.5, 0.5, 0.5, 1.5])) <= 1e-9,
-        "class": cls.tag,
-        "spectrum": spec,
-    }
-    r1, r2, ov = bq_witness_states(dovm)
-    checks["perfect_discrimination"] = {
-        "ok": abs(ov - 0.75) <= 1e-9,
-        "overlap": ov,
-    }
-    a1, a2, margin = aq_advantage_states(dovm)
-    checks["quantum_advantage"] = {
-        "ok": abs(margin - 1.0 / (np.sqrt(2.0) * 4.0)) <= 1e-6,
-        "margin": margin,
-    }
-    ent = entropy_example_audit()
-    checks["entropy_example"] = {"ok": ent["pass"], **ent}
-    sym = symmetry.two_symmetry_counterexample(seed=seed)
-    checks["two_symmetry"] = {
-        "ok": not sym["equivalent"] and sym["invariance_violation"] <= 1e-10,
-        **sym,
-    }
-    sb = simulability.shrunk_bloch_example(0.5, seed=seed)
-    checks["shrunk_bloch"] = {
-        "ok": sb["pass"],
-        "overlap": sb["overlap"],
-        "status": sb["certificate"].status,
-    }
+    with _check(checks, "classification"):
+        cls = classify(dovm)
+        spec = np.linalg.eigvalsh(e1)
+        checks["classification"] = {
+            "ok": cls.tag == "BQ"
+            and np.max(np.abs(spec - [-0.5, 0.5, 0.5, 1.5])) <= 1e-9,
+            "class": cls.tag,
+            "spectrum": spec,
+        }
+    with _check(checks, "perfect_discrimination"):
+        r1, r2, ov = bq_witness_states(dovm)
+        checks["perfect_discrimination"] = {
+            "ok": abs(ov - 0.75) <= 1e-9,
+            "overlap": ov,
+        }
+    with _check(checks, "quantum_advantage"):
+        a1, a2, margin = aq_advantage_states(dovm)
+        checks["quantum_advantage"] = {
+            "ok": abs(margin - 1.0 / (np.sqrt(2.0) * 4.0)) <= 1e-6,
+            "margin": margin,
+        }
+    with _check(checks, "entropy_example"):
+        ent = entropy_example_audit()
+        checks["entropy_example"] = {"ok": ent["pass"], **ent}
+    with _check(checks, "two_symmetry"):
+        sym = symmetry.two_symmetry_counterexample(seed=seed)
+        checks["two_symmetry"] = {
+            "ok": not sym["equivalent"]
+            and sym["invariance_violation"] <= 1e-10,
+            **sym,
+        }
+    with _check(checks, "shrunk_bloch"):
+        sb = simulability.shrunk_bloch_example(0.5, seed=seed)
+        checks["shrunk_bloch"] = {
+            "ok": sb["pass"],
+            "overlap": sb["overlap"],
+            "status": sb["certificate"].status,
+        }
     return checks
 
 
@@ -308,59 +325,65 @@ def cmd_verify_all(args) -> int:
     rng = np.random.default_rng(seed)
 
     n_pairs = 10 if fast else 50
-    from .cones import PSD, make_named_cone
-
     psd_cone = make_named_cone(PSD, dim=4)
-    worst = 0.0
-    for _ in range(n_pairs):
-        s1, s2 = random_state(4, rng), random_state(4, rng)
-        hval, _ = helstrom(s1, s2)
-        cval, _ = min_error_over_cone(s1, s2, psd_cone)
-        worst = max(worst, abs(hval - cval))
-    checks["helstrom_equivalence"] = {"ok": worst <= 1e-6, "worst": worst,
-                                      "pairs": n_pairs}
+    with _check(checks, "helstrom_equivalence"):
+        worst = 0.0
+        for _ in range(n_pairs):
+            s1, s2 = random_state(4, rng), random_state(4, rng)
+            hval, _ = helstrom(s1, s2)
+            cval, _ = min_error_over_cone(s1, s2, psd_cone)
+            worst = max(worst, abs(hval - cval))
+        checks["helstrom_equivalence"] = {"ok": worst <= 1e-6,
+                                          "worst": worst, "pairs": n_pairs}
 
     fam = pses.generalized_bell(2)
     params = pses.PsesParams(family_set=pses.swap_pair(fam), r=0.1,
                              dims=fam.dims)
-    audit = pses.predual_audit(
-        params, product_samples=1000 if fast else 10_000,
-        dual_samples=50 if fast else 200, seed=seed)
-    checks["pses_audit"] = audit.to_json() | {"ok": audit.ok}
+    with _check(checks, "pses_audit"):
+        audit = pses.predual_audit(
+            params, product_samples=1000 if fast else 10_000,
+            dual_samples=50 if fast else 200, seed=seed)
+        checks["pses_audit"] = audit.to_json() | {"ok": audit.ok}
 
-    _, _, overlap = pses.dist_example(0.1, fam)
-    checks["pses_discrimination"] = {
-        "ok": abs(overlap - pses.overlap_closed_form(0.1)) <= 1e-12,
-        "overlap": overlap,
-    }
+    with _check(checks, "pses_discrimination"):
+        _, _, overlap = pses.dist_example(0.1, fam)
+        checks["pses_discrimination"] = {
+            "ok": abs(overlap - pses.overlap_closed_form(0.1)) <= 1e-12,
+            "overlap": overlap,
+        }
 
     from .sampling import random_max_entangled_state
 
     sigma = random_max_entangled_state(2, rng)
-    dist, _ = pses.distance_upper_bound(params, sigma,
-                                        restarts=8 if fast else 32,
-                                        seed=seed)
-    checks["pses_distance"] = {
-        "ok": abs(dist - 1.0 / 3.0) <= 1e-9 and dist <= pses.eps_of_r(0.1),
-        "distance": dist,
-    }
+    with _check(checks, "pses_distance"):
+        dist, _ = pses.distance_upper_bound(params, sigma,
+                                            restarts=8 if fast else 32,
+                                            seed=seed)
+        checks["pses_distance"] = {
+            "ok": abs(dist - 1.0 / 3.0) <= 1e-9
+            and dist <= pses.eps_of_r(0.1),
+            "distance": dist,
+        }
 
-    hier = pses.hierarchy_audit([0.2, 0.1], pses.swap_pair(fam), fam.dims)
-    checks["hierarchy"] = hier.to_json() | {"ok": hier.ok}
+    with _check(checks, "hierarchy"):
+        hier = pses.hierarchy_audit([0.2, 0.1], pses.swap_pair(fam), fam.dims)
+        checks["hierarchy"] = hier.to_json() | {"ok": hier.ok}
 
     n_points = 100 if fast else 1000
     g1 = [random_herm(3, rng) for _ in range(4)]
     g2 = [random_herm(3, rng) for _ in range(4)]
-    dual_rep = dual_identity_check(g1, g2, samples=n_points, seed=seed)
-    checks["duality_identity"] = {"ok": dual_rep.ok,
-                                  "samples": dual_rep.samples,
-                                  "disagreements": len(dual_rep.disagreements)}
+    with _check(checks, "duality_identity"):
+        dual_rep = dual_identity_check(g1, g2, samples=n_points, seed=seed)
+        checks["duality_identity"] = {
+            "ok": dual_rep.ok, "samples": dual_rep.samples,
+            "disagreements": len(dual_rep.disagreements)}
 
     for dA, dB in ((2, 2), (2, 3)):
-        states, meas = capacity_demo(ses_model(BipartiteDims(dA, dB)))
-        checks[f"capacity_{dA}x{dB}"] = {"ok": len(states) == dA * dB
-                                         and len(meas) == dA * dB,
-                                         "size": dA * dB}
+        with _check(checks, f"capacity_{dA}x{dB}"):
+            states, meas = capacity_demo(ses_model(BipartiteDims(dA, dB)))
+            checks[f"capacity_{dA}x{dB}"] = {
+                "ok": len(states) == dA * dB and len(meas) == dA * dB,
+                "size": dA * dB}
 
     ok = all(c["ok"] for c in checks.values())
     report = {"schema": SCHEMA, "command": "verify-all", "fast": fast,

@@ -1,15 +1,19 @@
 """Positive cones, GPT models, states, effects, and measurements.
 
-A :class:`ConeRep` can carry a V-description (generators), an
-H-description (dual generators), and/or a named oracle; membership is
-decided by the cheapest decisive tier and returns Unknown honestly when
-no tier is decisive (separability is not decidable at tolerance in
-general, and the constructions here only ever need the decidable tiers).
+A :class:`ConeRep` with a named oracle K and/or generators G denotes the
+hull ``K + cone(G)``, whose dual is ``K* intersect G*``; one with only
+halfspaces H denotes ``cone(H)*``.  Each named cone and its dual are
+written once, in one table (PSD is self-dual, SEP and SEP_DUAL are each
+other's duals).  Membership returns In or Out with the deciding tier and,
+for Out, a witness W with ``<W, x> < 0``; it returns Unknown honestly
+when no tier is decisive (separability is not decidable at tolerance in
+general).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -23,6 +27,7 @@ from .herm import (
     tensor,
     trace_inner,
 )
+from .pses import cr_membership
 from .verdict import IN, OUT, UNKNOWN, MembershipVerdict
 
 PSD = "PSD"
@@ -65,20 +70,16 @@ class ConeRep:
                 raise ValidationError(
                     f"V- and H-descriptions are inconsistent (min pairing {worst:.3e})"
                 )
-
-    def check_proper(self, tol: float = 1e-7) -> bool:
-        """Sanity check on finitely generated reps: no line in the cone.
-
-        For each generator g, -g must not be conic-feasible over the
-        generator list.
-        """
-        for k, g in enumerate(self.generators):
-            if norm(g, "hilbert_schmidt") < tol:
-                continue
-            res = conic_feasibility(-g, self.generators, include_psd=False, tol=tol)
-            if isinstance(res, ConicCertificate):
-                return False
-        return True
+        if self.oracle is not None:
+            if self.oracle not in _NAMED:
+                raise ValidationError(f"unknown cone tag {self.oracle!r}")
+            _, _, valid, needs = _NAMED[self.oracle]
+            try:
+                ok = valid is None or valid(self)
+            except TypeError:  # a parameter of the wrong type
+                ok = False
+            if not ok:
+                raise ValidationError(f"{self.oracle} needs {needs}")
 
 
 @dataclass
@@ -125,35 +126,10 @@ def make_named_cone(tag: str, params: dict | None = None,
                     dims: BipartiteDims | None = None, dim: int | None = None,
                     generators=None) -> ConeRep:
     """Build an oracle-backed ConeRep for one of the named cones."""
-    params = dict(params or {})
-    if tag in (SEP, SEP_DUAL, CR):
-        if dims is None:
-            raise ValidationError(f"{tag} requires bipartite dims")
-        dim = dims.total
-    if tag == SHRUNK_BLOCH:
-        p = params.get("p")
-        if p is None or not (0.0 < p < 1.0):
-            raise ValidationError("SHRUNK_BLOCH needs 0 < p < 1")
-        dim = dim or 2
-        if dim != 2:
-            raise ValidationError("SHRUNK_BLOCH is a qubit cone")
-        gens = list(generators or [])
-        if not gens:
-            # Affine image of PSD: images of a frame of rank-1 projectors.
-            eye = np.eye(dim, dtype=complex)
-            frame = [np.outer(v, v.conj()) for v in eye]
-            frame.append(np.full((dim, dim), 1.0 / dim, dtype=complex))
-            frame.append(np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex))
-            gens = [p * f + (1 - p) / 2.0 * np.trace(f).real * eye for f in frame]
-        return ConeRep(dim=dim, generators=gens, oracle=tag, params=params, dims=dims)
-    if tag == CS_NEG:
-        s = params.get("s")
-        if s is None or s < 0:
-            raise ValidationError("CS_NEG needs s >= 0")
-    if dim is None:
+    if dim is None and dims is None:
         raise ValidationError("dimension required")
-    return ConeRep(dim=dim, generators=list(generators or []), oracle=tag,
-                   params=params, dims=dims)
+    return ConeRep(dim=dim or dims.total, generators=list(generators or []),
+                   oracle=tag, params=dict(params or {}), dims=dims)
 
 
 def min_product_expectation(X, dims: BipartiteDims, restarts: int = 64,
@@ -192,15 +168,6 @@ def min_product_expectation(X, dims: BipartiteDims, restarts: int = 64,
     return best
 
 
-def _psd_membership(x, tol):
-    vals, vecs = np.linalg.eigh(x)
-    if vals[0] >= -tol:
-        return MembershipVerdict(IN, margin=float(vals[0]), tier="eigenvalue")
-    v = vecs[:, 0]
-    return MembershipVerdict(OUT, witness=np.outer(v, v.conj()),
-                             margin=float(vals[0]), tier="eigenvalue")
-
-
 def gurvits_ball_contains(X, tol: float = 1e-9) -> bool:
     """Sufficient separability condition ``||I - X * d/Tr X||_2 <= 1``."""
     X = ensure_herm(X)
@@ -212,13 +179,38 @@ def gurvits_ball_contains(X, tol: float = 1e-9) -> bool:
     return norm(np.eye(d) - scaled, "hilbert_schmidt") <= 1.0 + tol
 
 
-def _sep_membership(cone, x, tol, seed):
-    if cone.generators:
-        res = conic_feasibility(x, cone.generators, include_psd=False,
-                                tol=max(tol, 1e-8))
-        if isinstance(res, ConicCertificate):
-            return MembershipVerdict(IN, witness=res, margin=-res.residual,
-                                     tier="decomposition")
+def block_positivity(x, dims: BipartiteDims, tol: float = DEFAULT_TOL,
+                     seed: int = 0, restarts: int = 64) -> MembershipVerdict:
+    """Membership of Hermitian ``x`` in SEP_DUAL, the block-positive cone.
+
+    PSD x is In; a product vector found by :func:`min_product_expectation`
+    with a negative expectation gives Out with its projector as witness;
+    otherwise Unknown.
+    """
+    vals = np.linalg.eigvalsh(x)
+    if vals[0] >= -tol:
+        return MembershipVerdict(IN, margin=float(vals[0]), tier="psd")
+    val, a, b = min_product_expectation(x, dims, restarts=restarts, seed=seed)
+    if val < -tol:
+        ab = np.kron(a, b)
+        return MembershipVerdict(OUT, witness=np.outer(ab, ab.conj()),
+                                 margin=val, tier="product-search")
+    return MembershipVerdict(UNKNOWN, margin=val, tier="product-search")
+
+
+# The named oracles: ``oracle(x, cone, tol, seed)`` decides ``x in K``
+# for the cone's tag, with x already validated against the cone.
+
+def _psd(x, cone, tol, seed):
+    vals, vecs = np.linalg.eigh(x)
+    if vals[0] >= -tol:
+        return MembershipVerdict(IN, margin=float(vals[0]), tier="eigenvalue")
+    v = vecs[:, 0]
+    return MembershipVerdict(OUT, witness=np.outer(v, v.conj()),
+                             margin=float(vals[0]), tier="eigenvalue")
+
+
+def _sep(x, cone, tol, seed):
     if gurvits_ball_contains(x, tol):
         return MembershipVerdict(IN, margin=0.0, tier="gurvits")
     pt = partial_transpose(x, cone.dims)
@@ -228,143 +220,165 @@ def _sep_membership(cone, x, tol, seed):
         witness = partial_transpose(np.outer(v, v.conj()), cone.dims)
         return MembershipVerdict(OUT, witness=witness, margin=float(vals[0]),
                                  tier="ppt")
-    if np.linalg.eigvalsh(x)[0] < -tol:
-        return _psd_membership(x, tol)
+    lam = float(np.linalg.eigvalsh(x)[0])
+    if lam < -tol:
+        return _psd(x, cone, tol, seed)
+    if cone.dims.total <= 6:
+        # PPT is equivalent to separability for 2x2 and 2x3 (Horodecki,
+        # Horodecki & Horodecki, Phys. Lett. A 223, 1996).
+        return MembershipVerdict(IN, margin=min(lam, float(vals[0])),
+                                 tier="ppt-exact")
     return MembershipVerdict(UNKNOWN, margin=float(vals[0]), tier="ppt")
 
 
-def _sep_dual_membership(cone, x, tol, seed, restarts=64):
-    vals = np.linalg.eigvalsh(x)
+def _block_positive(x, cone, tol, seed):
+    return block_positivity(x, cone.dims, tol, seed)
+
+
+def _diagonal(x, cone, tol, seed):
+    diag = np.real(np.diag(x))
+    k = int(np.argmin(diag))
+    if diag[k] >= -tol:
+        return MembershipVerdict(IN, margin=float(diag[k]), tier="diagonal")
+    w = np.zeros_like(x)
+    w[k, k] = 1.0
+    return MembershipVerdict(OUT, witness=w, margin=float(diag[k]),
+                             tier="diagonal")
+
+
+def _orthant(x, cone, tol, seed):
+    off = x - np.diag(np.diag(x))
+    worst = float(np.max(np.abs(off)))
+    if worst > tol:
+        return MembershipVerdict(OUT, witness=-off, margin=-worst,
+                                 tier="diagonal")
+    return _diagonal(x, cone, tol, seed)
+
+
+def _shrunk_bloch(x, cone, tol, seed, dual=False):
+    # The cone is T(PSD) for the self-adjoint T(y) = p y + (1-p)/2 tr(y) I,
+    # so x is in it when T^-1(x) is PSD and in its dual when T(x) is.  The
+    # same map applied to the bottom eigenprojector is an Out witness.
+    p = cone.params["p"]
+
+    def shrink(y):
+        t = (1 - p) / 2.0 * float(np.trace(y).real) * np.eye(cone.dim)
+        return p * y + t if dual else (y - t) / p
+
+    vals, vecs = np.linalg.eigh(shrink(x))
+    tier = "shrunk-bloch-dual" if dual else "affine-psd"
     if vals[0] >= -tol:
-        return MembershipVerdict(IN, margin=float(vals[0]), tier="psd")
-    val, a, b = min_product_expectation(x, cone.dims, restarts=restarts, seed=seed)
-    if val < -tol:
-        ab = np.kron(a, b)
-        return MembershipVerdict(OUT, witness=np.outer(ab, ab.conj()),
-                                 margin=val, tier="product-search")
-    return MembershipVerdict(UNKNOWN, margin=val, tier="product-search")
+        return MembershipVerdict(IN, margin=float(vals[0]), tier=tier)
+    u = vecs[:, 0]
+    return MembershipVerdict(OUT, witness=shrink(np.outer(u, u.conj())),
+                             margin=float(vals[0]), tier=tier)
 
 
-def membership(cone: ConeRep, x, tol: float = DEFAULT_TOL,
-               seed: int = 0) -> MembershipVerdict:
-    """Tiered membership oracle for ``x in cone``."""
+def _cs_neg(x, cone, tol, seed):
+    s = cone.params["s"]
+    excess = max(-float(np.linalg.eigvalsh(x)[0]), 0.0) \
+        - s * float(np.trace(x).real)
+    if excess > tol:
+        v = np.linalg.eigh(x)[1][:, 0]
+        witness = np.outer(v, v.conj()) + s * np.eye(cone.dim)
+        return MembershipVerdict(OUT, witness=witness, margin=-excess,
+                                 tier="nege")
+    bp = block_positivity(x, cone.dims, tol, seed)
+    if bp.status == OUT:
+        return bp
+    tier = "nege+" + bp.tier if bp.status == IN else "nege"
+    return MembershipVerdict(bp.status, margin=bp.margin, tier=tier)
+
+
+def _cr(x, cone, tol, seed):
+    return cr_membership(x, cone.params["pses"], tol=tol)
+
+
+def _no_dual(x, cone, tol, seed):
+    return MembershipVerdict(UNKNOWN, tier="no-description")
+
+
+def _bipartite(cone):
+    return cone.dims is not None and cone.dims.total == cone.dim
+
+
+# tag -> (oracle, oracle of the dual, parameter check, what it requires).
+_NAMED = {
+    PSD: (_psd, _psd, None, ""),
+    SEP: (_sep, _block_positive, _bipartite, "bipartite dims"),
+    SEP_DUAL: (_block_positive, _sep, _bipartite, "bipartite dims"),
+    CLASSICAL_ORTHANT: (_orthant, _diagonal, None, ""),
+    SHRUNK_BLOCH: (_shrunk_bloch, partial(_shrunk_bloch, dual=True),
+                   lambda c: c.dim == 2 and 0 < c.params.get("p", 0) < 1,
+                   "dimension 2 and 0 < p < 1"),
+    CS_NEG: (_cs_neg, _no_dual,
+             lambda c: _bipartite(c) and c.params.get("s", -1) >= 0,
+             "bipartite dims and s >= 0"),
+    CR: (_cr, _no_dual, lambda c: _bipartite(c) and "pses" in c.params,
+         "bipartite dims and the PsesParams as params['pses']"),
+}
+
+_RANK = {OUT: 0, UNKNOWN: 1, IN: 2}  # the worst verdict first
+
+
+def _evaluate(cone: ConeRep, x, tol: float, seed: int,
+              dual: bool) -> MembershipVerdict:
+    """``x`` in ``cone``, or in its dual when ``dual`` is set.
+
+    The hull ``K + cone(G)`` is In when K says In or x decomposes over G,
+    Out when K's Out witness also clears every generator, else Unknown.
+    The intersection ``K* intersect G*`` takes the worst of its parts.
+    """
     if tol <= 0:
         raise ValidationError("tol must be positive")
     x = ensure_herm(x)
     if x.shape != (cone.dim, cone.dim):
         raise ValidationError("dimension mismatch")
+    if cone.oracle is None and not cone.generators:
+        # Only halfspaces H: the cone is cone(H)*, its dual cone(H).
+        oracle, gens, hull = None, cone.dual_generators, dual
+    else:
+        oracle = cone.oracle and _NAMED[cone.oracle][dual]
+        gens, hull = cone.generators, not dual
+    v = oracle(x, cone, tol, seed) if oracle else None
 
-    if cone.oracle == PSD:
-        return _psd_membership(x, tol)
-    if cone.oracle == CLASSICAL_ORTHANT:
-        off = x - np.diag(np.diag(x))
-        if np.max(np.abs(off)) > tol:
-            return MembershipVerdict(OUT, margin=-float(np.max(np.abs(off))),
-                                     tier="diagonal")
-        diag = np.real(np.diag(x))
-        k = int(np.argmin(diag))
-        if diag[k] >= -tol:
-            return MembershipVerdict(IN, margin=float(diag[k]), tier="diagonal")
-        w = np.zeros_like(x)
-        w[k, k] = 1.0
-        return MembershipVerdict(OUT, witness=w, margin=float(diag[k]),
-                                 tier="diagonal")
-    if cone.oracle == SEP:
-        return _sep_membership(cone, x, tol, seed)
-    if cone.oracle == SEP_DUAL:
-        return _sep_dual_membership(cone, x, tol, seed)
-    if cone.oracle == SHRUNK_BLOCH:
-        p = cone.params["p"]
-        t = float(np.trace(x).real)
-        rho = (x - (1 - p) / 2.0 * t * np.eye(cone.dim)) / p
-        vals, vecs = np.linalg.eigh(rho)
-        if vals[0] >= -tol:
-            return MembershipVerdict(IN, margin=float(vals[0]), tier="affine-psd")
-        u = vecs[:, 0]
-        w = np.outer(u, u.conj()) - (1 - p) / 2.0 * np.eye(cone.dim)
-        return MembershipVerdict(OUT, witness=w, margin=float(p * vals[0]),
-                                 tier="affine-psd")
-    if cone.oracle == CS_NEG:
-        s = cone.params["s"]
-        vals = np.linalg.eigvalsh(x)
-        excess = max(-vals[0], 0.0) - s * float(np.trace(x).real)
-        if excess > tol:
-            return MembershipVerdict(OUT, margin=-excess, tier="nege")
-        bp = _sep_dual_membership(cone, x, tol, seed)
-        if bp.status == OUT:
-            return bp
-        if bp.status == IN and excess <= tol:
-            return MembershipVerdict(IN, margin=bp.margin, tier="nege+" + (bp.tier or ""))
-        return MembershipVerdict(UNKNOWN, margin=bp.margin, tier="nege")
-    if cone.oracle == CR:
-        from .pses import cr_membership
+    if not hull:
+        parts = [] if v is None else [v]
+        if gens:
+            parts.append(dual_membership(gens, x, tol))
+        return min(parts, key=lambda part: (_RANK[part.status], part.margin))
 
-        return cr_membership(x, cone.params["pses"], tol=tol)
-    if cone.generators:
-        res = conic_feasibility(x, cone.generators, include_psd=False,
+    if v is not None and (v.status == IN or v.status == OUT and all(
+            trace_inner(v.witness, g) >= -tol for g in gens)):
+        return v
+    if gens:
+        res = conic_feasibility(x, gens, include_psd=False,
                                 tol=max(tol, 1e-8))
         if isinstance(res, ConicCertificate):
             return MembershipVerdict(IN, witness=res, margin=-res.residual,
                                      tier="conic-feasibility")
-        return MembershipVerdict(UNKNOWN, margin=res.bound,
-                                 tier="conic-feasibility")
-    return dual_membership(cone.dual_generators, x, tol)
+        if v is None:  # a separator certifies Out, its absence nothing
+            status = UNKNOWN if res.witness is None else OUT
+            return MembershipVerdict(status, witness=res.witness,
+                                     margin=-res.bound,
+                                     tier="conic-feasibility")
+    return MembershipVerdict(UNKNOWN, margin=v.margin, tier=v.tier)
+
+
+def membership(cone: ConeRep, x, tol: float = DEFAULT_TOL,
+               seed: int = 0) -> MembershipVerdict:
+    """Tiered membership oracle for ``x in cone``."""
+    return _evaluate(cone, x, tol, seed, dual=False)
 
 
 def dual_cone_membership(cone: ConeRep, x, tol: float = DEFAULT_TOL,
-                         seed: int = 0, restarts: int = 64) -> MembershipVerdict:
+                         seed: int = 0) -> MembershipVerdict:
     """Membership of ``x`` in the *dual* of ``cone``.
 
     Used to validate effects: the effect space of a model lives in the
-    dual of its state cone.  When a cone combines an oracle with extra
-    generators (conic hull of the union), the dual is the intersection,
-    so verdicts are combined accordingly.
+    dual of its state cone.
     """
-    x = ensure_herm(x)
-    parts = []
-    if cone.oracle == PSD:
-        parts.append(_psd_membership(x, tol))
-    elif cone.oracle == CLASSICAL_ORTHANT:
-        diag = np.real(np.diag(x))
-        k = int(np.argmin(diag))
-        if diag[k] >= -tol:
-            parts.append(MembershipVerdict(IN, margin=float(diag[k]), tier="diagonal"))
-        else:
-            w = np.zeros_like(x)
-            w[k, k] = 1.0
-            parts.append(MembershipVerdict(OUT, witness=w, margin=float(diag[k]),
-                                           tier="diagonal"))
-    elif cone.oracle == SEP:
-        parts.append(_sep_dual_membership(cone, x, tol, seed, restarts=restarts))
-    elif cone.oracle == SEP_DUAL:
-        parts.append(_sep_membership(cone, x, tol, seed))
-    elif cone.oracle == SHRUNK_BLOCH:
-        p = cone.params["p"]
-        val = p * float(np.linalg.eigvalsh(x)[0]) \
-            + (1 - p) / 2.0 * float(np.trace(x).real)
-        status = IN if val >= -tol else OUT
-        parts.append(MembershipVerdict(status, margin=val, tier="shrunk-bloch-dual"))
-    if cone.generators:
-        parts.append(dual_membership(cone.generators, x, tol))
-    if cone.dual_generators and not (cone.oracle or cone.generators):
-        res = conic_feasibility(x, cone.dual_generators, include_psd=False,
-                                tol=max(tol, 1e-8))
-        if isinstance(res, ConicCertificate):
-            parts.append(MembershipVerdict(IN, witness=res, margin=-res.residual,
-                                           tier="conic-feasibility"))
-        else:
-            parts.append(MembershipVerdict(UNKNOWN, margin=res.bound,
-                                           tier="conic-feasibility"))
-    if not parts:
-        return MembershipVerdict(UNKNOWN, tier="no-description")
-    for p_ in parts:
-        if p_.status == OUT:
-            return p_
-    if all(p_.status == IN for p_ in parts):
-        worst = min(parts, key=lambda p_: p_.margin)
-        return MembershipVerdict(IN, margin=worst.margin, tier=worst.tier)
-    unknown = next(p_ for p_ in parts if p_.status == UNKNOWN)
-    return unknown
+    return _evaluate(cone, x, tol, seed, dual=True)
 
 
 def validate_measurement(model: GptModel, effects, tol: float = 1e-10,
@@ -407,7 +421,7 @@ def capacity_demo(model: GptModel, tol: float = 1e-12):
     measurement discriminating them perfectly.
     """
     dims = model.dims
-    states, projectors = [], []
+    states = []
     for i in range(dims.dA):
         for j in range(dims.dB):
             a = np.zeros((dims.dA, dims.dA), dtype=complex)
@@ -415,8 +429,7 @@ def capacity_demo(model: GptModel, tol: float = 1e-12):
             b = np.zeros((dims.dB, dims.dB), dtype=complex)
             b[j, j] = 1.0
             states.append(tensor(a, b))
-            projectors.append(tensor(a, b))
-    gram = np.array([[trace_inner(s, p) for p in projectors] for s in states])
+    gram = np.array([[trace_inner(s, p) for p in states] for s in states])
     if np.max(np.abs(gram - np.eye(len(states)))) > tol:
         raise ValidationError("product basis failed the discrimination check")
-    return states, Measurement(effects=projectors, model=model)
+    return states, Measurement(effects=list(states), model=model)

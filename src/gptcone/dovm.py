@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import SEP_DUAL, make_named_cone, membership
-from .herm import BipartiteDims, ValidationError, ensure_herm, norm
+from .cones import block_positivity, gurvits_ball_contains
+from .herm import BipartiteDims, ValidationError, ensure_herm
 from .verdict import OUT
 
 BQ = "BQ"
@@ -40,14 +40,10 @@ class Dovm:
         if dev > 1e-10:
             raise ValidationError(f"effects sum to I only within {dev:.3e}")
         if self.block_positivity_evidence is None:
-            from .cones import _sep_dual_membership
-
-            cone = make_named_cone(SEP_DUAL, dims=self.dims)
-            ev = tuple(
-                _sep_dual_membership(cone, m, 1e-9, self.seed,
-                                     restarts=self.screen_restarts)
+            self.block_positivity_evidence = tuple(
+                block_positivity(m, self.dims, 1e-9, self.seed,
+                                 self.screen_restarts)
                 for m in (self.m1, self.m2))
-            self.block_positivity_evidence = ev
         for k, v in enumerate(self.block_positivity_evidence):
             if v.status == OUT:
                 raise ValidationError(
@@ -90,12 +86,6 @@ def classify(dovm: Dovm, tol: float = 1e-9) -> DovmClass:
     return DovmClass(NAQ, k, summary)
 
 
-def _deciding_frame(dovm: Dovm, k: int):
-    m = dovm.effects[k]
-    vals, vecs = np.linalg.eigh(m)
-    return vals, vecs
-
-
 def bq_witness_states(dovm: Dovm, tol: float = 1e-9):
     """Non-orthogonal pure state pair perfectly discriminated by a BQ DOVM.
 
@@ -108,7 +98,7 @@ def bq_witness_states(dovm: Dovm, tol: float = 1e-9):
     if cls.tag != BQ:
         raise ValidationError(f"witness construction needs a BQ DOVM, got {cls.tag}")
     k = cls.deciding_effect
-    vals, vecs = _deciding_frame(dovm, k)
+    vals, vecs = np.linalg.eigh(dovm.effects[k])
     l1, ld = vals[0], vals[-1]
     psi1, psid = vecs[:, 0], vecs[:, -1]
     width = ld - l1
@@ -128,12 +118,6 @@ def bq_witness_states(dovm: Dovm, tol: float = 1e-9):
     return rho1, rho2, overlap
 
 
-def gurvits_ball(X, tol: float = 1e-9) -> bool:
-    """Sufficient separability condition ``||I - X||_2 <= 1``."""
-    X = ensure_herm(X)
-    return norm(np.eye(X.shape[0]) - X, "hilbert_schmidt") <= 1.0 + tol
-
-
 def aq_advantage_states(dovm: Dovm, tol: float = 1e-9):
     """Separable state pair on which a BQ/AQ DOVM beats the quantum optimum.
 
@@ -149,7 +133,7 @@ def aq_advantage_states(dovm: Dovm, tol: float = 1e-9):
     if cls.tag not in (BQ, AQ):
         raise ValidationError(f"advantage construction needs BQ or AQ, got {cls.tag}")
     k = cls.deciding_effect
-    vals, vecs = _deciding_frame(dovm, k)
+    vals, vecs = np.linalg.eigh(dovm.effects[k])
     if vals[-1] - vals[0] <= 1.0 + tol:
         raise ValidationError("deciding effect has spectral width <= 1")
     d = dovm.dims.total
@@ -157,7 +141,7 @@ def aq_advantage_states(dovm: Dovm, tol: float = 1e-9):
     Ed = np.outer(vecs[:, -1], vecs[:, -1].conj())
     rho1 = np.eye(d, dtype=complex) / d
     rho2 = rho1 + (E1 - Ed) / (np.sqrt(2.0) * d)
-    if not gurvits_ball(d * rho2):
+    if not gurvits_ball_contains(rho2):
         raise ValidationError("constructed state left the separability ball")
     hval, _ = helstrom(rho1, rho2)
     # Orient outcomes so the deciding effect (which underweights rho2)

@@ -18,7 +18,6 @@ from .io import matrix_from_json
 DIMS_22 = BipartiteDims(2, 2)
 
 _P0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-_P1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 _PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 
 
@@ -54,8 +53,6 @@ def build_fixtures() -> dict:
         "rho2": tensor(_PLUS, _PLUS),
         "sigma1": sigma1,
         "sigma2": sigma2,
-        "tau1": tensor(_P0, _P0),
-        "tau2": tensor(_P1, _P1),
         "e1": e1,
         "e2": e2,
     }
@@ -85,8 +82,3 @@ def appendix_states():
 def appendix_measurement():
     """(e1, e2): the beyond-quantum two-outcome fixture."""
     return load_fixture("e1"), load_fixture("e2")
-
-
-def symmetry_states():
-    """(rho1, rho2, tau1, tau2): the 2-symmetry counterexample quartet."""
-    return tuple(load_fixture(n) for n in ("rho1", "rho2", "tau1", "tau2"))

@@ -151,20 +151,6 @@ def fidelity(rho, sigma, tol: float = 1e-9) -> float:
     return trace_inner(ensure_herm(rho), sigma)
 
 
-def partial_contract(xA, X, dims: BipartiteDims) -> np.ndarray:
-    """Contract the A factor of ``X`` by ``xA``: valued in the B space.
-
-    Bilinear, with ``P_{xA}(a (x) b) = <a, xA> b``.
-    """
-    xA = ensure_herm(xA)
-    if xA.shape != (dims.dA, dims.dA):
-        raise ValidationError("xA does not match the A dimension")
-    T = _as_bipartite(X, dims)
-    # <a, xA> b  for X = a (x) b  means contracting with xA transposed in
-    # the trace pairing: sum_{i,j} xA[j, i] X[i, :, j, :].
-    return np.einsum("ji,ibjc->bc", xA, T)
-
-
 def maximally_entangled_vector(m: int) -> np.ndarray:
     """Canonical maximally entangled vector on an m x m system."""
     v = np.eye(m, dtype=complex).reshape(-1)

@@ -20,7 +20,9 @@ def _round17(x: float) -> float:
 
 
 def matrix_to_json(A) -> dict:
-    A = ensure_herm(A)
+    A = np.asarray(A, dtype=complex)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValidationError(f"expected a square matrix, got shape {A.shape}")
     return {
         "dim": A.shape[0],
         "re": [[_round17(v) for v in row] for row in A.real.tolist()],

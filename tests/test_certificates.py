@@ -8,7 +8,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gptcone.cones import PSD, make_named_cone
+from gptcone.cones import (
+    CLASSICAL_ORTHANT,
+    CS_NEG,
+    PSD,
+    SEP,
+    SEP_DUAL,
+    SHRUNK_BLOCH,
+    ConeRep,
+    dual_cone_membership,
+    make_named_cone,
+    membership,
+)
 from gptcone.discrimination import helstrom, min_error_over_cone
 from gptcone.dual import (
     ConicCertificate,
@@ -16,7 +27,7 @@ from gptcone.dual import (
     conic_feasibility,
     min_over_spectrahedron,
 )
-from gptcone.herm import trace_inner
+from gptcone.herm import BipartiteDims, partial_trace, partial_transpose, trace_inner
 from gptcone.pses import (
     PsesParams,
     cr_membership,
@@ -26,7 +37,7 @@ from gptcone.pses import (
     swap_pair,
 )
 from gptcone.sampling import random_herm, random_psd, random_state
-from gptcone.verdict import IN, OUT
+from gptcone.verdict import IN, OUT, UNKNOWN
 
 TOL = 1e-8
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -140,3 +151,95 @@ def test_psd_effect_cone_error_equals_helstrom(seed, d):
     m1, m2 = meas.effects
     assert np.linalg.eigvalsh(m1)[0] >= -1e-8
     assert np.linalg.eigvalsh(m2)[0] >= -1e-8
+
+
+def _psd(W):
+    return np.linalg.eigvalsh(W)[0] >= -TOL
+
+
+def _clears(gens):
+    return lambda W: all(trace_inner(W, g) >= -TOL for g in gens)
+
+
+def _one_of(gens):
+    return lambda W: any(np.allclose(W, g) for g in gens)
+
+
+def _orthant(W):
+    return np.allclose(W, np.diag(np.diag(W))) and _diagonal(W)
+
+
+def _diagonal(W):
+    return np.real(np.diag(W)).min() >= -TOL
+
+
+def _witness_cases(dims, rng):
+    """``name -> (cone, W in cone*, W in cone)`` for the Out witnesses of
+    membership and of dual-cone membership, each checked without the
+    oracle: by eigenvalues, by the diagonal, or by inner products."""
+    d = dims.total
+    gens = _generators(d, 3, rng)
+
+    def product(W):  # |ab><ab| for unit vectors a, b
+        rho_a = partial_trace(W, dims, "A")
+        rho_b = partial_trace(W, dims, "B")
+        return _psd(W) and np.allclose(W, np.kron(rho_a, rho_b))
+
+    return {
+        "psd": (make_named_cone(PSD, dim=d), _psd, _psd),
+        "orthant": (make_named_cone(CLASSICAL_ORTHANT, dim=d), _diagonal,
+                    _orthant),
+        "generators": (ConeRep(dim=d, generators=gens), _clears(gens),
+                       _one_of(gens)),
+        "halfspaces": (ConeRep(dim=d, dual_generators=gens), _one_of(gens),
+                       _clears(gens)),
+        "orthant+generators": (
+            ConeRep(dim=d, generators=gens, oracle=CLASSICAL_ORTHANT),
+            lambda W: _diagonal(W) and _clears(gens)(W),
+            lambda W: _orthant(W) or _one_of(gens)(W)),
+        "sep": (make_named_cone(SEP, dims=dims),
+                lambda W: _psd(W) or _psd(partial_transpose(W, dims)),
+                product),
+        "sep_dual": (make_named_cone(SEP_DUAL, dims=dims), product,
+                     lambda W: _psd(W) or _psd(partial_transpose(W, dims))),
+        "cs_neg": (make_named_cone(CS_NEG, dim=d, params={"s": 0.1},
+                                   dims=dims), None, None),
+    }
+
+
+@given(seeds, st.sampled_from([(2, 2), (2, 3)]), st.floats(-0.5, 4.0))
+@settings(max_examples=30, deadline=None)
+def test_every_out_carries_a_checkable_witness(seed, dA_dB, shift):
+    rng = np.random.default_rng(seed)
+    dims = BipartiteDims(*dA_dB)
+    x = random_herm(dims.total, rng) + shift * np.eye(dims.total)
+    for name, (cone, in_dual, in_cone) in _witness_cases(dims, rng).items():
+        for check, member in ((membership, in_dual),
+                              (dual_cone_membership, in_cone)):
+            v = check(cone, x)
+            assert v.status in (IN, OUT, UNKNOWN)
+            if v.status != OUT:
+                continue
+            assert trace_inner(v.witness, x) < 0, (name, check.__name__)
+            if member is not None:
+                assert member(v.witness), (name, check.__name__, v.tier)
+
+
+@given(seeds, st.floats(0.05, 0.95), st.floats(-0.5, 1.0))
+@settings(max_examples=30, deadline=None)
+def test_shrunk_bloch_out_witnesses(seed, p, shift):
+    rng = np.random.default_rng(seed)
+    x = random_herm(2, rng) + shift * np.eye(2)
+    cone = make_named_cone(SHRUNK_BLOCH, dim=2, params={"p": p})
+
+    def shrink(y, inverse):  # the cone is shrink(PSD, inverse=False)
+        t = (1 - p) / 2.0 * np.trace(y).real * np.eye(2)
+        return (y - t) / p if inverse else p * y + t
+
+    # W in the cone's dual pairs nonnegatively with shrink(PSD), i.e.
+    # shrink(W) is PSD; W in the cone has a PSD preimage.
+    for check, inverse in ((membership, False), (dual_cone_membership, True)):
+        v = check(cone, x)
+        if v.status == OUT:
+            assert trace_inner(v.witness, x) < 0
+            assert _psd(shrink(v.witness, inverse))

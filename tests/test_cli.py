@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from gptcone import cli
+from gptcone import cli, symmetry
 from gptcone.fixtures import appendix_measurement, build_fixtures
+from gptcone.herm import ValidationError, partial_transpose
 from gptcone.io import measurement_to_json, save_matrix
 
 
@@ -60,10 +61,9 @@ def test_discriminate(tmp_path, capsys):
 
 
 def test_discriminate_with_cone(tmp_path, capsys):
-    fx = build_fixtures()
     p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    save_matrix(p1, fx["tau1"])
-    save_matrix(p2, fx["tau2"])
+    save_matrix(p1, np.diag([1.0, 0.0, 0.0, 0.0]))  # |00><00|
+    save_matrix(p2, np.diag([0.0, 0.0, 0.0, 1.0]))  # |11><11|
     cone_path = tmp_path / "cone.json"
     gens = [np.diag(row).astype(complex) for row in np.eye(4)]
     cone_path.write_text(json.dumps({
@@ -192,3 +192,55 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     rep = json.loads(out.read_text())
     assert rep["class"] == "BQ"
+
+
+def test_verify_appendix_keeps_report_when_a_check_raises(capsys, monkeypatch):
+    def broken():
+        raise ValidationError("fixture drifted")
+
+    monkeypatch.setattr(cli, "entropy_example_audit", broken)
+    assert cli.run(["verify-appendix"]) == 2
+    rep = _stdout_report(capsys)
+    assert not rep["pass"]
+    assert rep["checks"]["entropy_example"] == {"ok": False,
+                                                "error": "fixture drifted"}
+    assert rep["checks"]["two_symmetry"]["ok"]
+
+
+def test_verify_all_keeps_report_when_a_check_raises(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValidationError("solve did not converge")
+
+    monkeypatch.setattr(cli.pses, "hierarchy_audit", broken)
+    assert cli.run(["verify-all", "--fast"]) == 2
+    rep = _stdout_report(capsys)
+    assert rep["checks"]["hierarchy"]["ok"] is False
+    assert rep["checks"]["duality_identity"]["ok"]
+
+
+def test_jsonify_writes_non_hermitian_square_arrays(bell_state, dims22):
+    rep = symmetry.gu_falsifier(partial_transpose(bell_state, dims22), dims22)
+    out = json.loads(json.dumps(cli._jsonify(rep)))
+    U = np.array(out["unitary"]["re"]) + 1j * np.array(out["unitary"]["im"])
+    assert np.allclose(U, rep["unitary"], atol=1e-15)
+    assert np.allclose(U @ U.conj().T, np.eye(4))
+
+
+def test_classify_prime_dimension_needs_dims(tmp_path, capsys):
+    p = np.diag([1.0, 1.0, 0.0, 0.0, 0.0]).astype(complex)
+    path = tmp_path / "povm5.json"
+    path.write_text(json.dumps(measurement_to_json([p, np.eye(5) - p])))
+    assert cli.run(["classify-dovm", str(path)]) == 1
+    assert "--dims" in capsys.readouterr().err
+    assert cli.run(["classify-dovm", str(path), "--dims", "1x5"]) == 0
+
+
+def test_discriminate_rejects_unknown_cone_tag(tmp_path, capsys):
+    p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
+    save_matrix(p1, np.diag([1.0, 0.0]))
+    save_matrix(p2, np.diag([0.0, 1.0]))
+    cone_path = tmp_path / "cone.json"
+    cone_path.write_text(json.dumps({"tag": "psd", "dim": 2}))
+    assert cli.run(["discriminate", str(p1), str(p2),
+                    "--cone", str(cone_path)]) == 1
+    assert "unknown cone tag" in capsys.readouterr().err

@@ -3,6 +3,7 @@ import pytest
 
 from gptcone.cones import (
     CLASSICAL_ORTHANT,
+    CR,
     CS_NEG,
     PSD,
     SEP,
@@ -21,7 +22,7 @@ from gptcone.cones import (
     validate_measurement,
 )
 from gptcone.herm import BipartiteDims, ValidationError, partial_transpose, trace_inner
-from gptcone.sampling import random_separable_state, random_state
+from gptcone.sampling import random_herm, random_separable_state, random_state
 from gptcone.verdict import IN, OUT, UNKNOWN
 
 
@@ -189,3 +190,108 @@ def test_capacity_demo_sizes():
         gram = np.array([[trace_inner(s, m) for m in meas.effects]
                          for s in states])
         assert np.max(np.abs(gram - np.eye(dA * dB))) <= 1e-12
+
+
+def _table_inputs(dims, rng):
+    d = dims.total
+    for _ in range(4):
+        yield random_state(d, rng)
+        yield random_separable_state(dims, seed=rng)
+        yield random_herm(d, rng) + 0.3 * np.eye(d)
+
+
+@pytest.mark.parametrize("dA,dB", [(2, 2), (2, 3)])
+@pytest.mark.parametrize("tag,dual_tag", [(PSD, PSD), (SEP, SEP_DUAL),
+                                          (SEP_DUAL, SEP)])
+def test_dual_cone_membership_is_membership_in_the_dual(tag, dual_tag, dA, dB):
+    dims = BipartiteDims(dA, dB)
+    cone = make_named_cone(tag, dim=dims.total, dims=dims)
+    dual = make_named_cone(dual_tag, dim=dims.total, dims=dims)
+    rng = np.random.default_rng(dA * dB)
+    for x in _table_inputs(dims, rng):
+        v, w = dual_cone_membership(cone, x), membership(dual, x)
+        assert (v.status, v.tier) == (w.status, w.tier)
+
+
+def test_dual_cone_membership_validates_like_membership():
+    cone = make_named_cone(PSD, dim=3)
+    for check in (membership, dual_cone_membership):
+        with pytest.raises(ValidationError):
+            check(cone, np.eye(2))
+        with pytest.raises(ValidationError):
+            check(cone, np.eye(3), tol=0.0)
+
+
+def test_hull_contains_its_own_generators():
+    # The orthant oracle rejects g, but the cone is orthant + cone(g).
+    g = np.array([[1.0, 0.5], [0.5, 1.0]])
+    cone = ConeRep(dim=2, generators=[g], oracle=CLASSICAL_ORTHANT)
+    assert membership(cone, g).status == IN
+    # In the hull, but neither in the orthant nor in cone(g): undecided.
+    assert membership(cone, g + np.eye(2)).status == UNKNOWN
+    # Off the hull: the oracle's witness clears g, so Out stands.
+    x = np.array([[1.0, -0.5], [-0.5, 1.0]])
+    v = membership(cone, x)
+    assert v.status == OUT
+    assert trace_inner(v.witness, x) < 0 <= trace_inner(v.witness, g)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"dim": 4, "oracle": "psd"},
+    {"dim": 4, "oracle": SEP},
+    {"dim": 4, "oracle": SEP_DUAL, "dims": BipartiteDims(2, 3)},
+    {"dim": 2, "oracle": SHRUNK_BLOCH},
+    {"dim": 4, "oracle": CS_NEG, "dims": BipartiteDims(2, 2)},
+    {"dim": 4, "oracle": CS_NEG, "params": {"s": 0.1}},
+    {"dim": 4, "oracle": CR, "dims": BipartiteDims(2, 2)},
+])
+def test_cone_rep_rejects_unknown_tags_and_missing_params(kwargs):
+    with pytest.raises(ValidationError):
+        ConeRep(**kwargs)
+
+
+def test_generator_cone_out_carries_the_separator():
+    # cone(diagonal projectors) is the diagonal orthant: x is outside it.
+    gens = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    x = np.array([[1.0, 1.0], [1.0, 1.0]])
+    for v in (membership(ConeRep(dim=2, generators=gens), x),
+              dual_cone_membership(ConeRep(dim=2, dual_generators=gens), x)):
+        assert v.status == OUT and v.tier == "conic-feasibility"
+        assert trace_inner(v.witness, x) < 0
+        assert all(trace_inner(v.witness, g) >= -1e-8 for g in gens)
+
+
+def test_orthant_and_cs_neg_out_witnesses(bell_state, dims22):
+    x = np.eye(3) + 0.5 * (np.eye(3, k=1) + np.eye(3, k=-1))
+    v = membership(make_named_cone(CLASSICAL_ORTHANT, dim=3), x)
+    assert v.status == OUT
+    assert np.allclose(v.witness, -(x - np.diag(np.diag(x))))
+    w = partial_transpose(bell_state, dims22)
+    v = membership(make_named_cone(CS_NEG, dim=4, params={"s": 0.1},
+                                   dims=dims22), w)
+    assert v.status == OUT and v.tier == "nege"
+    # W = vv* + s I with v the bottom eigenvector: <W, w> = -1/2 + 0.1.
+    assert trace_inner(v.witness, w) == pytest.approx(-0.4, abs=1e-12)
+    assert np.linalg.eigvalsh(v.witness)[0] == pytest.approx(0.1, abs=1e-12)
+
+
+@pytest.mark.parametrize("dA,dB", [(2, 2), (2, 3)])
+def test_sep_is_exact_by_ppt_in_small_dims(dA, dB):
+    dims = BipartiteDims(dA, dB)
+    sep = make_named_cone(SEP, dims=dims)
+    sep_dual = make_named_cone(SEP_DUAL, dims=dims)
+    product = np.zeros((dims.total, dims.total))
+    product[0, 0] = 1.0  # |00><00|
+    rng = np.random.default_rng(7)
+    for x in [product] + [random_separable_state(dims, seed=rng)
+                          for _ in range(20)]:
+        assert membership(sep, x).status == IN
+        assert dual_cone_membership(sep_dual, x).status == IN
+
+
+def test_sep_stays_unknown_beyond_ppt_exactness():
+    dims = BipartiteDims(3, 3)
+    x = np.zeros((9, 9))
+    x[0, 0] = 1.0  # |00><00|, outside the separability ball
+    v = membership(make_named_cone(SEP, dims=dims), x)
+    assert (v.status, v.tier) == (UNKNOWN, "ppt")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gptcone.cones import gurvits_ball_contains
 from gptcone.dovm import (
     AQ,
     BQ,
@@ -11,7 +12,6 @@ from gptcone.dovm import (
     aq_from_subcone_witness,
     bq_witness_states,
     classify,
-    gurvits_ball,
     random_dovm,
 )
 from gptcone.herm import BipartiteDims, ValidationError, partial_transpose, trace_inner
@@ -106,19 +106,14 @@ def test_bq_witness_rejects_non_bq():
 def test_aq_advantage_fixture(e_dovm):
     rho1, rho2, margin = aq_advantage_states(e_dovm)
     assert margin == pytest.approx(1.0 / (np.sqrt(2.0) * 4.0), abs=1e-6)
-    assert gurvits_ball(4 * rho1)
-    assert gurvits_ball(4 * rho2)
+    assert gurvits_ball_contains(rho1)
+    assert gurvits_ball_contains(rho2)
 
 
 def test_aq_advantage_rejects_naq():
     dovm = _commuting_dovm([0.8, -0.1, 0.5, 0.4])
     with pytest.raises(ValidationError):
         aq_advantage_states(dovm)
-
-
-def test_gurvits_ball():
-    assert gurvits_ball(np.eye(4))
-    assert not gurvits_ball(3 * np.eye(4))
 
 
 def test_aq_from_subcone_witness(bell_state, dims22):

@@ -86,3 +86,15 @@ def test_fixture_checksums_and_content():
         assert np.max(np.abs(loaded - ref)) < 1e-15, name
     with pytest.raises(FileNotFoundError):
         load_fixture("no-such-fixture")
+
+
+def test_cone_from_json_rejects_unknown_tags_and_missing_params():
+    with pytest.raises(ValidationError, match="unknown cone tag"):
+        cone_from_json({"tag": "SEPARABLE", "dim": 4})
+    with pytest.raises(ValidationError):
+        cone_from_json({"tag": SEP, "dim": 4})
+    with pytest.raises(ValidationError):
+        cone_from_json({"tag": "SHRUNK_BLOCH", "dim": 2, "params": {}})
+    with pytest.raises(ValidationError):
+        cone_from_json({"tag": "SHRUNK_BLOCH", "dim": 2,
+                        "params": {"p": "0.5"}})
