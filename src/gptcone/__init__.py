@@ -18,6 +18,7 @@ from .cones import (
     Measurement,
     MeasurementValidationError,
     capacity_demo,
+    conic_program,
     dual_cone_membership,
     gurvits_ball_contains,
     make_named_cone,
@@ -62,7 +63,6 @@ from .dual import (
 from .herm import (
     BipartiteDims,
     ValidationError,
-    eig_ascending,
     ensure_herm,
     fidelity,
     max_entangled_fidelity,

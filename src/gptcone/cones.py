@@ -17,14 +17,13 @@ from functools import partial
 
 import numpy as np
 
-from .dual import ConicCertificate, conic_feasibility, dual_membership
+from .dual import conic_membership, dual_membership
 from .herm import (
     BipartiteDims,
     ValidationError,
     ensure_herm,
     norm,
     partial_transpose,
-    tensor,
     trace_inner,
 )
 from .pses import cr_membership
@@ -61,11 +60,8 @@ class ConeRep:
             if g.shape != (self.dim, self.dim):
                 raise ValidationError("generator dimension mismatch")
         if self.generators and self.dual_generators:
-            worst = min(
-                trace_inner(g, h)
-                for g in self.generators
-                for h in self.dual_generators
-            )
+            worst = min(dual_membership(self.generators, h).margin
+                        for h in self.dual_generators)
             if worst < -1e-9:
                 raise ValidationError(
                     f"V- and H-descriptions are inconsistent (min pairing {worst:.3e})"
@@ -73,7 +69,7 @@ class ConeRep:
         if self.oracle is not None:
             if self.oracle not in _NAMED:
                 raise ValidationError(f"unknown cone tag {self.oracle!r}")
-            _, _, valid, needs = _NAMED[self.oracle]
+            _, _, valid, needs, _ = _NAMED[self.oracle]
             try:
                 ok = valid is None or valid(self)
             except TypeError:  # a parameter of the wrong type
@@ -198,6 +194,10 @@ def block_positivity(x, dims: BipartiteDims, tol: float = DEFAULT_TOL,
     return MembershipVerdict(UNKNOWN, margin=val, tier="product-search")
 
 
+def _units(d):
+    return [np.diag(e) for e in np.eye(d, dtype=complex)]
+
+
 # The named oracles: ``oracle(x, cone, tol, seed)`` decides ``x in K``
 # for the cone's tag, with x already validated against the cone.
 
@@ -302,21 +302,37 @@ def _bipartite(cone):
     return cone.dims is not None and cone.dims.total == cone.dim
 
 
-# tag -> (oracle, oracle of the dual, parameter check, what it requires).
+# tag -> (oracle, oracle of the dual, parameter check, what it requires, K's
+# conic program as dim -> (generators, include_psd) or None without one).
 _NAMED = {
-    PSD: (_psd, _psd, None, ""),
-    SEP: (_sep, _block_positive, _bipartite, "bipartite dims"),
-    SEP_DUAL: (_block_positive, _sep, _bipartite, "bipartite dims"),
-    CLASSICAL_ORTHANT: (_orthant, _diagonal, None, ""),
+    PSD: (_psd, _psd, None, "", lambda d: ([], True)),
+    SEP: (_sep, _block_positive, _bipartite, "bipartite dims", None),
+    SEP_DUAL: (_block_positive, _sep, _bipartite, "bipartite dims", None),
+    CLASSICAL_ORTHANT: (_orthant, _diagonal, None, "",
+                        lambda d: (_units(d), False)),
     SHRUNK_BLOCH: (_shrunk_bloch, partial(_shrunk_bloch, dual=True),
                    lambda c: c.dim == 2 and 0 < c.params.get("p", 0) < 1,
-                   "dimension 2 and 0 < p < 1"),
+                   "dimension 2 and 0 < p < 1", None),
     CS_NEG: (_cs_neg, _no_dual,
              lambda c: _bipartite(c) and c.params.get("s", -1) >= 0,
-             "bipartite dims and s >= 0"),
+             "bipartite dims and s >= 0", None),
     CR: (_cr, _no_dual, lambda c: _bipartite(c) and "pses" in c.params,
-         "bipartite dims and the PsesParams as params['pses']"),
+         "bipartite dims and the PsesParams as params['pses']", None),
 }
+
+
+def conic_program(cone: ConeRep):
+    """``cone`` as ``(generators, include_psd)`` for
+    :func:`~gptcone.dual.conic_feasibility`: K's program plus the cone's
+    generators, or None (halfspace-only, or a tag without a program)."""
+    if cone.oracle is None:
+        return (cone.generators, False) if cone.generators else None
+    program = _NAMED[cone.oracle][4]
+    if program is None:
+        return None
+    units, include_psd = program(cone.dim)
+    return units + cone.generators, include_psd
+
 
 _RANK = {OUT: 0, UNKNOWN: 1, IN: 2}  # the worst verdict first
 
@@ -325,8 +341,9 @@ def _evaluate(cone: ConeRep, x, tol: float, seed: int,
               dual: bool) -> MembershipVerdict:
     """``x`` in ``cone``, or in its dual when ``dual`` is set.
 
-    The hull ``K + cone(G)`` is In when K says In or x decomposes over G,
-    Out when K's Out witness also clears every generator, else Unknown.
+    The hull ``K + cone(G)`` is In when K says In, Out when K's Out
+    witness clears every generator, else decided by one conic solve over
+    K's program and G (without a program, In only when x decomposes over G).
     The intersection ``K* intersect G*`` takes the worst of its parts.
     """
     if tol <= 0:
@@ -336,11 +353,10 @@ def _evaluate(cone: ConeRep, x, tol: float, seed: int,
         raise ValidationError("dimension mismatch")
     if cone.oracle is None and not cone.generators:
         # Only halfspaces H: the cone is cone(H)*, its dual cone(H).
-        oracle, gens, hull = None, cone.dual_generators, dual
+        tag, gens, hull = None, cone.dual_generators, dual
     else:
-        oracle = cone.oracle and _NAMED[cone.oracle][dual]
-        gens, hull = cone.generators, not dual
-    v = oracle(x, cone, tol, seed) if oracle else None
+        tag, gens, hull = cone.oracle, cone.generators, not dual
+    v = _NAMED[tag][dual](x, cone, tol, seed) if tag else None
 
     if not hull:
         parts = [] if v is None else [v]
@@ -351,17 +367,14 @@ def _evaluate(cone: ConeRep, x, tol: float, seed: int,
     if v is not None and (v.status == IN or v.status == OUT and all(
             trace_inner(v.witness, g) >= -tol for g in gens)):
         return v
-    if gens:
-        res = conic_feasibility(x, gens, include_psd=False,
-                                tol=max(tol, 1e-8))
-        if isinstance(res, ConicCertificate):
-            return MembershipVerdict(IN, witness=res, margin=-res.residual,
-                                     tier="conic-feasibility")
-        if v is None:  # a separator certifies Out, its absence nothing
-            status = UNKNOWN if res.witness is None else OUT
-            return MembershipVerdict(status, witness=res.witness,
-                                     margin=-res.bound,
-                                     tier="conic-feasibility")
+    tol = max(tol, 1e-8)
+    program = conic_program(cone) if tag else (gens, False)
+    if program is not None:
+        return conic_membership(x, *program, tol=tol)
+    if gens:  # cone(G)'s separator certifies nothing for K + cone(G)
+        w = conic_membership(x, gens, include_psd=False, tol=tol)
+        if w.status == IN:
+            return w
     return MembershipVerdict(UNKNOWN, margin=v.margin, tier=v.tier)
 
 
@@ -420,15 +433,7 @@ def capacity_demo(model: GptModel, tol: float = 1e-12):
     returns dA*dB product basis states and the product projector
     measurement discriminating them perfectly.
     """
-    dims = model.dims
-    states = []
-    for i in range(dims.dA):
-        for j in range(dims.dB):
-            a = np.zeros((dims.dA, dims.dA), dtype=complex)
-            a[i, i] = 1.0
-            b = np.zeros((dims.dB, dims.dB), dtype=complex)
-            b[j, j] = 1.0
-            states.append(tensor(a, b))
+    states = _units(model.dims.total)  # |ij><ij| is the unit at i * dB + j
     gram = np.array([[trace_inner(s, p) for p in states] for s in states])
     if np.max(np.abs(gram - np.eye(len(states)))) > tol:
         raise ValidationError("product basis failed the discrimination check")

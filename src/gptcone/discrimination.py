@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cones import ConeRep, Measurement
+from .cones import ConeRep, Measurement, conic_program
 from .dual import _adj, _basis, _op, _solve, _stack
 from .herm import ValidationError, ensure_herm, norm, partial_transpose, trace_inner
 from .herm import BipartiteDims
@@ -48,15 +48,16 @@ def min_error_over_cone(rho1, rho2,
                         dual_cone: ConeRep) -> tuple[float, Measurement]:
     """Minimum error sum when effects range over ``dual_cone``.
 
-    The effect cone is ``cone(generators) + PSD`` (PSD included when the
-    cone's oracle is PSD or it carries no oracle).  Writing the effects
-    as ``M = sum mu_k g_k + T`` and ``I - M = sum nu_k g_k + S`` gives the
-    conic program
+    The effect cone is its :func:`~gptcone.cones.conic_program`, except
+    that a generator-only cone, the form of the deformed effect cones
+    ``SES + NPM_r``, is read as ``PSD + cone(g_k)``; a cone without a
+    program raises :class:`ValidationError`.  Writing the effects as
+    ``M = sum mu_k g_k + T`` and ``I - M = sum nu_k g_k + S`` gives
 
         min 1 + <rho2 - rho1, sum mu_k g_k + T>
         s.t. sum (mu_k + nu_k) g_k + T + S = I,  mu, nu >= 0,  T, S PSD,
 
-    with no PSD blocks for a pure generator cone, solved by the
+    with no PSD blocks for a program without PSD, solved by the
     interior-point method of :mod:`gptcone.dual` to a certified duality
     gap.  The returned effects ``M`` and ``I - M`` are exactly Hermitian.
     """
@@ -65,11 +66,13 @@ def min_error_over_cone(rho1, rho2,
     d = rho1.shape[0]
     u = np.eye(d, dtype=complex)
     delta = rho2 - rho1
-    gens = [ensure_herm(g) for g in dual_cone.generators]
-    include_psd = dual_cone.oracle in ("PSD", None)
+    program = conic_program(dual_cone)
+    if program is None:
+        name = dual_cone.oracle or "halfspace-only"
+        raise ValidationError(f"the {name} effect cone has no conic program")
+    gens, include_psd = program
+    include_psd = include_psd or dual_cone.oracle is None
     m = len(gens)
-    if not (m or include_psd):
-        raise ValidationError("effect cone has no generators")
 
     E, stack = _basis(d), _stack(gens, d)
     G = _op(E, stack)

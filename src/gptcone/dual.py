@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .herm import ValidationError, ensure_herm, trace_inner
-from .verdict import IN, OUT, MembershipVerdict
+from .verdict import IN, OUT, UNKNOWN, MembershipVerdict
 
 
 @dataclass
@@ -262,11 +262,12 @@ def dual_membership(generators, x, tol: float = 1e-9) -> MembershipVerdict:
     if not len(generators):
         raise ValueError("dual_membership needs at least one generator")
     x = ensure_herm(x)
-    vals = [trace_inner(x, g) for g in generators]
+    gens = _stack([ensure_herm(g) for g in generators], len(x))
+    vals = _op(gens, x)
     k = int(np.argmin(vals))
     if vals[k] >= -tol:
-        return MembershipVerdict(IN, margin=vals[k])
-    return MembershipVerdict(OUT, witness=np.asarray(generators[k]), margin=vals[k])
+        return MembershipVerdict(IN, margin=float(vals[k]))
+    return MembershipVerdict(OUT, witness=gens[k], margin=float(vals[k]))
 
 
 def gram_predual_check(generators, tol: float = 1e-9):
@@ -360,6 +361,23 @@ def conic_feasibility(x, generators, include_psd: bool = True,
     return Infeasible(0.0, None, sol.gap)
 
 
+def conic_membership(x, generators, include_psd: bool = True,
+                     tol: float = 1e-8) -> MembershipVerdict:
+    """:func:`conic_feasibility` as a verdict: In with the certificate,
+    Out with the separator W and margin ``<W, x>``, Unknown when neither
+    verified.  Tiers: ``decomposition`` (In) and ``spectrahedron-search``
+    with PSD, ``conic-feasibility`` without."""
+    res = conic_feasibility(x, generators, include_psd, tol)
+    if isinstance(res, ConicCertificate):
+        tier = "decomposition" if include_psd else "conic-feasibility"
+        return MembershipVerdict(IN, res, -res.residual, tier)
+    tier = "spectrahedron-search" if include_psd else "conic-feasibility"
+    if res.witness is None:
+        return MembershipVerdict(UNKNOWN, margin=0.0, tier=tier)
+    return MembershipVerdict(OUT, witness=res.witness,
+                             margin=trace_inner(res.witness, x), tier=tier)
+
+
 def min_over_spectrahedron(x, halfspaces=(), tol: float = 1e-9):
     """Minimum of ``<x, y>`` over trace-one PSD ``y`` meeting
     ``<y, h> >= 0`` for every halfspace ``h``; returns ``(value, y)``.
@@ -399,14 +417,14 @@ def dual_identity_check(g1, g2, samples: int = 1000, tol: float = 1e-9,
 
     g1 = [ensure_herm(g) for g in g1]
     g2 = [ensure_herm(g) for g in g2]
-    d = g1[0].shape[0] if g1 else g2[0].shape[0]
+    d = (g1 + g2)[0].shape[0]
     rng = np.random.default_rng(seed)
-    report = DualIdentityReport(samples=samples)
-    for k in range(samples):
-        xs = random_herm(d, rng)
-        lhs = dual_membership(g1 + g2, xs, tol).status == IN
-        rhs = (dual_membership(g1, xs, tol).status == IN
-               and dual_membership(g2, xs, tol).status == IN)
-        if lhs != rhs:
-            report.disagreements.append((k, lhs, rhs))
-    return report
+    xs = _stack([random_herm(d, rng) for _ in range(samples)], d)
+
+    def inside(gens):
+        return np.all(_op(_stack(gens, d), xs) >= -tol, axis=0)
+
+    lhs = inside(g1 + g2)
+    rhs = inside(g1) & inside(g2)
+    return DualIdentityReport(samples, [(int(k), bool(lhs[k]), bool(rhs[k]))
+                                        for k in np.flatnonzero(lhs != rhs)])

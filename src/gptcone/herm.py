@@ -52,13 +52,6 @@ def ensure_herm(A, tol: float = HERM_TOL, repair: bool = False) -> np.ndarray:
     return A
 
 
-def eig_ascending(A) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues in ascending order and orthonormal eigenvector columns."""
-    A = ensure_herm(A)
-    vals, vecs = np.linalg.eigh(A)
-    return vals, vecs
-
-
 def trace_inner(X, Y) -> float:
     """Trace inner product ``Tr XY`` of two Hermitian matrices."""
     X = ensure_herm(X)

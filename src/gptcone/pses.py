@@ -5,14 +5,14 @@ discrimination example they support."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .dual import (
     ConicCertificate,
-    Infeasible,
-    conic_feasibility,
+    conic_membership,
+    dual_membership,
     gram_predual_check,
 )
 from .herm import (
@@ -23,7 +23,7 @@ from .herm import (
     partial_trace,
     trace_inner,
 )
-from .verdict import IN, OUT, UNKNOWN, MembershipVerdict
+from .verdict import IN, OUT, MembershipVerdict
 
 
 @dataclass
@@ -159,32 +159,19 @@ def cr_membership(x, params: PsesParams,
     ``x = sum_k lam_k N_k + P`` with ``lam >= 0`` and P PSD.  A negative
     endpoint pairing gives Out with that endpoint as witness; PSD x
     clearing the pairings is In with ``lam = 0, P = x``.  Otherwise
-    :func:`conic_feasibility` decides: In with the decomposition as a
-    :class:`ConicCertificate` witness, or Out with a trace-one W PSD,
-    ``<W, N_k> >= 0`` and ``<W, x> < 0``.  Unknown is left only for a
-    solve that certifies neither.
+    :func:`conic_membership` over ``PSD + cone(N_k)`` decides.
     """
     x = ensure_herm(x)
     gens = npm_endpoint_generators(params)
-    pairings = [trace_inner(x, N) for N in gens]
-    k = int(np.argmin(pairings))
-    if pairings[k] < -tol:
-        return MembershipVerdict(OUT, witness=gens[k], margin=pairings[k],
-                                 tier="npm-endpoint")
+    v = dual_membership(gens, x, tol)
+    if v.status == OUT:
+        return replace(v, tier="npm-endpoint")
     lam = float(np.linalg.eigvalsh(x)[0])
     if lam >= 0.0:
         return MembershipVerdict(
             IN, witness=ConicCertificate(np.zeros(len(gens)), x, 0.0),
-            margin=min(lam, pairings[k]), tier="psd")
-    res = conic_feasibility(x, gens, include_psd=True, tol=tol)
-    if isinstance(res, ConicCertificate):
-        return MembershipVerdict(IN, witness=res, margin=-res.residual,
-                                 tier="decomposition")
-    if res.witness is not None:
-        return MembershipVerdict(OUT, witness=res.witness,
-                                 margin=trace_inner(res.witness, x),
-                                 tier="spectrahedron-search")
-    return MembershipVerdict(UNKNOWN, margin=0.0, tier="spectrahedron-search")
+            margin=min(lam, v.margin), tier="psd")
+    return conic_membership(x, gens, include_psd=True, tol=tol)
 
 
 @dataclass
@@ -262,8 +249,8 @@ def hierarchy_audit(r_list, family_set, dims: BipartiteDims,
 
     For consecutive r1 > r2 the endpoint ``N(r1)`` lies outside
     ``PSD + cone(r2 endpoints)``.  A step is strict when
-    :func:`conic_feasibility` returns a separator W that passes direct
-    checks: W PSD, ``<W, N> >= -tol`` for every r2 endpoint N and
+    :func:`conic_membership` answers Out with a separator W that passes
+    direct checks: W PSD, ``<W, N> >= -tol`` for every r2 endpoint N and
     ``<W, N(r1)> < -tol``.  W and the checked values are recorded.  A
     passing chain certifies (by the general theory, existence only) an
     n-independent family of self-dual modifications.
@@ -281,14 +268,14 @@ def hierarchy_audit(r_list, family_set, dims: BipartiteDims,
         p2 = PsesParams(family_set=family_set, r=r2, dims=dims)
         gens = npm_endpoint_generators(p2)
         n_outer = npm_element(r1, family_set[0])
-        res = conic_feasibility(n_outer, gens, include_psd=True, tol=1e-7)
+        v = conic_membership(n_outer, gens, include_psd=True, tol=1e-7)
         lam_w = float(np.linalg.eigvalsh(n_outer)[0])
         detail = {}
-        strict = isinstance(res, Infeasible) and res.witness is not None
+        strict = v.status == OUT
         if strict:
             # Re-verify the separator directly: W PSD, W in the dual of
             # every inner generator, and W strictly negative on N(r1).
-            W = res.witness
+            W = v.witness
             detail = {
                 "separator": W,
                 "separator_min_eigenvalue": float(np.linalg.eigvalsh(W)[0]),
@@ -298,9 +285,10 @@ def hierarchy_audit(r_list, family_set, dims: BipartiteDims,
             strict = (detail["separator_min_eigenvalue"] >= -tol
                       and detail["separator_min_pairing"] >= -tol
                       and detail["separator_pairing"] < -tol)
+        bound = -v.margin / float(np.linalg.norm(W)) if strict else 0.0
         report.add(f"strict_step_{i}", strict, r_outer=r1, r_inner=r2,
                    witness_min_eigenvalue=lam_w,
-                   infeasibility_bound=res.bound if strict else 0.0, **detail)
+                   infeasibility_bound=bound, **detail)
     report.add("self_dual_family_certified", report.ok,
                levels=len(r_list), note="existence only; no construction")
     return report
@@ -337,9 +325,8 @@ def distance_upper_bound(params: PsesParams, sigma, tol: float = 1e-8,
                                      seed=seed)
     if fmax > a + tol:
         raise ValidationError("fidelity certificate exceeded the target level")
-    for N in npm_endpoint_generators(params):
-        if trace_inner(rho0, N) < -tol:
-            raise ValidationError("rho0 failed a dual-side endpoint pairing")
+    if not dual_membership(npm_endpoint_generators(params), rho0, tol):
+        raise ValidationError("rho0 failed a dual-side endpoint pairing")
     dist = norm(rho0 - sigma, "trace")
     if dist > eps_of_r(params.r) + tol:
         raise ValidationError("distance exceeded the analytic bound")
@@ -382,10 +369,9 @@ def dist_example(r: float, family: MeopFamily, tol: float = 1e-10):
     if np.max(np.abs(gram - np.eye(2))) > tol:
         raise ValidationError("discrimination table deviated from identity")
     params = PsesParams(family_set=swap_pair(family), r=r, dims=dims)
-    for rho in (rho1, rho2):
-        for N in npm_endpoint_generators(params):
-            if trace_inner(rho, N) < -tol:
-                raise ValidationError("state failed a dual-side pairing")
+    gens = npm_endpoint_generators(params)
+    if not all(dual_membership(gens, rho, tol) for rho in (rho1, rho2)):
+        raise ValidationError("state failed a dual-side pairing")
     overlap = float(abs(np.vdot(phi1, phi2)) ** 2)
     return (M1, M2), (rho1, rho2), overlap
 
@@ -455,8 +441,7 @@ def self_duality_verifier(candidate_generators, outer: PsesParams,
         if min(trace_inner(x, g) for g in cands) < -tol:
             continue
         checked += 1
-        res = conic_feasibility(x, cands, include_psd=True, tol=1e-6)
-        if isinstance(res, Infeasible):
+        if not conic_membership(x, cands, include_psd=True, tol=1e-6):
             failures += 1
     report.add("dual_inside_candidates", checked > 0 and failures == 0,
                checked=checked, failures=failures)
@@ -471,8 +456,7 @@ def self_duality_verifier(candidate_generators, outer: PsesParams,
             break
     endpoint_fail = None
     for k, N in enumerate(npm_endpoint_generators(outer)):
-        res = conic_feasibility(N, cands, include_psd=True, tol=1e-6)
-        if isinstance(res, Infeasible):
+        if not conic_membership(N, cands, include_psd=True, tol=1e-6):
             endpoint_fail = k
             break
     report.add("sandwich", sandwich_ok and endpoint_fail is None,

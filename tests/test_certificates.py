@@ -6,7 +6,7 @@ solver's internal state.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gptcone.cones import (
     CLASSICAL_ORTHANT,
@@ -139,6 +139,30 @@ def test_cr_membership_witnesses(seed, m, r_frac, shift):
         assert trace_inner(v.witness, x) < 0
     else:
         _check_separator(v.witness, x, gens, include_psd=True)
+
+
+@given(seeds, st.sampled_from([2, 3]), st.floats(0.02, 1.0),
+       st.floats(-0.3, 0.3))
+@settings(max_examples=30, deadline=None)
+def test_psd_hull_membership_matches_cr_membership(seed, m, r_frac, shift):
+    # Past the endpoint pairings, C_r is the hull PSD + cone(N_k).
+    rng = np.random.default_rng(seed)
+    fam = generalized_bell(m)
+    params = PsesParams(family_set=swap_pair(fam), r=r_frac * r0(fam.dims),
+                        dims=fam.dims)
+    gens = npm_endpoint_generators(params)
+    D = fam.dims.total
+    x = sum(w * g for w, g in zip(rng.uniform(0, 1, len(gens)), gens)) \
+        + shift * np.eye(D) + 0.05 * random_herm(D, rng)
+    assume(min(trace_inner(x, g) for g in gens) >= 1e-9)
+    v = membership(ConeRep(dim=D, generators=gens, oracle=PSD), x)
+    assert v.status == cr_membership(x, params).status
+    if v.status == OUT:
+        _check_separator(v.witness, x, gens, include_psd=True)
+    elif v.witness is None:  # In by the PSD oracle
+        assert np.linalg.eigvalsh(x)[0] >= -1e-9
+    else:
+        _check_certificate(v.witness, x, gens, include_psd=True)
 
 
 @given(seeds, st.integers(2, 4))

@@ -83,6 +83,21 @@ def test_discriminate_with_cone(tmp_path, capsys):
     assert rep["cone_check"]
 
 
+def test_discriminate_rejects_a_halfspace_only_cone(tmp_path, capsys):
+    p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
+    save_matrix(p1, np.diag([1.0, 0.0]))
+    save_matrix(p2, np.diag([0.0, 1.0]))
+    cone_path = tmp_path / "cone.json"
+    cone_path.write_text(json.dumps({
+        "tag": None, "dim": 2,
+        "dual_generators": [{"dim": 2, "re": np.eye(2).tolist(),
+                             "im": np.zeros((2, 2)).tolist()}],
+    }))
+    assert cli.run(["discriminate", str(p1), str(p2),
+                    "--cone", str(cone_path)]) == 1
+    assert "halfspace-only" in capsys.readouterr().err
+
+
 def test_build_pses_pass(tmp_path, capsys):
     out = tmp_path / "report.json"
     rc = cli.run(["build-pses", "--r", "0.1", "--out", str(out)])

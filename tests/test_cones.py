@@ -227,8 +227,15 @@ def test_hull_contains_its_own_generators():
     g = np.array([[1.0, 0.5], [0.5, 1.0]])
     cone = ConeRep(dim=2, generators=[g], oracle=CLASSICAL_ORTHANT)
     assert membership(cone, g).status == IN
-    # In the hull, but neither in the orthant nor in cone(g): undecided.
-    assert membership(cone, g + np.eye(2)).status == UNKNOWN
+    # In the hull, but neither in the orthant nor in cone(g): the conic
+    # program over the orthant's units and g decides it.
+    x = g + np.eye(2)
+    v = membership(cone, x)
+    assert v.status == IN
+    units = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), g]
+    assert np.all(v.witness.coefficients >= 0)
+    assert np.allclose(sum(c * u for c, u in zip(v.witness.coefficients,
+                                                    units)), x, atol=1e-8)
     # Off the hull: the oracle's witness clears g, so Out stands.
     x = np.array([[1.0, -0.5], [-0.5, 1.0]])
     v = membership(cone, x)

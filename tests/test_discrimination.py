@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from gptcone.cones import CLASSICAL_ORTHANT, ConeRep, PSD, make_named_cone
+from gptcone.cones import (
+    CLASSICAL_ORTHANT,
+    CR,
+    CS_NEG,
+    PSD,
+    SEP_DUAL,
+    SHRUNK_BLOCH,
+    ConeRep,
+    make_named_cone,
+)
 from gptcone.discrimination import (
     arai_criterion,
     entropy_example_audit,
@@ -14,7 +23,7 @@ from gptcone.discrimination import (
     yah_region,
 )
 from gptcone.dovm import classify
-from gptcone.herm import ValidationError, norm, trace_inner
+from gptcone.herm import BipartiteDims, ValidationError, norm, trace_inner
 from gptcone.pses import (
     PsesParams,
     dist_example,
@@ -122,6 +131,49 @@ def test_min_error_restricted_cone_at_least_helstrom():
         hval, _ = helstrom(a, b)
         cval, _ = min_error_over_cone(a, b, cone)
         assert cval >= hval - 1e-8
+
+
+@pytest.mark.parametrize("d", [2, 4, 6])
+def test_orthant_effect_cone_error_is_the_diagonal_distance(d):
+    # Orthant effects are diagonal, so only the diagonals can be told apart.
+    rng = np.random.default_rng(d)
+    a, b = random_state(d, rng), random_state(d, rng)
+    cone = make_named_cone(CLASSICAL_ORTHANT, dim=d)
+    cval, meas = min_error_over_cone(a, b, cone)
+    assert cval == pytest.approx(1.0 - 0.5 * np.sum(np.abs(np.diag(a - b))),
+                                 abs=1e-9)
+    for m in meas.effects:
+        assert np.allclose(m, np.diag(np.diag(m)), atol=1e-9)
+
+
+def test_orthant_plus_a_generator_errs_no_more_than_the_orthant():
+    rng = np.random.default_rng(6)
+    g = random_pure_state(3, 9)
+    orthant = make_named_cone(CLASSICAL_ORTHANT, dim=3)
+    hull = make_named_cone(CLASSICAL_ORTHANT, dim=3, generators=[g])
+    for _ in range(5):
+        a, b = random_state(3, rng), random_state(3, rng)
+        cval, meas = min_error_over_cone(a, b, hull)
+        assert cval <= min_error_over_cone(a, b, orthant)[0] + 1e-8
+        assert np.allclose(sum(meas.effects), np.eye(3), atol=1e-8)
+
+
+@pytest.mark.parametrize("tag", [None, SEP_DUAL, CS_NEG, SHRUNK_BLOCH, CR])
+def test_effect_cones_without_a_conic_program_are_rejected(tag):
+    dims = BipartiteDims(2, 2)
+    if tag is None:
+        cone = ConeRep(dim=4, dual_generators=[np.eye(4)])
+    elif tag == SHRUNK_BLOCH:
+        cone = make_named_cone(tag, params={"p": 0.5}, dim=2)
+    else:
+        pses = PsesParams(family_set=swap_pair(generalized_bell(2)), r=0.1,
+                          dims=dims)
+        cone = make_named_cone(tag, params={"s": 0.1, "pses": pses},
+                               dims=dims)
+    rng = np.random.default_rng(8)
+    a, b = random_state(cone.dim, rng), random_state(cone.dim, rng)
+    with pytest.raises(ValidationError, match=tag or "halfspace-only"):
+        min_error_over_cone(a, b, cone)
 
 
 def test_perfectly_distinguishable(e_pair, entropy_quartet):

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from gptcone.herm import (
     BipartiteDims,
     ValidationError,
-    eig_ascending,
     ensure_herm,
     fidelity,
     max_entangled_fidelity,
@@ -58,13 +57,6 @@ def test_norm_inequalities(seed):
 def test_norm_unknown_kind():
     with pytest.raises(ValidationError):
         norm(np.eye(2), "spectral-ish")
-
-
-def test_eig_ascending_sorted():
-    vals, vecs = eig_ascending(np.diag([3.0, -1.0, 2.0]))
-    assert np.all(np.diff(vals) >= 0)
-    assert np.allclose(vecs @ np.diag(vals) @ vecs.conj().T,
-                       np.diag([3.0, -1.0, 2.0]))
 
 
 def test_partial_trace_of_product_factors(dims22):
