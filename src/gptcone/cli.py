@@ -62,10 +62,12 @@ def _jsonify(obj):
     return repr(obj)
 
 
-def _emit(report: dict, out: str | None) -> None:
+def _emit(args, report: dict) -> None:
+    """Write ``report`` in the versioned envelope of ``args.command``."""
+    report = {"schema": SCHEMA, "command": args.command, **report}
     text = json.dumps(_jsonify(report), indent=2)
-    if out:
-        with open(out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -107,8 +109,6 @@ def cmd_classify_dovm(args) -> int:
     dovm = _load_dovm(args.measurement, args.dims)
     cls = classify(dovm)
     report = {
-        "schema": SCHEMA,
-        "command": "classify-dovm",
         "class": cls.tag,
         "deciding_effect": cls.deciding_effect + 1,
         "lambda1": cls.spectrum_summary[cls.deciding_effect][0],
@@ -126,7 +126,7 @@ def cmd_classify_dovm(args) -> int:
         except ValidationError:
             pass
     report["witnesses"] = witnesses
-    _emit(report, args.out)
+    _emit(args, report)
     return PASS
 
 
@@ -135,8 +135,6 @@ def cmd_discriminate(args) -> int:
     rho2 = load_matrix(args.rho2)
     hval, hmeas = helstrom(rho1, rho2)
     report = {
-        "schema": SCHEMA,
-        "command": "discriminate",
         "helstrom_error": hval,
         "helstrom_measurement": hmeas.effects,
     }
@@ -147,7 +145,7 @@ def cmd_discriminate(args) -> int:
         report["cone_measurement"] = cmeas.effects
         report["cone_check"] = abs(
             err_of_measurement(rho1, rho2, cmeas.effects) - cval) <= 1e-8
-    _emit(report, args.out)
+    _emit(args, report)
     return PASS
 
 
@@ -175,8 +173,6 @@ def cmd_build_pses(args) -> int:
     params = pses.PsesParams(family_set=fams, r=r, dims=dims)
     audit = pses.predual_audit(params, seed=seed)
     report = {
-        "schema": SCHEMA,
-        "command": "build-pses",
         "local_dim": args.local_dim,
         "families": args.families,
         "r": r,
@@ -193,7 +189,7 @@ def cmd_build_pses(args) -> int:
             "overlap_closed_form": pses.overlap_closed_form(r),
         }
     report["pass"] = audit.ok
-    _emit(report, args.out)
+    _emit(args, report)
     return PASS if audit.ok else FAIL
 
 
@@ -205,8 +201,6 @@ def cmd_simulability(args) -> int:
                                                 seed=_seed(args))
         cert = rep["certificate"]
         report = {
-            "schema": SCHEMA,
-            "command": "simulability",
             "shrunk_bloch_p": rep["p"],
             "valid_on_domain": rep["valid_on_domain"],
             "table_residual": rep["table_residual"],
@@ -214,13 +208,11 @@ def cmd_simulability(args) -> int:
             "status": cert.status,
             "pass": rep["pass"],
         }
-        _emit(report, args.out)
+        _emit(args, report)
         return PASS if rep["pass"] else FAIL
     dovm = _load_dovm(args.measurement, args.dims)
     cert = simulability.non_simulability_certificate(dovm)
     report = {
-        "schema": SCHEMA,
-        "command": "simulability",
         "status": cert.status,
         "detail": cert.detail,
     }
@@ -229,7 +221,7 @@ def cmd_simulability(args) -> int:
         report["overlap"] = cert.overlap
         report["n_copy_overlaps"] = [
             simulability.n_copy_overlap(*cert.states, n) for n in (1, 2, 3)]
-    _emit(report, args.out)
+    _emit(args, report)
     return PASS if cert.status == "NonSimulable" else FAIL
 
 
@@ -238,8 +230,7 @@ def cmd_symmetry(args) -> int:
         rep = symmetry.two_symmetry_counterexample(seed=_seed(args))
         ok = (not rep["equivalent"]
               and rep["invariance_violation"] <= 1e-10)
-        report = {"schema": SCHEMA, "command": "symmetry",
-                  "check": args.check, **rep, "pass": ok}
+        report = {"check": args.check, **rep, "pass": ok}
     else:  # ses-orbit
         dims = DIMS_22
         model = ses_model(dims)
@@ -249,9 +240,8 @@ def cmd_symmetry(args) -> int:
         spec = symmetry.TransformSpec(symmetry.GLOBAL_UNITARY, dims)
         rep = symmetry.orbit_invariance_check(model.cone, spec, elements,
                                               seed=_seed(args))
-        report = {"schema": SCHEMA, "command": "symmetry",
-                  "check": args.check, **rep, "pass": rep["invariant"]}
-    _emit(report, args.out)
+        report = {"check": args.check, **rep, "pass": rep["invariant"]}
+    _emit(args, report)
     return PASS if report["pass"] else FAIL
 
 
@@ -312,9 +302,7 @@ def _appendix_checks(seed: int) -> dict:
 def cmd_verify_appendix(args) -> int:
     checks = _appendix_checks(_seed(args))
     ok = all(c["ok"] for c in checks.values())
-    report = {"schema": SCHEMA, "command": "verify-appendix",
-              "checks": checks, "pass": ok}
-    _emit(report, args.out)
+    _emit(args, {"checks": checks, "pass": ok})
     return PASS if ok else FAIL
 
 
@@ -341,8 +329,7 @@ def cmd_verify_all(args) -> int:
                              dims=fam.dims)
     with _check(checks, "pses_audit"):
         audit = pses.predual_audit(
-            params, product_samples=1000 if fast else 10_000,
-            dual_samples=50 if fast else 200, seed=seed)
+            params, product_samples=1000 if fast else 10_000, seed=seed)
         checks["pses_audit"] = audit.to_json() | {"ok": audit.ok}
 
     with _check(checks, "pses_discrimination"):
@@ -386,9 +373,7 @@ def cmd_verify_all(args) -> int:
                 "size": dA * dB}
 
     ok = all(c["ok"] for c in checks.values())
-    report = {"schema": SCHEMA, "command": "verify-all", "fast": fast,
-              "checks": checks, "pass": ok}
-    _emit(report, args.out)
+    _emit(args, {"fast": fast, "checks": checks, "pass": ok})
     return PASS if ok else FAIL
 
 

@@ -7,9 +7,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import block_positivity, gurvits_ball_contains
+from .cones import block_positivity
 from .herm import BipartiteDims, ValidationError, ensure_herm
-from .verdict import OUT
+from .verdict import IN, OUT, MembershipVerdict
 
 BQ = "BQ"
 AQ = "AQ"
@@ -24,6 +24,8 @@ class Dovm:
     Construction checks ``m1 + m2 = I``; block positivity is screened by
     the tiered SEP-dual oracle and the evidence is stored, with Out
     verdicts rejected (an Unknown tier is accepted as honest evidence).
+    A caller whose construction already certifies the effects passes
+    that certificate as ``block_positivity_evidence`` instead.
     """
 
     m1: np.ndarray
@@ -123,7 +125,9 @@ def aq_advantage_states(dovm: Dovm, tol: float = 1e-9):
 
     ``rho1 = I/d`` and ``rho2 = I/d + (E_1 - E_d)/(sqrt(2) d)`` built from
     the extreme eigenprojectors of the deciding effect; both lie in the
-    separability ball.  Returns ``(rho1, rho2, margin)`` where the margin
+    separability ball, rho2 on its boundary: ``||I - d rho2||_HS =
+    ||E_1 - E_d||_HS / sqrt(2) = 1`` for orthogonal rank-one projectors.
+    Returns ``(rho1, rho2, margin)`` where the margin
     is the quantum optimum minus the DOVM's error sum,
     ``(l_d - l_1 - 1)/(sqrt(2) d) > 0``.
     """
@@ -141,8 +145,6 @@ def aq_advantage_states(dovm: Dovm, tol: float = 1e-9):
     Ed = np.outer(vecs[:, -1], vecs[:, -1].conj())
     rho1 = np.eye(d, dtype=complex) / d
     rho2 = rho1 + (E1 - Ed) / (np.sqrt(2.0) * d)
-    if not gurvits_ball_contains(rho2):
-        raise ValidationError("constructed state left the separability ball")
     hval, _ = helstrom(rho1, rho2)
     # Orient outcomes so the deciding effect (which underweights rho2)
     # answers for rho1.
@@ -169,19 +171,26 @@ def aq_from_subcone_witness(T, dims: BipartiteDims) -> Dovm:
     return Dovm(m1=Tp, m2=np.eye(T.shape[0]) - Tp, dims=dims)
 
 
-def random_dovm(dims: BipartiteDims, seed=None,
-                screen_restarts: int = 8, max_tries: int = 200,
-                target: str | None = None) -> Dovm:
-    """Synthetic DOVM sampler.
+def _psd_evidence(m) -> MembershipVerdict:
+    return MembershipVerdict(IN, margin=float(np.linalg.eigvalsh(m)[0]),
+                             tier="psd")
 
-    POVM samples come from a random frame with a [0, 1] spectrum.  The
-    non-positive classes are built from partial transposes of random PSD
-    matrices (block-positive by construction) scaled to land in the
-    requested spectral class; the SEP-dual oracle still screens every
-    sample and rejections are retried.
+
+def random_dovm(dims: BipartiteDims, seed=None, max_tries: int = 200,
+                target: str | None = None) -> Dovm:
+    """Synthetic DOVM sampler whose effects carry their block-positivity
+    certificate from the construction.
+
+    POVM samples come from a random frame with a [0, 1] spectrum; both
+    effects are PSD (tier ``psd``).  The non-positive classes take
+    ``m1 = c rho^Gamma`` for a random state rho and a scale c > 0 chosen
+    to land in the requested spectral class.  ``c rho`` is PSD and its
+    partial transpose is m1, so m1 is block-positive: it is In with tier
+    ``partial-transpose`` and witness ``c rho``.  The scale keeps m1's top
+    eigenvalue at most 1, so ``m2 = I - m1`` is PSD (tier ``psd``).
     """
     from .herm import partial_transpose
-    from .sampling import _rng, haar_unitary, random_pure_state
+    from .sampling import _rng, haar_unitary, random_pure_state, random_state
 
     rng = _rng(seed)
     d = dims.total
@@ -191,12 +200,11 @@ def random_dovm(dims: BipartiteDims, seed=None,
             vals = rng.uniform(0.0, 1.0, size=d)
             U = haar_unitary(d, rng)
             m1 = (U * vals) @ U.conj().T
+            ev1 = _psd_evidence(m1)
         else:
             if kind == BQ:
                 base = random_pure_state(d, rng)
             else:
-                from .sampling import random_state
-
                 base = random_state(d, rng, rank=int(rng.integers(1, 3)))
             G = partial_transpose(base, dims)
             mu = np.linalg.eigvalsh(G)
@@ -204,19 +212,18 @@ def random_dovm(dims: BipartiteDims, seed=None,
                 continue
             if kind == BQ:
                 # Top eigenvalue pinned to 1, negative part survives.
-                m1 = G / mu[-1]
-            elif kind == AQ:
-                width = rng.uniform(1.05, 1.4)
-                m1 = G * (width / (mu[-1] - mu[0]))
-                if np.linalg.eigvalsh(m1)[-1] >= 1.0 - 1e-6:
-                    continue
+                W = base / mu[-1]
             else:
-                width = rng.uniform(0.2, 0.98)
-                m1 = G * (width / (mu[-1] - mu[0]))
-        try:
-            return Dovm(m1=m1, m2=np.eye(d) - m1, dims=dims,
-                        screen_restarts=screen_restarts,
-                        seed=int(rng.integers(2**31)))
-        except ValidationError:
-            continue
+                lo, hi = (1.05, 1.4) if kind == AQ else (0.2, 0.98)
+                W = base * (rng.uniform(lo, hi) / (mu[-1] - mu[0]))
+            m1 = partial_transpose(W, dims)
+            if kind == AQ and np.linalg.eigvalsh(m1)[-1] >= 1.0 - 1e-6:
+                continue
+            ev1 = MembershipVerdict(IN, witness=W, tier="partial-transpose")
+        m2 = np.eye(d) - m1
+        # The draw once seeded Dovm's screen; it stays so that the stream
+        # of samples is unchanged.
+        rng.integers(2**31)
+        return Dovm(m1=m1, m2=m2, dims=dims,
+                    block_positivity_evidence=(ev1, _psd_evidence(m2)))
     raise ValidationError("sampler failed to produce a valid DOVM")

@@ -259,3 +259,18 @@ def test_discriminate_rejects_unknown_cone_tag(tmp_path, capsys):
     assert cli.run(["discriminate", str(p1), str(p2),
                     "--cone", str(cone_path)]) == 1
     assert "unknown cone tag" in capsys.readouterr().err
+
+
+def test_discriminate_rejects_a_named_cone_with_halfspaces(tmp_path, capsys):
+    p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
+    save_matrix(p1, np.diag([1.0, 0.0]))
+    save_matrix(p2, np.diag([0.0, 1.0]))
+    cone_path = tmp_path / "cone.json"
+    cone_path.write_text(json.dumps({
+        "tag": "PSD", "dim": 2,
+        "dual_generators": [{"dim": 2, "re": np.diag([1.0, -1.0]).tolist(),
+                             "im": np.zeros((2, 2)).tolist()}],
+    }))
+    assert cli.run(["discriminate", str(p1), str(p2),
+                    "--cone", str(cone_path)]) == 1
+    assert "halfspaces" in capsys.readouterr().err

@@ -257,6 +257,13 @@ def test_cone_rep_rejects_unknown_tags_and_missing_params(kwargs):
         ConeRep(**kwargs)
 
 
+def test_named_cone_rejects_halfspaces():
+    # Halfspaces next to an oracle would go unread: diag(0, 1) is PSD but
+    # pairs to -1 with diag(1, -1).
+    with pytest.raises(ValidationError):
+        ConeRep(dim=2, oracle=PSD, dual_generators=[np.diag([1.0, -1.0])])
+
+
 def test_generator_cone_out_carries_the_separator():
     # cone(diagonal projectors) is the diagonal orthant: x is outside it.
     gens = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gptcone.cones import gurvits_ball_contains
 from gptcone.dovm import (
@@ -16,7 +17,7 @@ from gptcone.dovm import (
 )
 from gptcone.herm import BipartiteDims, ValidationError, partial_transpose, trace_inner
 from gptcone.sampling import haar_unitary
-from gptcone.verdict import UNKNOWN, MembershipVerdict
+from gptcone.verdict import IN, UNKNOWN, MembershipVerdict
 
 
 def _commuting_dovm(diag):
@@ -145,3 +146,20 @@ def test_random_dovm_targets(dims22):
         for s in range(5):
             d = random_dovm(dims22, seed=100 + s, target=target)
             assert classify(d).tag == target
+
+
+@given(st.integers(0, 10_000), st.sampled_from([None, BQ, AQ, NAQ, POVM]),
+       st.sampled_from([(2, 2), (2, 3), (3, 3)]))
+@settings(max_examples=40, deadline=None)
+def test_random_dovm_certificates_reverify(seed, target, split):
+    dims = BipartiteDims(*split)
+    dovm = random_dovm(dims, seed=seed, target=target)
+    for m, v in zip(dovm.effects, dovm.block_positivity_evidence):
+        assert v.status == IN
+        if v.tier == "psd":
+            assert np.linalg.eigvalsh(m)[0] >= -1e-12
+        else:
+            assert v.tier == "partial-transpose"
+            W = v.witness
+            assert np.linalg.eigvalsh(W)[0] >= -1e-12
+            assert np.linalg.norm(partial_transpose(W, dims) - m) <= 1e-12

@@ -131,7 +131,7 @@ def test_cr_membership_own_generator_is_in(m):
 
 
 def test_predual_audit_passes_at_small_r(params01):
-    rep = predual_audit(params01, product_samples=3000, dual_samples=100)
+    rep = predual_audit(params01, product_samples=3000)
     assert rep.ok
     gram = rep.checks["endpoint_gram"]
     # Worst Gram entry follows the -2(r+1/2)^2 + D/4 chain.
@@ -141,7 +141,7 @@ def test_predual_audit_passes_at_small_r(params01):
 def test_predual_audit_fails_beyond_r0(bell_family):
     params = PsesParams(family_set=swap_pair(bell_family), r=0.3,
                         dims=bell_family.dims)
-    rep = predual_audit(params, product_samples=500, dual_samples=50)
+    rep = predual_audit(params, product_samples=500)
     assert not rep.ok
     gram = rep.checks["endpoint_gram"]
     assert not gram["ok"]
@@ -154,7 +154,7 @@ def test_predual_audit_fails_beyond_r0(bell_family):
 def test_predual_audit_zero_margin_at_r0(bell_family):
     params = PsesParams(family_set=swap_pair(bell_family),
                         r=r0(bell_family.dims), dims=bell_family.dims)
-    rep = predual_audit(params, product_samples=500, dual_samples=50)
+    rep = predual_audit(params, product_samples=500)
     assert rep.ok
     assert rep.checks["endpoint_gram"]["min_value"] == pytest.approx(0.0,
                                                                      abs=1e-9)
