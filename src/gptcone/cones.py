@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from .dual import conic_membership, dual_membership
+from .dual import conic_membership, dual_membership, identity
 from .herm import (
     BipartiteDims,
     ValidationError,
@@ -180,21 +180,30 @@ def gurvits_ball_contains(X, tol: float = 1e-9) -> bool:
 
 
 def block_positivity(x, dims: BipartiteDims, tol: float = DEFAULT_TOL,
-                     seed: int = 0, restarts: int = 64) -> MembershipVerdict:
+                     seed: int = 0) -> MembershipVerdict:
     """Membership of Hermitian ``x`` in SEP_DUAL, the block-positive cone.
 
-    PSD x is In; a product vector found by :func:`min_product_expectation`
-    with a negative expectation gives Out with its projector as witness;
-    otherwise Unknown.
+    PSD x is In; a product vector from :func:`min_product_expectation`
+    with a negative expectation gives Out with its projector as witness.
+    At dA dB <= 6, where block positivity is decomposability (Woronowicz,
+    Rep. Math. Phys. 10, 165, 1976), that search is one descent and a
+    conic solve over PSD + PSD^Gamma decides the rest: ``x = P + Q^Gamma``
+    or a separator W with W, W^Gamma PSD.  Above 6 the search makes 64
+    descents, and a nonnegative minimum is Unknown.
     """
     vals = np.linalg.eigvalsh(x)
     if vals[0] >= -tol:
         return MembershipVerdict(IN, margin=float(vals[0]), tier="psd")
-    val, a, b = min_product_expectation(x, dims, restarts=restarts, seed=seed)
+    exact = dims.total <= 6
+    val, a, b = min_product_expectation(x, dims, restarts=1 if exact else 64,
+                                        seed=seed)
     if val < -tol:
         ab = np.kron(a, b)
         return MembershipVerdict(OUT, witness=np.outer(ab, ab.conj()),
                                  margin=val, tier="product-search")
+    if exact:  # SEP_DUAL's conic description decides
+        program = conic_program(make_named_cone(SEP_DUAL, dims=dims))
+        return conic_membership(x, *program, max(tol, 1e-8))
     return MembershipVerdict(UNKNOWN, margin=val, tier="product-search")
 
 
@@ -307,13 +316,16 @@ def _bipartite(cone):
 
 
 # tag -> (oracle, oracle of the dual, parameter check, what it requires, K's
-# conic program as dim -> (generators, include_psd) or None without one).
+# conic description of K + cone(G) as cone -> (generators, maps), None
+# without one).
 _NAMED = {
-    PSD: (_psd, _psd, None, "", lambda d: ([], True)),
+    PSD: (_psd, _psd, None, "", lambda c: (c.generators, (identity,))),
     SEP: (_sep, _block_positive, _bipartite, "bipartite dims", None),
-    SEP_DUAL: (_block_positive, _sep, _bipartite, "bipartite dims", None),
+    SEP_DUAL: (_block_positive, _sep, _bipartite, "bipartite dims",
+               lambda c: None if c.dim > 6 else (c.generators, (
+                   identity, partial(partial_transpose, dims=c.dims)))),
     CLASSICAL_ORTHANT: (_orthant, _diagonal, None, "",
-                        lambda d: (_units(d), False)),
+                        lambda c: (_units(c.dim) + c.generators, ())),
     SHRUNK_BLOCH: (_shrunk_bloch, partial(_shrunk_bloch, dual=True),
                    lambda c: c.dim == 2 and 0 < c.params.get("p", 0) < 1,
                    "dimension 2 and 0 < p < 1", None),
@@ -326,16 +338,13 @@ _NAMED = {
 
 
 def conic_program(cone: ConeRep):
-    """``cone`` as ``(generators, include_psd)`` for
-    :func:`~gptcone.dual.conic_feasibility`: K's program plus the cone's
-    generators, or None (halfspace-only, or a tag without a program)."""
+    """``cone`` as the description ``(generators, maps)`` that
+    :func:`~gptcone.dual.conic_feasibility` takes, or None (halfspace-only,
+    or a tag without a description)."""
     if cone.oracle is None:
-        return (cone.generators, False) if cone.generators else None
-    program = _NAMED[cone.oracle][4]
-    if program is None:
-        return None
-    units, include_psd = program(cone.dim)
-    return units + cone.generators, include_psd
+        return (cone.generators, ()) if cone.generators else None
+    describe = _NAMED[cone.oracle][4]
+    return describe(cone) if describe else None
 
 
 _RANK = {OUT: 0, UNKNOWN: 1, IN: 2}  # the worst verdict first
@@ -372,11 +381,11 @@ def _evaluate(cone: ConeRep, x, tol: float, seed: int,
             trace_inner(v.witness, g) >= -tol for g in gens)):
         return v
     tol = max(tol, 1e-8)
-    program = conic_program(cone) if tag else (gens, False)
+    program = conic_program(cone) if tag else (gens, ())
     if program is not None:
         return conic_membership(x, *program, tol=tol)
     if gens:  # cone(G)'s separator certifies nothing for K + cone(G)
-        w = conic_membership(x, gens, include_psd=False, tol=tol)
+        w = conic_membership(x, gens, (), tol=tol)
         if w.status == IN:
             return w
     return MembershipVerdict(UNKNOWN, margin=v.margin, tier=v.tier)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cones import ConeRep, Measurement, conic_program
-from .dual import _adj, _basis, _op, _solve, _stack
+from .dual import identity, min_over_effects
 from .herm import ValidationError, ensure_herm, norm, partial_transpose, trace_inner
 from .herm import BipartiteDims
 
@@ -51,42 +51,22 @@ def min_error_over_cone(rho1, rho2,
     The effect cone is its :func:`~gptcone.cones.conic_program`, except
     that a generator-only cone, the form of the deformed effect cones
     ``SES + NPM_r``, is read as ``PSD + cone(g_k)``; a cone without a
-    program raises :class:`ValidationError`.  Writing the effects as
-    ``M = sum mu_k g_k + T`` and ``I - M = sum nu_k g_k + S`` gives
-
-        min 1 + <rho2 - rho1, sum mu_k g_k + T>
-        s.t. sum (mu_k + nu_k) g_k + T + S = I,  mu, nu >= 0,  T, S PSD,
-
-    with no PSD blocks for a program without PSD, solved by the
-    interior-point method of :mod:`gptcone.dual` to a certified duality
-    gap.  The returned effects ``M`` and ``I - M`` are exactly Hermitian.
+    program raises :class:`ValidationError`.  The error sum of
+    ``{M, I - M}`` is ``1 + <rho2 - rho1, M>``, minimised by
+    :func:`~gptcone.dual.min_over_effects` to a certified duality gap.
+    The returned effects ``M`` and ``I - M`` are exactly Hermitian.
     """
     rho1 = _check_state(rho1)
     rho2 = _check_state(rho2)
-    d = rho1.shape[0]
-    u = np.eye(d, dtype=complex)
-    delta = rho2 - rho1
     program = conic_program(dual_cone)
     if program is None:
         name = dual_cone.oracle or "halfspace-only"
         raise ValidationError(f"the {name} effect cone has no conic program")
-    gens, include_psd = program
-    include_psd = include_psd or dual_cone.oracle is None
-    m = len(gens)
-
-    E, stack = _basis(d), _stack(gens, d)
-    G = _op(E, stack)
-    cost = np.concatenate([_op(stack, delta), np.zeros(m)])
-    blocks = [(delta, E), (np.zeros_like(u), E)] if include_psd else []
-    sol = _solve(_op(E, u), cost, np.hstack([G, G]), blocks)
-    if not sol.converged:
-        raise ValidationError("effect-cone program did not converge "
-                              "(is the unit decomposable over the cone?)")
-    M = _adj(stack, sol.u[:m])
-    if include_psd:
-        M = M + sol.X[0]
-    M = (M + M.conj().T) / 2.0
-    return 1.0 + trace_inner(delta, M), Measurement(effects=[M, u - M])
+    gens, maps = program
+    if dual_cone.oracle is None:
+        maps = (identity,)
+    value, M = min_over_effects(rho2 - rho1, gens, maps)
+    return 1.0 + value, Measurement(effects=[M, np.eye(len(M)) - M])
 
 
 def perfectly_distinguishable(states, measurement, tol: float = 1e-9) -> bool:

@@ -22,18 +22,17 @@ class Dovm:
     """A two-outcome measurement whose effects are block-positive.
 
     Construction checks ``m1 + m2 = I``; block positivity is screened by
-    the tiered SEP-dual oracle and the evidence is stored, with Out
-    verdicts rejected (an Unknown tier is accepted as honest evidence).
-    A caller whose construction already certifies the effects passes
-    that certificate as ``block_positivity_evidence`` instead.
+    :func:`~gptcone.cones.block_positivity` and the evidence is stored,
+    with Out verdicts rejected.  At dA dB <= 6 the screen is exact; above
+    it an Unknown tier is accepted as honest evidence.  A caller whose
+    construction already certifies the effects passes that certificate
+    as ``block_positivity_evidence`` instead.
     """
 
     m1: np.ndarray
     m2: np.ndarray
     dims: BipartiteDims
     block_positivity_evidence: tuple = field(default=None, repr=False)
-    screen_restarts: int = 16
-    seed: int = 0
 
     def __post_init__(self):
         self.m1 = ensure_herm(self.m1)
@@ -43,9 +42,7 @@ class Dovm:
             raise ValidationError(f"effects sum to I only within {dev:.3e}")
         if self.block_positivity_evidence is None:
             self.block_positivity_evidence = tuple(
-                block_positivity(m, self.dims, 1e-9, self.seed,
-                                 self.screen_restarts)
-                for m in (self.m1, self.m2))
+                block_positivity(m, self.dims) for m in (self.m1, self.m2))
         for k, v in enumerate(self.block_positivity_evidence):
             if v.status == OUT:
                 raise ValidationError(

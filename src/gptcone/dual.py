@@ -1,12 +1,12 @@
 """Dual cones, conic feasibility and the conic solver behind them.
 
-The numerical heart of the library: membership in cones generated by a
-finite list of Hermitian matrices (optionally together with the full PSD
-cone), pre-duality certificates via Gram matrices, and minimization of a
-linear functional over spectrahedra.  Every conic program here goes
-through :func:`_solve`, one dense primal-dual interior-point method over
-a nonnegative orthant times Hermitian PSD blocks, and every answer
-carries the primal or dual point that certifies it.
+The numerical heart of the library: membership in a cone described by
+``(generators, maps)``, the hull of finitely many Hermitian matrices and
+the images of PSD under linear maps, pre-duality certificates via Gram
+matrices, and linear minimization over spectrahedra and effects.  Only
+this module turns a description into a program for :func:`_solve`, one
+dense primal-dual interior-point method over a nonnegative orthant times
+Hermitian PSD blocks, and every answer carries its certificate.
 """
 
 from __future__ import annotations
@@ -21,17 +21,19 @@ from .verdict import IN, OUT, UNKNOWN, MembershipVerdict
 
 @dataclass
 class ConicCertificate:
-    """``x = sum_k coefficients[k] g_k + psd_part`` up to ``residual``.
+    """``x = sum_k coefficients[k] g_k + psd_part + sum_j L_j(P_j)`` up to
+    ``residual``, L_j the maps after the identity, P_j ``mapped_parts[j]``.
 
-    The coefficients are nonnegative, ``psd_part`` is PSD (None when the
-    cone has no PSD part) and ``residual`` is the Hilbert-Schmidt norm of
-    what the decomposition misses.  ``gap`` is the solver's duality gap.
+    The coefficients are nonnegative, the parts PSD (``psd_part`` is None
+    without maps) and ``residual`` is the Hilbert-Schmidt norm of what the
+    decomposition misses.  ``gap`` is the solver's duality gap.
     """
 
     coefficients: np.ndarray
     psd_part: np.ndarray | None
     residual: float
     gap: float = 0.0
+    mapped_parts: list = field(default_factory=list)
 
 
 @dataclass
@@ -39,11 +41,11 @@ class Infeasible:
     """``x`` lies outside the cone.
 
     ``witness`` is a separating functional W with ``<W, g_k> >= 0`` for
-    every generator, W PSD when the cone includes PSD, and ``<W, x> < 0``.
-    ``bound = -<W, x> / ||W||_HS`` is then a lower bound on the
-    Hilbert-Schmidt distance from x to the cone.  When the solver
-    certified neither membership nor separation, ``witness`` is None and
-    ``bound`` is 0.  ``gap`` is the solver's duality gap.
+    every generator, ``L(W)`` PSD for every map L of the description,
+    and ``<W, x> < 0``.  ``bound = -<W, x> / ||W||_HS`` is then a lower
+    bound on the Hilbert-Schmidt distance from x to the cone.  When the
+    solver certified neither membership nor separation, ``witness`` is
+    None and ``bound`` is 0.  ``gap`` is the solver's duality gap.
     """
 
     bound: float
@@ -286,20 +288,37 @@ def gram_predual_check(generators, tol: float = 1e-9):
     return worst >= -tol, ((int(i), int(j)), worst)
 
 
-def _spectrahedron(x, halfspaces) -> _Solution:
-    """``min <x, W>`` over PSD W with ``tr W = 1`` and ``<W, h_k> >= 0``.
+def identity(X):
+    """The identity map: the first map of every nonempty description."""
+    return X
 
-    The orthant block holds the halfspace slacks.  The dual is
-    ``max t`` subject to ``x - t I - sum_k y_k h_k`` PSD and ``y >= 0``,
-    with ``(t, y) = solution.y``.
-    """
+
+def _psd_part(R):
+    """The PSD part of Hermitian R and the norm of the part it drops."""
+    vals, vecs = np.linalg.eigh(R)
+    return ((vecs * np.maximum(vals, 0.0)) @ vecs.conj().T,
+            float(np.linalg.norm(np.minimum(vals, 0.0))))
+
+
+def _w_form(x, halfspaces, images) -> _Solution:
+    """``min <x, W>`` over PSD W with ``tr W = 1``, ``<W, h_k> >= 0`` and
+    each ``L(W)`` PSD, a block tied to W by the images ``L(E_i)``.  The
+    dual is ``max t`` with ``x - t I - sum_k y_k h_k - sum_L L(Q_L)``, y
+    and every Q_L PSD; ``solution.y`` is t, y, then minus each Q_L."""
     d, K = x.shape[0], len(halfspaces)
-    A_W = np.array([np.eye(d, dtype=complex), *halfspaces])
-    A = np.vstack([np.zeros((1, K)), -np.eye(K)])
-    return _solve(np.eye(1, K + 1)[0], np.zeros(K), A, [(x, A_W)])
+    n = 1 + K + d * d * len(images)
+    A_W = np.concatenate([np.eye(d, dtype=complex)[None], halfspaces,
+                          *[-LE for LE in images]])
+    A = np.vstack([np.zeros((1, K)), -np.eye(K), np.zeros((n - 1 - K, K))])
+    blocks = [(x, A_W)]
+    for j in range(len(images)):
+        A_Y = np.zeros((n, d, d), dtype=complex)
+        A_Y[1 + K + j * d * d:1 + K + (j + 1) * d * d] = _basis(d)
+        blocks.append((np.zeros((d, d)), A_Y))
+    return _solve(np.eye(1, n)[0], np.zeros(K), A, blocks)
 
 
-def _phase1(x, generators) -> _Solution:
+def _phase1(x, gens) -> _Solution:
     """``min ||x - sum_k lam_k g_k||_1`` over ``lam >= 0``, the 1-norm
     taken in the coordinates of :func:`_basis`.
 
@@ -310,68 +329,69 @@ def _phase1(x, generators) -> _Solution:
     """
     E = _basis(x.shape[0])
     p = len(E)
-    G = _op(E, _stack(generators, x.shape[0]))
+    G = _op(E, gens)
     A = np.hstack([G, np.eye(p), -np.eye(p)])
     c = np.concatenate([np.zeros(G.shape[1]), np.ones(2 * p)])
     return _solve(_op(E, x), c, A)
 
 
-def conic_feasibility(x, generators, include_psd: bool = True,
-                      tol: float = 1e-8):
-    """Decide ``x in cone(generators) + PSD`` (no PSD part when
-    ``include_psd`` is false), with a certificate either way.
+def conic_feasibility(x, generators, maps=(identity,), tol: float = 1e-8):
+    """Decide ``x in cone(generators) + sum_L L(PSD)``, certified.
 
-    With PSD this solves ``min <x, W>`` over trace-one PSD W with
-    ``<W, g_k> >= 0``, whose dual writes ``x - t I = sum_k lam_k g_k + Z``
-    with Z PSD.  Without PSD it solves the phase-1 LP
-    ``min ||x - sum_k lam_k g_k||_1``, whose dual is a separating
-    functional.  Both answers are re-verified here, independently of the
-    solver: a :class:`ConicCertificate` when ``x - sum_k lam_k g_k`` is
-    within ``tol`` (Hilbert-Schmidt) of PSD (of zero without PSD), else an
-    :class:`Infeasible` whose witness W checks ``<W, g_k> >= -tol``, W PSD
-    (with PSD) and ``<W, x> < 0``.
+    ``(generators, maps)`` is a conic description: ``maps`` lists the
+    self-adjoint linear maps whose images of PSD the cone contains, ``()``
+    for cone(G), ``(identity,)`` for PSD + cone(G), ``(identity, Gamma)``
+    for PSD + PSD^Gamma; a nonempty list begins with :func:`identity`.
+    Solved by :func:`_w_form` (by :func:`_phase1` without maps) and
+    re-verified here: a :class:`ConicCertificate` when x less the
+    generators and mapped parts is within ``tol`` of PSD (of zero without
+    maps), else an :class:`Infeasible` whose witness W has
+    ``<W, g_k> >= -tol``, each ``L(W)`` PSD to ``-tol`` and ``<W, x> < 0``.
     """
+    if maps and maps[0] is not identity:
+        raise ValueError("a nonempty list of maps begins with the identity")
     x = ensure_herm(x)
-    gens = [ensure_herm(g) for g in generators]
+    d = x.shape[0]
+    gens = _stack([ensure_herm(g) for g in generators], d)
     m = len(gens)
-    if include_psd:
-        sol = _spectrahedron(x, gens)
-        lam, W = sol.y[1:], sol.X[0]
+    E = _basis(d)
+    if maps:
+        sol = _w_form(x, gens, [_stack([L(e) for e in E], d)
+                                for L in maps[1:]])
+        lam, W = sol.y[1:m + 1], sol.X[0]
+        parts = [_psd_part(-_adj(E, z))[0]
+                 for z in sol.y[m + 1:].reshape(len(maps) - 1, len(E))]
     else:
         sol = _phase1(x, gens)
-        lam, W = sol.u[:m], -_adj(_basis(x.shape[0]), sol.y)
+        lam, W, parts = sol.u[:m], -_adj(E, sol.y), []
     lam = np.maximum(lam, 0.0)
-    R = x - _adj(_stack(gens, x.shape[0]), lam)
-    if include_psd:
-        vals, vecs = np.linalg.eigh(R)
-        psd_part = (vecs * np.maximum(vals, 0.0)) @ vecs.conj().T
-        residual = float(np.linalg.norm(np.minimum(vals, 0.0)))
-    else:
-        psd_part, residual = None, float(np.linalg.norm(R))
+    R = x - _adj(gens, lam) - sum((L(P) for L, P in zip(maps[1:], parts)),
+                                  np.zeros_like(x))
+    psd_part, residual = _psd_part(R) if maps \
+        else (None, float(np.linalg.norm(R)))
     if residual <= tol:
-        return ConicCertificate(lam, psd_part, residual, sol.gap)
+        return ConicCertificate(lam, psd_part, residual, sol.gap, parts)
 
     W = _herm(W)
     pairing = trace_inner(W, x)
-    separates = pairing < 0.0 and all(trace_inner(W, g) >= -tol for g in gens)
-    if include_psd:
-        separates = separates and np.linalg.eigvalsh(W)[0] >= -tol
+    separates = pairing < 0.0 and bool(np.all(_op(gens, W) >= -tol)) and all(
+        np.linalg.eigvalsh(L(W))[0] >= -tol for L in maps)
     if separates:
         return Infeasible(-pairing / float(np.linalg.norm(W)), W, sol.gap)
     return Infeasible(0.0, None, sol.gap)
 
 
-def conic_membership(x, generators, include_psd: bool = True,
+def conic_membership(x, generators, maps=(identity,),
                      tol: float = 1e-8) -> MembershipVerdict:
     """:func:`conic_feasibility` as a verdict: In with the certificate,
     Out with the separator W and margin ``<W, x>``, Unknown when neither
     verified.  Tiers: ``decomposition`` (In) and ``spectrahedron-search``
-    with PSD, ``conic-feasibility`` without."""
-    res = conic_feasibility(x, generators, include_psd, tol)
+    with maps, ``conic-feasibility`` without."""
+    res = conic_feasibility(x, generators, maps, tol)
     if isinstance(res, ConicCertificate):
-        tier = "decomposition" if include_psd else "conic-feasibility"
+        tier = "decomposition" if maps else "conic-feasibility"
         return MembershipVerdict(IN, res, -res.residual, tier)
-    tier = "spectrahedron-search" if include_psd else "conic-feasibility"
+    tier = "spectrahedron-search" if maps else "conic-feasibility"
     if res.witness is None:
         return MembershipVerdict(UNKNOWN, margin=0.0, tier=tier)
     return MembershipVerdict(OUT, witness=res.witness,
@@ -390,12 +410,39 @@ def min_over_spectrahedron(x, halfspaces=(), tol: float = 1e-9):
     halfspaces).
     """
     x = ensure_herm(x)
-    sol = _spectrahedron(x, [ensure_herm(h) for h in halfspaces])
+    hs = _stack([ensure_herm(h) for h in halfspaces], len(x))
+    sol = _w_form(x, hs, [])
     if not sol.converged or abs(sol.gap) > tol:
         raise ValidationError("spectrahedron solve did not converge "
                               f"(duality gap {sol.gap:.3e})")
     y = _herm(sol.X[0])
     return trace_inner(x, y), y
+
+
+def min_over_effects(c, generators, maps=(identity,)):
+    """``(min <c, M>, M)`` over M with M and ``I - M`` in the cone
+    ``(generators, maps)``: ``M = sum mu_k g_k + sum_L L(T_L)``, ``I - M``
+    alike with nu and S_L, T_L and S_L PSD.  M is exactly Hermitian.
+    Raises :class:`ValidationError` when the solve does not converge."""
+    c = ensure_herm(c)
+    d = c.shape[0]
+    E = _basis(d)
+    gens = _stack([ensure_herm(g) for g in generators], d)
+    m = len(gens)
+    G = _op(E, gens)
+    blocks = []
+    for L in maps:
+        LE = _stack([L(e) for e in E], d)
+        blocks += [(L(c), LE), (np.zeros_like(c), LE)]
+    cost = np.concatenate([_op(gens, c), np.zeros(m)])
+    sol = _solve(_op(E, np.eye(d)), cost, np.hstack([G, G]), blocks)
+    if not sol.converged:
+        raise ValidationError("effect-cone program did not converge "
+                              "(is the unit decomposable over the cone?)")
+    M = _adj(gens, sol.u[:m]) + sum((L(T) for L, T in zip(maps, sol.X[::2])),
+                                    np.zeros_like(c))
+    M = _herm(M)
+    return trace_inner(c, M), M
 
 
 @dataclass

@@ -16,6 +16,7 @@ from gptcone.cones import (
     SEP_DUAL,
     SHRUNK_BLOCH,
     ConeRep,
+    block_positivity,
     dual_cone_membership,
     make_named_cone,
     membership,
@@ -25,9 +26,10 @@ from gptcone.dual import (
     ConicCertificate,
     Infeasible,
     conic_feasibility,
+    identity,
     min_over_spectrahedron,
 )
-from gptcone.herm import BipartiteDims, partial_trace, partial_transpose, trace_inner
+from gptcone.herm import BipartiteDims, partial_transpose, trace_inner
 from gptcone.pses import (
     PsesParams,
     cr_membership,
@@ -53,51 +55,56 @@ def _generators(d, m, rng):
     return gens
 
 
-def _check_certificate(res, x, gens, include_psd):
+def _check_certificate(res, x, gens, maps):
+    """x = sum_k c_k g_k + psd_part + sum_L L(part_L), each part PSD."""
     assert np.all(res.coefficients >= 0)
+    assert len(res.mapped_parts) == max(len(maps) - 1, 0)
     rest = x - sum((c * g for c, g in zip(res.coefficients, gens)),
                    np.zeros_like(x))
-    if include_psd:
+    if maps:
         assert np.linalg.eigvalsh(res.psd_part)[0] >= -1e-12
         rest = rest - res.psd_part
+    for L, part in zip(maps[1:], res.mapped_parts):
+        assert np.linalg.eigvalsh(part)[0] >= -1e-12
+        rest = rest - L(part)
     assert np.linalg.norm(rest) <= TOL
     assert res.residual == pytest.approx(np.linalg.norm(rest), abs=1e-12)
 
 
-def _check_separator(W, x, gens, include_psd, tol=TOL):
-    if include_psd:
-        assert np.linalg.eigvalsh(W)[0] >= -tol
+def _check_separator(W, x, gens, maps, tol=TOL):
+    # The maps are self-adjoint, so W is in the dual when every L(W) is PSD.
+    assert all(np.linalg.eigvalsh(L(W))[0] >= -tol for L in maps)
     assert all(trace_inner(W, g) >= -tol for g in gens)
     assert trace_inner(W, x) < 0
 
 
-@given(seeds, st.integers(2, 4), st.integers(0, 5), st.booleans(),
-       st.booleans())
+@given(seeds, st.integers(2, 4), st.integers(0, 5),
+       st.sampled_from([(), (identity,)]), st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_conic_feasibility_certificates(seed, d, m, include_psd, inside):
+def test_conic_feasibility_certificates(seed, d, m, maps, inside):
     rng = np.random.default_rng(seed)
     gens = _generators(d, m, rng)
     if inside and m:
         x = sum(w * g for w, g in zip(rng.uniform(0, 1, m), gens))
-        if include_psd:
+        if maps:
             x = x + random_psd(d, rng)
     else:
         x = random_herm(d, rng)
-    res = conic_feasibility(x, gens, include_psd=include_psd, tol=TOL)
+    res = conic_feasibility(x, gens, maps, tol=TOL)
     assert abs(res.gap) <= TOL
     if isinstance(res, ConicCertificate):
-        _check_certificate(res, x, gens, include_psd)
+        _check_certificate(res, x, gens, maps)
         return
     assert isinstance(res, Infeasible) and res.witness is not None
     assert not (inside and m)
     W = res.witness
-    _check_separator(W, x, gens, include_psd)
+    _check_separator(W, x, gens, maps)
     assert res.bound == pytest.approx(-trace_inner(W, x) / np.linalg.norm(W))
     # The bound is a lower bound on the distance to any cone point: 0, and
     # with PSD in the cone also the PSD part of x.
     vals = np.linalg.eigvalsh(x)
     assert res.bound <= np.linalg.norm(vals) + 1e-9
-    if include_psd:
+    if maps:
         assert res.bound <= np.linalg.norm(np.minimum(vals, 0.0)) + 1e-9
 
 
@@ -134,11 +141,11 @@ def test_cr_membership_witnesses(seed, m, r_frac, shift):
     if v.status == IN:
         assert min(trace_inner(x, g) for g in gens) >= -1e-9
         assert abs(v.witness.gap) <= TOL
-        _check_certificate(v.witness, x, gens, include_psd=True)
+        _check_certificate(v.witness, x, gens, (identity,))
     elif v.tier == "npm-endpoint":
         assert trace_inner(v.witness, x) < 0
     else:
-        _check_separator(v.witness, x, gens, include_psd=True)
+        _check_separator(v.witness, x, gens, (identity,))
 
 
 @given(seeds, st.sampled_from([2, 3]), st.floats(0.02, 1.0),
@@ -158,11 +165,11 @@ def test_psd_hull_membership_matches_cr_membership(seed, m, r_frac, shift):
     v = membership(ConeRep(dim=D, generators=gens, oracle=PSD), x)
     assert v.status == cr_membership(x, params).status
     if v.status == OUT:
-        _check_separator(v.witness, x, gens, include_psd=True)
+        _check_separator(v.witness, x, gens, (identity,))
     elif v.witness is None:  # In by the PSD oracle
         assert np.linalg.eigvalsh(x)[0] >= -1e-9
     else:
-        _check_certificate(v.witness, x, gens, include_psd=True)
+        _check_certificate(v.witness, x, gens, (identity,))
 
 
 @given(seeds, st.integers(2, 4))
@@ -175,6 +182,43 @@ def test_psd_effect_cone_error_equals_helstrom(seed, d):
     m1, m2 = meas.effects
     assert np.linalg.eigvalsh(m1)[0] >= -1e-8
     assert np.linalg.eigvalsh(m2)[0] >= -1e-8
+
+
+@given(seeds, st.sampled_from([(2, 2), (2, 3)]), st.integers(0, 2),
+       st.floats(-0.5, 1.0))
+@settings(max_examples=30, deadline=None)
+def test_decomposable_description_certificates(seed, dA_dB, m, shift):
+    # cone(G) + PSD + PSD^Gamma: the In certificate and the Out separator
+    # of a description with a second map re-verify by eigenvalues.
+    rng = np.random.default_rng(seed)
+    dims = BipartiteDims(*dA_dB)
+    d = dims.total
+    gens = _generators(d, m, rng)
+    x = random_herm(d, rng) + shift * np.eye(d)
+    maps = (identity, lambda X: partial_transpose(X, dims))
+    res = conic_feasibility(x, gens, maps, tol=TOL)
+    if isinstance(res, ConicCertificate):
+        _check_certificate(res, x, gens, maps)
+    else:
+        _check_separator(res.witness, x, gens, maps)
+
+
+@pytest.mark.parametrize("dA,dB", [(2, 2), (2, 3)])
+def test_block_positivity_certifies_decomposable_inputs(dA, dB):
+    # Q^Gamma + 0.01 I is block-positive; these draws are indefinite, so
+    # only the decomposition x = P + Q'^Gamma can certify them.
+    dims = BipartiteDims(dA, dB)
+    d = dims.total
+    rng = np.random.default_rng(11)
+    xs = [partial_transpose(random_state(d, rng), dims) + 0.01 * np.eye(d)
+          for _ in range(12)]
+    xs = [x for x in xs if np.linalg.eigvalsh(x)[0] < -1e-6]
+    assert len(xs) >= 5
+    decomposable = (identity, lambda X: partial_transpose(X, dims))
+    for x in xs:
+        v = block_positivity(x, dims)
+        assert v.status == IN and v.tier == "decomposition"
+        _check_certificate(v.witness, x, [], decomposable)
 
 
 def _psd(W):
@@ -204,10 +248,8 @@ def _witness_cases(dims, rng):
     d = dims.total
     gens = _generators(d, 3, rng)
 
-    def product(W):  # |ab><ab| for unit vectors a, b
-        rho_a = partial_trace(W, dims, "A")
-        rho_b = partial_trace(W, dims, "B")
-        return _psd(W) and np.allclose(W, np.kron(rho_a, rho_b))
+    def ppt(W):  # in SEP, since PPT is separability at 2x2 and 2x3
+        return _psd(W) and _psd(partial_transpose(W, dims))
 
     return {
         "psd": (make_named_cone(PSD, dim=d), _psd, _psd),
@@ -223,8 +265,8 @@ def _witness_cases(dims, rng):
             lambda W: _orthant(W) or _one_of(gens)(W)),
         "sep": (make_named_cone(SEP, dims=dims),
                 lambda W: _psd(W) or _psd(partial_transpose(W, dims)),
-                product),
-        "sep_dual": (make_named_cone(SEP_DUAL, dims=dims), product,
+                ppt),
+        "sep_dual": (make_named_cone(SEP_DUAL, dims=dims), ppt,
                      lambda W: _psd(W) or _psd(partial_transpose(W, dims))),
         "cs_neg": (make_named_cone(CS_NEG, dim=d, params={"s": 0.1},
                                    dims=dims), None, None),

@@ -83,6 +83,22 @@ def test_discriminate_with_cone(tmp_path, capsys):
     assert rep["cone_check"]
 
 
+def test_discriminate_with_a_sep_dual_cone(tmp_path, capsys):
+    fx = build_fixtures()
+    p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
+    save_matrix(p1, fx["rho1"])
+    save_matrix(p2, fx["rho2"])
+    cone_path = tmp_path / "cone.json"
+    cone_path.write_text(json.dumps({"tag": "SEP_DUAL", "dims": [2, 2]}))
+    assert cli.run(["discriminate", str(p1), str(p2),
+                    "--cone", str(cone_path)]) == 0
+    rep = _stdout_report(capsys)
+    assert rep["cone_error"] <= rep["helstrom_error"] + 1e-9
+    # The block-positive pair e1, e2 of the fixture tells them apart.
+    assert rep["cone_error"] == pytest.approx(0.0, abs=1e-7)
+    assert rep["cone_check"]
+
+
 def test_discriminate_rejects_a_halfspace_only_cone(tmp_path, capsys):
     p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
     save_matrix(p1, np.diag([1.0, 0.0]))

@@ -81,9 +81,9 @@ def test_sep_unknown_is_honest(sep22, dims22):
 def test_sep_dual_tiers(sepdual22, bell_state, dims22):
     assert membership(sepdual22, np.eye(4)).status == IN
     assert membership(sepdual22, -np.eye(4)).status == OUT
-    # Entanglement witness: block-positive but not PSD -> not Out.
+    # Entanglement witness: block-positive but not PSD, decomposable at 2x2.
     w = partial_transpose(bell_state, dims22)
-    assert membership(sepdual22, w).status in (IN, UNKNOWN)
+    assert membership(sepdual22, w).status == IN
     # Bell projector minus too much identity is not block-positive.
     v = membership(sepdual22, bell_state - 0.3 * np.eye(4))
     assert v.status == OUT

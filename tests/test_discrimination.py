@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gptcone.cones import (
     CLASSICAL_ORTHANT,
@@ -160,7 +161,8 @@ def test_orthant_plus_a_generator_errs_no_more_than_the_orthant():
 
 @pytest.mark.parametrize("tag", [None, SEP_DUAL, CS_NEG, SHRUNK_BLOCH, CR])
 def test_effect_cones_without_a_conic_program_are_rejected(tag):
-    dims = BipartiteDims(2, 2)
+    # SEP_DUAL has a program up to dA dB = 6 (decomposability).
+    dims = BipartiteDims(3, 3) if tag == SEP_DUAL else BipartiteDims(2, 2)
     if tag is None:
         cone = ConeRep(dim=4, dual_generators=[np.eye(4)])
     elif tag == SHRUNK_BLOCH:
@@ -174,6 +176,22 @@ def test_effect_cones_without_a_conic_program_are_rejected(tag):
     a, b = random_state(cone.dim, rng), random_state(cone.dim, rng)
     with pytest.raises(ValidationError, match=tag or "halfspace-only"):
         min_error_over_cone(a, b, cone)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=25, deadline=None)
+def test_sep_dual_effect_cone_error_matches_arai_criterion(seed):
+    # Pure product pairs are perfectly distinguishable by block-positive
+    # effects exactly when Tr rhoA1 rhoA2 + Tr rhoB1 rhoB2 <= 1.
+    rng = np.random.default_rng(seed)
+    a1, b1, a2, b2 = (random_pure_state(2, rng) for _ in range(4))
+    ok, lhs = arai_criterion(a1, b1, a2, b2)
+    assume(abs(lhs - 1.0) > 0.05)
+    cone = make_named_cone(SEP_DUAL, dims=BipartiteDims(2, 2))
+    cval, meas = min_error_over_cone(np.kron(a1, b1), np.kron(a2, b2), cone)
+    assert (cval <= 1e-7) == ok
+    assert cval >= -1e-7
+    assert np.allclose(sum(meas.effects), np.eye(4), atol=1e-9)
 
 
 def test_perfectly_distinguishable(e_pair, entropy_quartet):

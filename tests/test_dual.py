@@ -8,6 +8,7 @@ from gptcone.dual import (
     dual_identity_check,
     dual_membership,
     gram_predual_check,
+    identity,
     min_over_spectrahedron,
 )
 from gptcone.herm import trace_inner
@@ -31,7 +32,7 @@ def test_dual_membership_in_and_out():
 def test_conic_feasibility_recovers_combination():
     gens = _diag_gens()
     x = 0.3 * gens[0] + 1.7 * gens[1]
-    res = conic_feasibility(x, gens, include_psd=False)
+    res = conic_feasibility(x, gens, ())
     assert isinstance(res, ConicCertificate)
     assert np.allclose(res.coefficients, [0.3, 1.7], atol=1e-6)
 
@@ -39,7 +40,7 @@ def test_conic_feasibility_recovers_combination():
 def test_conic_feasibility_with_psd_block():
     gens = [np.diag([1.0, -1.0]).astype(complex)]
     x = np.diag([2.0, 0.0]).astype(complex)  # = gen + diag(1,1)
-    res = conic_feasibility(x, gens, include_psd=True)
+    res = conic_feasibility(x, gens, (identity,))
     assert isinstance(res, ConicCertificate)
     rem = x - res.coefficients[0] * gens[0]
     assert np.linalg.eigvalsh(rem)[0] >= -1e-7
@@ -47,7 +48,7 @@ def test_conic_feasibility_with_psd_block():
 
 def test_conic_feasibility_infeasible_bound():
     gens = _diag_gens()
-    res = conic_feasibility(-np.eye(2), gens, include_psd=True)
+    res = conic_feasibility(-np.eye(2), gens, (identity,))
     assert isinstance(res, Infeasible)
     assert res.bound > 0
 

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from gptcone.dual import ConicCertificate, Infeasible, conic_feasibility
-from gptcone.herm import BipartiteDims, ValidationError, partial_trace, trace_inner
+from gptcone.dual import ConicCertificate, Infeasible, conic_feasibility, identity
+from gptcone.herm import (
+    BipartiteDims,
+    ValidationError,
+    max_entangled_fidelity,
+    partial_trace,
+    trace_inner,
+)
 from gptcone.pses import (
     MeopFamily,
     PsesParams,
@@ -191,6 +197,28 @@ def test_distance_upper_bound(params01):
     assert np.trace(rho0).real == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("r", [0.1, 5.0])
+def test_isotropic_fidelity_closed_form_matches_the_ascent(m, r):
+    # <phi|rho0|phi> is linear in f = |<phi|sigma>|^2, which spans [0, 1]
+    # over maximally entangled phi.
+    dims = BipartiteDims(m, m)
+    D = dims.total
+    sigma = random_max_entangled_state(m, seed=m)
+    a = 1.0 / (2.0 * r + 1.0)
+    rho0 = a * sigma + (1.0 - a) * (np.eye(D) - sigma) / (D - 1.0)
+    fmax, _ = max_entangled_fidelity(rho0, dims)
+    assert max(a, (1.0 - a) / (D - 1.0)) == pytest.approx(fmax, abs=1e-8)
+
+
+def test_distance_upper_bound_raises_past_the_fidelity_level(bell_family):
+    # 2r + 1 > D: the best maximally entangled fidelity exceeds a.
+    params = PsesParams(family_set=swap_pair(bell_family), r=2.0,
+                        dims=bell_family.dims)
+    with pytest.raises(ValidationError, match="fidelity"):
+        distance_upper_bound(params, random_max_entangled_state(2, seed=5))
+
+
 def test_distance_upper_bound_rejects_bad_sigma(params01):
     with pytest.raises(ValidationError):
         distance_upper_bound(params01, np.eye(4) / 4)
@@ -257,7 +285,7 @@ def test_hierarchy_witness_is_conic_infeasible(bell_family):
         PsesParams(family_set=swap_pair(bell_family), r=0.1,
                    dims=bell_family.dims))
     witness = npm_element(0.2, bell_family)
-    assert isinstance(conic_feasibility(witness, gens, include_psd=True,
+    assert isinstance(conic_feasibility(witness, gens, (identity,),
                                         tol=1e-7), Infeasible)
 
 
