@@ -12,6 +12,7 @@ Hermitian PSD blocks, and every answer carries its certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,7 +27,8 @@ class ConicCertificate:
 
     The coefficients are nonnegative, the parts PSD (``psd_part`` is None
     without maps) and ``residual`` is the Hilbert-Schmidt norm of what the
-    decomposition misses.  ``gap`` is the solver's duality gap.
+    decomposition misses.  ``gap``, ``iterations`` and ``converged`` are
+    the solver's; a certificate built without a solve keeps the defaults.
     """
 
     coefficients: np.ndarray
@@ -34,6 +36,8 @@ class ConicCertificate:
     residual: float
     gap: float = 0.0
     mapped_parts: list = field(default_factory=list)
+    iterations: int = 0
+    converged: bool = True
 
 
 @dataclass
@@ -45,18 +49,21 @@ class Infeasible:
     and ``<W, x> < 0``.  ``bound = -<W, x> / ||W||_HS`` is then a lower
     bound on the Hilbert-Schmidt distance from x to the cone.  When the
     solver certified neither membership nor separation, ``witness`` is
-    None and ``bound`` is 0.  ``gap`` is the solver's duality gap.
+    None and ``bound`` is 0.  The rest is as in :class:`ConicCertificate`.
     """
 
     bound: float
     witness: np.ndarray | None = None
     gap: float = 0.0
+    iterations: int = 0
+    converged: bool = True
 
 
 # The solver stops once the relative primal and dual residuals and the
-# relative duality gap are all below _TARGET: iterating further lets the
-# primal residual drift back up.  A solve whose best iterate misses
-# _ACCEPT is reported as not converged.
+# relative duality gap are all below _TARGET, or _STALL_ITER iterations
+# after a best iterate within _ACCEPT: iterating further lets the primal
+# residual drift back up.  Early steps may raise the gap for a while, so a
+# solve whose best iterate misses _ACCEPT runs on and is not converged.
 _TARGET = 1e-10
 _ACCEPT = 1e-8
 _MAX_ITER = 100
@@ -69,7 +76,7 @@ class _Solution:
     ``z = c - A^T y`` and ``Z_j = C_j - A_j^*(y)``."""
 
     u: np.ndarray
-    X: list
+    X: np.ndarray
     y: np.ndarray
     gap: float
     iterations: int
@@ -100,9 +107,10 @@ def _adj(A, y):
     return (y @ flat).reshape(A.shape[1:])
 
 
+@lru_cache(maxsize=None)
 def _basis(d: int) -> np.ndarray:
     """Orthonormal basis of the d x d Hermitian matrices under the trace
-    inner product, as a ``(d*d, d, d)`` stack."""
+    inner product, as a read-only ``(d*d, d, d)`` stack."""
     E = np.zeros((d * d, d, d), dtype=complex)
     s = 1.0 / np.sqrt(2.0)
     k = 0
@@ -113,19 +121,16 @@ def _basis(d: int) -> np.ndarray:
             E[k, i, j] = E[k, j, i] = s
             E[k + 1, i, j], E[k + 1, j, i] = 1j * s, -1j * s
             k += 2
+    E.flags.writeable = False
     return E
 
 
-def _max_step(v, dv):
-    """Largest alpha with ``v + alpha dv >= 0`` (inf when unbounded)."""
-    neg = dv < 0
-    return float(np.min(-v[neg] / dv[neg])) if np.any(neg) else np.inf
-
-
-def _max_step_psd(L_inv, dX):
-    """Largest alpha with ``X + alpha dX`` PSD, for ``X = L L^*``."""
-    lam = np.linalg.eigvalsh(_herm(L_inv @ dX @ L_inv.conj().T))[0]
-    return -1.0 / lam if lam < 0 else np.inf
+def _max_step(v, dv, lam):
+    """Largest alpha with ``v + alpha dv >= 0`` and every block PSD, given
+    the eigenvalues ``lam`` of each block's step scaled by the block's
+    inverse Cholesky factor (inf when unbounded)."""
+    worst = max((-dv / v).max(initial=0.0), -lam.min(initial=0.0))
+    return 1.0 / worst if worst > 0.0 else np.inf
 
 
 def _solve(b, c, A, blocks=()) -> _Solution:
@@ -137,122 +142,106 @@ def _solve(b, c, A, blocks=()) -> _Solution:
     and its dual ``max b.y`` subject to ``c - A^T y >= 0`` and
     ``C_j - A_j^*(y)`` PSD, where ``A_j(X)_i = <A_j[i], X>``.  ``blocks``
     lists the pairs ``(C_j, A_j)``, ``A_j`` a stack of Hermitian matrices
-    with one matrix per equality.
+    with one matrix per equality.  Every block has the same size d, and
+    the equalities are linearly independent: a caller whose rows can be
+    dependent reduces them first.
 
     HKM search direction with Mehrotra's predictor-corrector from an
-    infeasible start at the identity.  The Schur complement is solved by
+    infeasible start at the identity, on all blocks at once as one
+    ``(len(blocks), d, d)`` stack.  The Schur complement is solved by
     LU, which survives the near-singular systems close to the optimum
     where Cholesky fails (least squares if a pivot is exactly zero).
-    Dependent equalities are dropped first, and an inconsistent system
-    raises :class:`ValidationError`.  Returns the iterate with the
-    smallest worst relative residual or gap.
+    Returns the iterate with the smallest worst relative residual or gap.
     """
     norm = np.linalg.norm
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
-    A = np.asarray(A, dtype=float).reshape(len(b), len(c))
-    Cs = [np.asarray(Cj, dtype=complex) for Cj, _ in blocks]
-    As = [np.asarray(Aj, dtype=complex) for _, Aj in blocks]
+    p, nb = len(b), len(blocks)
+    A = np.asarray(A, dtype=float).reshape(p, len(c))
+    d = len(blocks[0][0]) if blocks else 0
+    C = np.array([Cj for Cj, _ in blocks], dtype=complex).reshape(nb, d, d)
+    # Each row of Af holds the i-th matrix of every block as real and
+    # imaginary parts, so that A(X) and A*(y) are real products; Ar holds
+    # them as one d x p*d row of matrices per block.
+    Ab = np.array([Aj for _, Aj in blocks], dtype=complex).reshape(nb, p, d, d)
+    Af = np.ascontiguousarray(Ab.swapaxes(0, 1)).reshape(p, -1).view(float)
+    Ar = np.ascontiguousarray(Ab.swapaxes(1, 2)).reshape(nb, d, p * d)
 
-    # Drop dependent equalities (a pure generator cone spans only part of
-    # the Hermitian matrices).
-    rows = np.hstack([A] + [np.hstack([Aj.reshape(len(b), -1).real,
-                                       Aj.reshape(len(b), -1).imag])
-                            for Aj in As])
-    U, s, _ = np.linalg.svd(rows, full_matrices=False)
-    keep = s > 1e-12 * s[0] if s.size else s > 0
-    if keep.sum() < len(b):
-        Q = U[:, keep]
-        if norm(b - Q @ (Q.T @ b)) > 1e-9 * (1.0 + norm(b)):
-            raise ValidationError("conic program has inconsistent equalities")
-        b, A = Q.T @ b, Q.T @ A
-        As = [np.tensordot(Q.T, Aj, axes=1) for Aj in As]
-    p = len(b)
+    def op(X):
+        return Af @ X.reshape(-1).view(float)
 
-    nu = len(c) + sum(len(Cj) for Cj in Cs)
+    def adj(y):
+        return (y @ Af).view(complex).reshape(nb, d, d)
+
+    nu = len(c) + nb * d
     u, z, y = np.ones(len(c)), np.ones(len(c)), np.zeros(p)
-    X = [np.eye(len(Cj), dtype=complex) for Cj in Cs]
-    Z = [np.eye(len(Cj), dtype=complex) for Cj in Cs]
+    X = Z = np.tile(np.eye(d, dtype=complex), (nb, 1, 1))
     b_scale = 1.0 + norm(b)
-    c_scale = 1.0 + np.sqrt(norm(c) ** 2 + sum(norm(Cj) ** 2 for Cj in Cs))
-    best, best_err, best_it = None, np.inf, 0
-    tau = 0.9
+    c_scale = 1.0 + np.sqrt(norm(c) ** 2 + norm(C) ** 2)
+    best, best_err, best_it, tau = None, np.inf, 0, 0.9
     for it in range(_MAX_ITER):
-        rp = b - A @ u - sum((_op(Aj, Xj) for Aj, Xj in zip(As, X)),
-                             np.zeros(p))
+        rp = b - A @ u - op(X)
         rd = c - z - A.T @ y
-        Rd = [Cj - Zj - _adj(Aj, y) for Cj, Zj, Aj in zip(Cs, Z, As)]
-        pobj = c @ u + sum(np.real(np.vdot(Cj, Xj)) for Cj, Xj in zip(Cs, X))
+        Rd = C - Z - adj(y)
+        pobj = c @ u + np.vdot(C, X).real
         dobj = b @ y
         err = max(norm(rp) / b_scale,
-                  np.sqrt(norm(rd) ** 2 + sum(norm(R) ** 2 for R in Rd))
-                  / c_scale,
+                  np.sqrt(norm(rd) ** 2 + norm(Rd) ** 2) / c_scale,
                   abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj)))
         if err < best_err:
-            best = (u.copy(), [Xj.copy() for Xj in X], y.copy(), pobj - dobj)
+            best = (u.copy(), X.copy(), y.copy(), pobj - dobj)
             best_err, best_it = err, it
-        if err <= _TARGET or it - best_it >= _STALL_ITER:
+        if err <= _TARGET or (best_err <= _ACCEPT
+                              and it - best_it >= _STALL_ITER):
             break
-        mu = (u @ z + sum(np.real(np.vdot(Xj, Zj))
-                          for Xj, Zj in zip(X, Z))) / nu
+        mu = (u @ z + np.vdot(X, Z).real) / nu
         try:
-            LX = [np.linalg.inv(np.linalg.cholesky(Xj)) for Xj in X]
-            LZ = [np.linalg.inv(np.linalg.cholesky(Zj)) for Zj in Z]
-            Zinv = [L.conj().T @ L for L in LZ]
+            # Inverse Cholesky factors of X (first nb) and Z (last nb).
+            L = np.linalg.inv(np.linalg.cholesky(np.concatenate([X, Z])))
+            Lh = L.conj().swapaxes(-1, -2)
+            Zinv = Lh[nb:] @ L[nb:]
             ratio = u / z
-            M = (A * ratio) @ A.T
-            for Aj, Xj, Zi in zip(As, X, Zinv):
-                M += _op(Aj, Xj @ Aj @ Zi)
+            # Row i of T holds every X_j A_j[i] Z_j^-1, laid out like Af.
+            T = ((X @ Ar).reshape(nb, d * p, d) @ Zinv).reshape(
+                nb, d, p, d).transpose(2, 0, 1, 3).reshape(p, -1).view(float)
+            M = (A * ratio) @ A.T + Af @ T.T
             M = (M + M.T) / 2.0
+            XRZ = X @ Rd @ Zinv
 
-            def direction(target, corr_u, corr_X):
+            def direction(target, corr_u, P):
+                # P is the corrector's dX dZ Z^-1 plus X Rd Z^-1.
                 h = (target - corr_u) / z - u
-                H = [target * Zi - Xj - _herm(Cx @ Zi)
-                     for Zi, Xj, Cx in zip(Zinv, X, corr_X)]
-                rhs = rp - A @ (h - ratio * rd) - sum(
-                    (_op(Aj, Hj - _herm(Xj @ R @ Zi))
-                     for Aj, Hj, Xj, R, Zi in zip(As, H, X, Rd, Zinv)),
-                    np.zeros(p))
+                rhs = rp - A @ (h - ratio * rd) - op(target * Zinv - X - P)
                 try:
                     dy = np.linalg.solve(M, rhs)
                 except np.linalg.LinAlgError:
                     # An exactly singular pivot near a degenerate optimum.
                     dy = np.linalg.lstsq(M, rhs, rcond=None)[0]
                 dz = rd - A.T @ dy
-                dZ = [R - _adj(Aj, dy) for R, Aj in zip(Rd, As)]
+                dZ = Rd - adj(dy)
                 du = h - ratio * dz
-                dX = [Hj - _herm(Xj @ dZj @ Zi)
-                      for Hj, Xj, dZj, Zi in zip(H, X, dZ, Zinv)]
-                return du, dX, dy, dz, dZ
+                dX = target * Zinv - X - _herm(
+                    P - (dy @ T).view(complex).reshape(X.shape))
+                lam = np.linalg.eigvalsh(L @ np.concatenate([dX, dZ]) @ Lh)
+                return (du, dX, dy, dz, dZ,
+                        _max_step(u, du, lam[:nb]), _max_step(z, dz, lam[nb:]))
 
-            def steps(du, dX, dz, dZ):
-                ap = min([_max_step(u, du)]
-                         + [_max_step_psd(L, d) for L, d in zip(LX, dX)])
-                ad = min([_max_step(z, dz)]
-                         + [_max_step_psd(L, d) for L, d in zip(LZ, dZ)])
-                return ap, ad
-
-            du, dX, dy, dz, dZ = direction(
-                0.0, 0.0, [np.zeros_like(Xj) for Xj in X])
-            ap, ad = steps(du, dX, dz, dZ)
+            du, dX, dy, dz, dZ, ap, ad = direction(0.0, 0.0, XRZ)
             ap, ad = min(1.0, ap), min(1.0, ad)
-            mu_aff = ((u + ap * du) @ (z + ad * dz) + sum(
-                np.real(np.vdot(Xj + ap * a, Zj + ad * g))
-                for Xj, a, Zj, g in zip(X, dX, Z, dZ))) / nu
+            mu_aff = ((u + ap * du) @ (z + ad * dz)
+                      + np.vdot(X + ap * dX, Z + ad * dZ).real) / nu
             sigma = min(1.0, max(mu_aff, 0.0) / mu) ** 3
-            du, dX, dy, dz, dZ = direction(
-                sigma * mu, du * dz, [a @ g for a, g in zip(dX, dZ)])
-            ap, ad = steps(du, dX, dz, dZ)
+            du, dX, dy, dz, dZ, ap, ad = direction(
+                sigma * mu, du * dz, dX @ dZ @ Zinv + XRZ)
         except np.linalg.LinAlgError:
             break
         ap, ad = min(1.0, tau * ap), min(1.0, tau * ad)
         u, z, y = u + ap * du, z + ad * dz, y + ad * dy
-        X = [Xj + ap * d for Xj, d in zip(X, dX)]
-        Z = [Zj + ad * d for Zj, d in zip(Z, dZ)]
+        X, Z = X + ap * dX, Z + ad * dZ
         tau = 0.9 + 0.09 * min(ap, ad)
     u, X, y, gap = best
     return _Solution(u=u, X=X, y=y, gap=float(gap), iterations=it + 1,
-                     converged=best_err <= _ACCEPT)
+                     converged=bool(best_err <= _ACCEPT))
 
 
 def dual_membership(generators, x, tol: float = 1e-9) -> MembershipVerdict:
@@ -310,11 +299,10 @@ def _w_form(x, halfspaces, images) -> _Solution:
     A_W = np.concatenate([np.eye(d, dtype=complex)[None], halfspaces,
                           *[-LE for LE in images]])
     A = np.vstack([np.zeros((1, K)), -np.eye(K), np.zeros((n - 1 - K, K))])
-    blocks = [(x, A_W)]
-    for j in range(len(images)):
-        A_Y = np.zeros((n, d, d), dtype=complex)
-        A_Y[1 + K + j * d * d:1 + K + (j + 1) * d * d] = _basis(d)
-        blocks.append((np.zeros((d, d)), A_Y))
+    A_Y = np.zeros((len(images), n, d, d), dtype=complex)
+    for j, A_j in enumerate(A_Y):
+        A_j[1 + K + j * d * d:1 + K + (j + 1) * d * d] = _basis(d)
+    blocks = [(x, A_W)] + [(np.zeros((d, d)), A_j) for A_j in A_Y]
     return _solve(np.eye(1, n)[0], np.zeros(K), A, blocks)
 
 
@@ -370,15 +358,17 @@ def conic_feasibility(x, generators, maps=(identity,), tol: float = 1e-8):
     psd_part, residual = _psd_part(R) if maps \
         else (None, float(np.linalg.norm(R)))
     if residual <= tol:
-        return ConicCertificate(lam, psd_part, residual, sol.gap, parts)
+        return ConicCertificate(lam, psd_part, residual, sol.gap, parts,
+                                sol.iterations, sol.converged)
 
     W = _herm(W)
     pairing = trace_inner(W, x)
     separates = pairing < 0.0 and bool(np.all(_op(gens, W) >= -tol)) and all(
         np.linalg.eigvalsh(L(W))[0] >= -tol for L in maps)
     if separates:
-        return Infeasible(-pairing / float(np.linalg.norm(W)), W, sol.gap)
-    return Infeasible(0.0, None, sol.gap)
+        return Infeasible(-pairing / float(np.linalg.norm(W)), W, sol.gap,
+                          sol.iterations, sol.converged)
+    return Infeasible(0.0, None, sol.gap, sol.iterations, sol.converged)
 
 
 def conic_membership(x, generators, maps=(identity,),
@@ -429,19 +419,26 @@ def min_over_effects(c, generators, maps=(identity,)):
     E = _basis(d)
     gens = _stack([ensure_herm(g) for g in generators], d)
     m = len(gens)
-    G = _op(E, gens)
     blocks = []
     for L in maps:
         LE = _stack([L(e) for e in E], d)
         blocks += [(L(c), LE), (np.zeros_like(c), LE)]
+    b, A = _op(E, np.eye(d)), np.hstack([_op(E, gens)] * 2)
+    if not maps:
+        # cone(G) alone may span only part of the Hermitian matrices, so
+        # only this program can have dependent equalities: keep a basis.
+        U, s, _ = np.linalg.svd(A, full_matrices=False)
+        Q = U[:, s > 1e-12 * s.max(initial=0.0)]
+        if np.linalg.norm(b - Q @ (Q.T @ b)) > 1e-9 * (1 + np.linalg.norm(b)):
+            raise ValidationError("conic program has inconsistent equalities")
+        b, A = Q.T @ b, Q.T @ A
     cost = np.concatenate([_op(gens, c), np.zeros(m)])
-    sol = _solve(_op(E, np.eye(d)), cost, np.hstack([G, G]), blocks)
+    sol = _solve(b, cost, A, blocks)
     if not sol.converged:
         raise ValidationError("effect-cone program did not converge "
                               "(is the unit decomposable over the cone?)")
-    M = _adj(gens, sol.u[:m]) + sum((L(T) for L, T in zip(maps, sol.X[::2])),
-                                    np.zeros_like(c))
-    M = _herm(M)
+    M = _herm(_adj(gens, sol.u[:m]) + sum(
+        (L(T) for L, T in zip(maps, sol.X[::2])), np.zeros_like(c)))
     return trace_inner(c, M), M
 
 

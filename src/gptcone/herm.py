@@ -40,12 +40,15 @@ def ensure_herm(A, tol: float = HERM_TOL, repair: bool = False) -> np.ndarray:
 
     With ``repair=True`` the matrix is symmetrized instead of rejected.
     Repair is opt-in on purpose: silently symmetrizing hides fixture bugs.
+    A NaN or infinite entry is rejected either way.
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {A.shape}")
-    dev = np.max(np.abs(A - A.conj().T)) if A.size else 0.0
-    if dev > tol:
+    dev = np.abs(A - A.conj().T).max() if A.size else 0.0
+    if not dev <= tol:  # also when an entry is NaN or infinite
+        if not np.all(np.isfinite(A)):
+            raise ValidationError("matrix has non-finite entries")
         if repair:
             return (A + A.conj().T) / 2.0
         raise ValidationError(f"matrix is not Hermitian (deviation {dev:.3e})")

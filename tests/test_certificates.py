@@ -26,6 +26,7 @@ from gptcone.dual import (
     ConicCertificate,
     Infeasible,
     conic_feasibility,
+    conic_membership,
     identity,
     min_over_spectrahedron,
 )
@@ -106,6 +107,43 @@ def test_conic_feasibility_certificates(seed, d, m, maps, inside):
     assert res.bound <= np.linalg.norm(vals) + 1e-9
     if maps:
         assert res.bound <= np.linalg.norm(np.minimum(vals, 0.0)) + 1e-9
+
+
+def test_conic_solves_report_their_diagnostics():
+    rng = np.random.default_rng(3)
+    gens = _generators(3, 2, rng)
+    for maps in ((), (identity,)):
+        inside = sum(gens) + (random_psd(3, rng) if maps else 0.0)
+        for x, kind in ((inside, ConicCertificate), (-np.eye(3), Infeasible)):
+            res = conic_feasibility(x, gens, maps)
+            assert isinstance(res, kind)
+            assert res.iterations > 0 and res.converged is True
+
+
+@given(seeds, st.booleans(), st.floats(-0.5, 1.0))
+@settings(max_examples=30, deadline=None)
+def test_conic_membership_verdicts_are_scale_invariant(seed, decomposable,
+                                                       shift):
+    # Only inputs at least 1e-3 from the boundary, so that the absolute
+    # tolerance cannot flip a verdict: x - 1e-3 I still decomposes, or a
+    # separator bounds the distance to the cone by 1e-3.
+    rng = np.random.default_rng(seed)
+    dims = BipartiteDims(2, 2)
+    gens = _generators(4, 2, rng)
+    maps = (identity, lambda X: partial_transpose(X, dims)) if decomposable \
+        else (identity,)
+    x = random_herm(4, rng) + shift * np.eye(4)
+    res = conic_feasibility(x, gens, maps)
+    if isinstance(res, ConicCertificate):
+        assume(isinstance(conic_feasibility(x - 1e-3 * np.eye(4), gens, maps),
+                          ConicCertificate))
+    else:
+        assume(res.bound >= 1e-3)
+    v = conic_membership(x, gens, maps)
+    assert v.status in (IN, OUT)
+    for scale in (1e-2, 1e2):
+        w = conic_membership(scale * x, gens, maps)
+        assert (w.status, w.tier) == (v.status, v.tier)
 
 
 @given(seeds, st.integers(2, 4), st.integers(0, 4))

@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gptcone.cones import CLASSICAL_ORTHANT, make_named_cone
+from gptcone.discrimination import min_error_over_cone
 from gptcone.dual import (
     ConicCertificate,
     Infeasible,
+    _solve,
     conic_feasibility,
     dual_identity_check,
     dual_membership,
     gram_predual_check,
     identity,
+    min_over_effects,
     min_over_spectrahedron,
 )
-from gptcone.herm import trace_inner
-from gptcone.sampling import random_herm
+from gptcone.herm import ValidationError, trace_inner
+from gptcone.sampling import random_herm, random_psd, random_state
 from gptcone.verdict import IN, OUT
 
 
@@ -88,3 +93,80 @@ def test_dual_identity_on_random_pairs():
         g2 = [random_herm(3, rng) for _ in range(3)]
         rep = dual_identity_check(g1, g2, samples=200, seed=k)
         assert rep.ok, rep.disagreements
+
+
+def _pairings(As, X):
+    """``<A[i], X>`` for a stack A of Hermitian matrices."""
+    return np.einsum("iab,ba->i", As, X).real
+
+
+def _feasible_program(rng, n, nb, d):
+    """A program for ``_solve`` with strictly feasible primal and dual
+    points, so that both optima are attained and equal."""
+    p = int(rng.integers(1, min(n + nb * d * d, 8) + 1))
+    A = rng.normal(size=(p, n))
+    As = [np.array([random_herm(d, rng) for _ in range(p)])
+          for _ in range(nb)]
+    u, z, y = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n), \
+        rng.normal(size=p)
+    b = A @ u + sum((_pairings(Aj, random_psd(d, rng) + np.eye(d))
+                     for Aj in As), np.zeros(p))
+    blocks = [(random_psd(d, rng) + np.eye(d) + np.tensordot(y, Aj, 1), Aj)
+              for Aj in As]
+    return b, z + A.T @ y, A, blocks
+
+
+@given(st.integers(0, 10_000), st.integers(0, 3), st.sampled_from([2, 3, 4]),
+       st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_solver_converges_on_feasible_programs(seed, nb, d, orthant):
+    # Every residual of the returned iterate, and its duality gap, meets
+    # the acceptance level; the dual slacks are the implied ones.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 5)) if orthant or not nb else 0
+    b, c, A, blocks = _feasible_program(rng, n, nb, d)
+    sol = _solve(b, c, A, blocks)
+    assert sol.converged
+    assert len(sol.X) == nb
+    rp = b - A @ sol.u - sum((_pairings(Aj, Xj)
+                              for (_, Aj), Xj in zip(blocks, sol.X)),
+                             np.zeros(len(b)))
+    assert np.linalg.norm(rp) <= 1e-8 * (1.0 + np.linalg.norm(b))
+    c_scale = 1.0 + np.sqrt(np.linalg.norm(c) ** 2 + sum(
+        np.linalg.norm(Cj) ** 2 for Cj, _ in blocks))
+    assert np.all(sol.u >= 0.0)
+    assert np.min(c - A.T @ sol.y, initial=0.0) >= -1e-8 * c_scale
+    for (Cj, Aj), Xj in zip(blocks, sol.X):
+        assert np.linalg.eigvalsh(Xj)[0] >= -1e-12  # rounding at a face
+        Zj = Cj - np.tensordot(sol.y, Aj, 1)
+        assert np.linalg.eigvalsh(Zj)[0] >= -1e-8 * c_scale
+    pobj = c @ sol.u + sum(np.vdot(Cj, Xj).real
+                           for (Cj, _), Xj in zip(blocks, sol.X))
+    dobj = b @ sol.y
+    assert abs(pobj - dobj) <= 1e-8 * (1.0 + abs(pobj) + abs(dobj))
+    assert sol.gap == pytest.approx(pobj - dobj, abs=1e-12)
+
+
+@given(st.integers(0, 10_000), st.sampled_from([2, 3, 4]))
+@settings(max_examples=30, deadline=None)
+def test_effect_program_reduces_dependent_rows(seed, d):
+    # The orthant's generators and their pairwise sums span only the
+    # diagonal matrices: min_over_effects without maps drops the dependent
+    # rows, and the orthant's error is still the diagonal distance.
+    rng = np.random.default_rng(seed)
+    diag = [np.diag(np.eye(d)[k]).astype(complex) for k in range(d)]
+    gens = diag + [diag[k] + diag[(k + 1) % d] for k in range(d)]
+    a, b = random_state(d, rng), random_state(d, rng)
+    distance = 0.5 * np.sum(np.abs(np.diag(a - b)))
+    value, M = min_over_effects(b - a, gens, ())
+    assert 1.0 + value == pytest.approx(1.0 - distance, abs=1e-9)
+    assert np.allclose(M, np.diag(np.diag(M)), atol=1e-9)
+    cval, _ = min_error_over_cone(a, b, make_named_cone(CLASSICAL_ORTHANT,
+                                                        dim=d))
+    assert cval == pytest.approx(1.0 - distance, abs=1e-9)
+
+
+def test_effect_program_rejects_a_unit_outside_the_span():
+    # Without maps, M and I - M must lie in the span of the generators.
+    with pytest.raises(ValidationError):
+        min_over_effects(np.diag([1.0, -1.0]), [np.diag([1.0, 0.0])], ())

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gptcone.cones import PSD, make_named_cone, membership
+from gptcone.dual import conic_membership
 from gptcone.herm import (
     BipartiteDims,
     ValidationError,
@@ -30,6 +32,19 @@ def test_ensure_herm_repair_symmetrizes():
     A = np.array([[1.0, 1.0 + 1e-13j], [1.0 - 2e-13j, 2.0]])
     H = ensure_herm(A, repair=True)
     assert np.allclose(H, H.conj().T)
+
+
+@pytest.mark.parametrize("x", [np.diag([np.nan, 1.0]),
+                               np.array([[1.0, np.inf], [0.0, 1.0]]),
+                               np.diag([1.0, complex(0.0, np.inf)])])
+def test_non_finite_matrices_are_rejected(x):
+    # A NaN pairing would give an Out whose witness cannot be checked.
+    psd = make_named_cone(PSD, dim=2)
+    for call in (ensure_herm, lambda x: ensure_herm(x, repair=True),
+                 lambda x: membership(psd, x),
+                 lambda x: conic_membership(x, [np.eye(2)])):
+        with pytest.raises(ValidationError, match="non-finite"):
+            call(x)
 
 
 def test_ensure_herm_rejects_nonsquare():
