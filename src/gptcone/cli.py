@@ -180,25 +180,25 @@ def cmd_build_pses(args) -> int:
         "r0": pses.r0(dims),
         "audit": audit.to_json(),
     }
+    failed = {}
     if audit.ok and 0.0 < r <= pses.r0(dims) + 1e-12:
-        meas, states, overlap = pses.dist_example(r, fams[0])
-        report["discrimination_example"] = {
-            "measurement": list(meas),
-            "states": list(states),
-            "overlap": overlap,
-            "overlap_closed_form": pses.overlap_closed_form(r),
-        }
+        with _check(failed, "discrimination_example"):
+            meas, states, overlap = pses.dist_example(r, fams[0])
+            report["discrimination_example"] = {
+                "measurement": list(meas),
+                "states": list(states),
+                "overlap": overlap,
+                "overlap_closed_form": pses.overlap_closed_form(r),
+            }
     report["pass"] = audit.ok
-    _emit(args, report)
-    return PASS if audit.ok else FAIL
+    return _finish(args, report, audit.ok, failed)
 
 
 def cmd_simulability(args) -> int:
     if (args.measurement is None) == (args.shrunk_bloch is None):
         raise UsageError("give a measurement file or --shrunk-bloch p")
     if args.shrunk_bloch is not None:
-        rep = simulability.shrunk_bloch_example(args.shrunk_bloch,
-                                                seed=_seed(args))
+        rep = simulability.shrunk_bloch_example(args.shrunk_bloch)
         cert = rep["certificate"]
         report = {
             "shrunk_bloch_p": rep["p"],
@@ -208,41 +208,42 @@ def cmd_simulability(args) -> int:
             "status": cert.status,
             "pass": rep["pass"],
         }
-        _emit(args, report)
-        return PASS if rep["pass"] else FAIL
+        return _finish(args, report, rep["pass"], {})
     dovm = _load_dovm(args.measurement, args.dims)
-    cert = simulability.non_simulability_certificate(dovm)
-    report = {
-        "status": cert.status,
-        "detail": cert.detail,
-    }
-    if cert.status == "NonSimulable":
-        report["states"] = list(cert.states)
-        report["overlap"] = cert.overlap
-        report["n_copy_overlaps"] = [
-            simulability.n_copy_overlap(*cert.states, n) for n in (1, 2, 3)]
-    _emit(args, report)
-    return PASS if cert.status == "NonSimulable" else FAIL
+    report, failed, ok = {}, {}, False
+    with _check(failed, "certificate"):
+        cert = simulability.non_simulability_certificate(dovm)
+        report.update(status=cert.status, detail=cert.detail)
+        ok = cert.status == "NonSimulable"
+        if ok:
+            report["states"] = list(cert.states)
+            report["overlap"] = cert.overlap
+            report["n_copy_overlaps"] = [
+                simulability.n_copy_overlap(*cert.states, n)
+                for n in (1, 2, 3)]
+    return _finish(args, report, ok, failed)
 
 
 def cmd_symmetry(args) -> int:
-    if args.check == "two-symmetry":
-        rep = symmetry.two_symmetry_counterexample(seed=_seed(args))
-        ok = (not rep["equivalent"]
-              and rep["invariance_violation"] <= 1e-10)
-        report = {"check": args.check, **rep, "pass": ok}
-    else:  # ses-orbit
-        dims = DIMS_22
-        model = ses_model(dims)
-        rng = np.random.default_rng(_seed(args))
-        elements = [random_state(dims.total, rng) for _ in range(5)]
-        elements += [random_herm(dims.total, rng) for _ in range(5)]
-        spec = symmetry.TransformSpec(symmetry.GLOBAL_UNITARY, dims)
-        rep = symmetry.orbit_invariance_check(model.cone, spec, elements,
-                                              seed=_seed(args))
-        report = {"check": args.check, **rep, "pass": rep["invariant"]}
-    _emit(args, report)
-    return PASS if report["pass"] else FAIL
+    report, failed, ok = {"check": args.check}, {}, False
+    with _check(failed, args.check):
+        if args.check == "two-symmetry":
+            rep = symmetry.two_symmetry_counterexample(seed=_seed(args))
+            ok = (not rep["equivalent"]
+                  and rep["invariance_violation"] <= 1e-10)
+        else:  # ses-orbit
+            dims = DIMS_22
+            model = ses_model(dims)
+            rng = np.random.default_rng(_seed(args))
+            elements = [random_state(dims.total, rng) for _ in range(5)]
+            elements += [random_herm(dims.total, rng) for _ in range(5)]
+            spec = symmetry.TransformSpec(symmetry.GLOBAL_UNITARY, dims)
+            rep = symmetry.orbit_invariance_check(model.cone, spec, elements,
+                                                  seed=_seed(args))
+            ok = rep["invariant"]
+        report.update(rep)
+        report["pass"] = ok
+    return _finish(args, report, ok, failed)
 
 
 @contextmanager
@@ -252,6 +253,16 @@ def _check(checks: dict, name: str):
         yield
     except ValidationError as exc:
         checks[name] = {"ok": False, "error": str(exc)}
+
+
+def _finish(args, report: dict, ok: bool, failed: dict) -> int:
+    """Emit ``report`` with the checks that raised, recorded by ``_check``
+    in ``failed``, and return the exit code."""
+    if failed:
+        report.update(failed)
+        report["pass"] = ok = False
+    _emit(args, report)
+    return PASS if ok else FAIL
 
 
 def _appendix_checks(seed: int) -> dict:
@@ -290,7 +301,7 @@ def _appendix_checks(seed: int) -> dict:
             **sym,
         }
     with _check(checks, "shrunk_bloch"):
-        sb = simulability.shrunk_bloch_example(0.5, seed=seed)
+        sb = simulability.shrunk_bloch_example(0.5)
         checks["shrunk_bloch"] = {
             "ok": sb["pass"],
             "overlap": sb["overlap"],

@@ -187,9 +187,9 @@ def random_dovm(dims: BipartiteDims, seed=None, max_tries: int = 200,
     eigenvalue at most 1, so ``m2 = I - m1`` is PSD (tier ``psd``).
     """
     from .herm import partial_transpose
-    from .sampling import _rng, haar_unitary, random_pure_state, random_state
+    from .sampling import haar_unitary, random_pure_state, random_state
 
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     d = dims.total
     for _ in range(max_tries):
         kind = target or rng.choice([POVM, NAQ, AQ, BQ])

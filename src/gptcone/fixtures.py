@@ -1,19 +1,11 @@
-"""Canonical 2 x 2 (x) 2 x 2 fixtures used by the worked examples.
-
-The matrices ship as JSON data files with SHA-256 checksums; loading
-verifies the checksum so a silently edited fixture fails loudly.
-"""
+"""Canonical 2 x 2 (x) 2 x 2 fixtures used by the worked examples,
+built from their closed forms on every call."""
 
 from __future__ import annotations
 
-import hashlib
-import json
-from importlib import resources
-
 import numpy as np
 
-from .herm import BipartiteDims, ValidationError, tensor
-from .io import matrix_from_json
+from .herm import BipartiteDims, tensor
 
 DIMS_22 = BipartiteDims(2, 2)
 
@@ -58,27 +50,13 @@ def build_fixtures() -> dict:
     }
 
 
-def _data_text(name: str) -> str:
-    return resources.files("gptcone.data").joinpath(name).read_text()
-
-
-def load_fixture(name: str) -> np.ndarray:
-    """Load a fixture matrix from the package data, verifying its checksum."""
-    text = _data_text(f"{name}.json")
-    manifest = json.loads(_data_text("checksums.json"))
-    if name not in manifest:
-        raise ValidationError(f"no checksum recorded for fixture {name!r}")
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    if digest != manifest[name]:
-        raise ValidationError(f"fixture {name!r} failed its checksum")
-    return matrix_from_json(json.loads(text))
-
-
 def appendix_states():
     """(rho1, rho2, sigma1, sigma2): the entropy-example quartet."""
-    return tuple(load_fixture(n) for n in ("rho1", "rho2", "sigma1", "sigma2"))
+    f = build_fixtures()
+    return f["rho1"], f["rho2"], f["sigma1"], f["sigma2"]
 
 
 def appendix_measurement():
     """(e1, e2): the beyond-quantum two-outcome fixture."""
-    return load_fixture("e1"), load_fixture("e2")
+    f = build_fixtures()
+    return f["e1"], f["e2"]

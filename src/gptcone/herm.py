@@ -45,7 +45,8 @@ def ensure_herm(A, tol: float = HERM_TOL, repair: bool = False) -> np.ndarray:
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {A.shape}")
-    dev = np.abs(A - A.conj().T).max() if A.size else 0.0
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, caught below
+        dev = np.abs(A - A.conj().T).max() if A.size else 0.0
     if not dev <= tol:  # also when an entry is NaN or infinite
         if not np.all(np.isfinite(A)):
             raise ValidationError("matrix has non-finite entries")

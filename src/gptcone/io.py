@@ -15,18 +15,14 @@ import numpy as np
 from .herm import BipartiteDims, ValidationError, ensure_herm
 
 
-def _round17(x: float) -> float:
-    return float(f"{x:.17g}")
-
-
 def matrix_to_json(A) -> dict:
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {A.shape}")
     return {
         "dim": A.shape[0],
-        "re": [[_round17(v) for v in row] for row in A.real.tolist()],
-        "im": [[_round17(v) for v in row] for row in A.imag.tolist()],
+        "re": A.real.tolist(),
+        "im": A.imag.tolist(),
     }
 
 

@@ -278,7 +278,7 @@ def hierarchy_audit(r_list, family_set, dims: BipartiteDims,
 
 
 def distance_upper_bound(params: PsesParams, sigma, tol: float = 1e-8,
-                         restarts: int = 32, seed: int = 0):
+                         restarts: int = 32):
     """Trace-distance witness: a dual-side state within ``eps_r`` of a
     maximally entangled target.
 
@@ -290,7 +290,7 @@ def distance_upper_bound(params: PsesParams, sigma, tol: float = 1e-8,
     ``max(a, (1 - a)/(D - 1))``: ``<phi|rho0|phi>`` is affine in
     ``|<phi|sigma>|^2``, which spans [0, 1] on maximally entangled phi
     (the clock matrix, a traceless local unitary, reaches 0).
-    ``restarts`` and ``seed`` are ignored.
+    ``restarts`` is ignored.
     """
     sigma = ensure_herm(sigma)
     D = params.dims.total
@@ -389,8 +389,7 @@ def overlap_eps_relation(eps: float) -> dict:
 
 
 def self_duality_verifier(candidate_generators, outer: PsesParams,
-                          samples: int = 100, tol: float = 1e-8,
-                          seed: int = 0) -> AuditReport:
+                          samples: int = 100, tol: float = 1e-8) -> AuditReport:
     """Evidence that a candidate generator set describes a self-dual cone
     sandwiched inside the deformed structure.
 
@@ -401,7 +400,7 @@ def self_duality_verifier(candidate_generators, outer: PsesParams,
     and the deformation endpoints are conic-feasible over the candidate
     cone.  The dual side needs no check of its own: every element of the
     dual is PSD, so it lies in the candidate cone already.  ``samples``
-    and ``seed`` are ignored.  Verification predicate only; it never
+    is ignored.  Verification predicate only; it never
     constructs the modified cone.
     """
     if not len(candidate_generators):

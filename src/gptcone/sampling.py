@@ -7,15 +7,9 @@ import numpy as np
 from .herm import BipartiteDims, tensor
 
 
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def haar_unitary(n: int, seed=None) -> np.ndarray:
     """Haar-distributed n x n unitary via QR of a Ginibre matrix."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     Q, R = np.linalg.qr(Z)
     # Fix the phase ambiguity of QR so the distribution is exactly Haar.
@@ -24,13 +18,13 @@ def haar_unitary(n: int, seed=None) -> np.ndarray:
 
 def random_herm(n: int, seed=None, scale: float = 1.0) -> np.ndarray:
     """Random Hermitian matrix with Gaussian entries."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return scale * (Z + Z.conj().T) / 2.0
 
 
 def random_pure_vector(n: int, seed=None) -> np.ndarray:
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return v / np.linalg.norm(v)
 
@@ -42,7 +36,7 @@ def random_pure_state(n: int, seed=None) -> np.ndarray:
 
 def random_state(n: int, seed=None, rank: int | None = None) -> np.ndarray:
     """Random density matrix (normalized Wishart)."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     k = rank or n
     G = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
     W = G @ G.conj().T
@@ -50,13 +44,13 @@ def random_state(n: int, seed=None, rank: int | None = None) -> np.ndarray:
 
 
 def random_psd(n: int, seed=None, scale: float = 1.0) -> np.ndarray:
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return scale * (G @ G.conj().T) / n
 
 
 def random_product_vector(dims: BipartiteDims, seed=None) -> np.ndarray:
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     a = random_pure_vector(dims.dA, rng)
     b = random_pure_vector(dims.dB, rng)
     return np.kron(a, b)
@@ -64,7 +58,7 @@ def random_product_vector(dims: BipartiteDims, seed=None) -> np.ndarray:
 
 def random_product_vectors(dims: BipartiteDims, count: int, seed=None) -> np.ndarray:
     """``count`` normalized product vectors, stacked as rows."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     A = rng.standard_normal((count, dims.dA)) + 1j * rng.standard_normal((count, dims.dA))
     B = rng.standard_normal((count, dims.dB)) + 1j * rng.standard_normal((count, dims.dB))
     A /= np.linalg.norm(A, axis=1, keepdims=True)
@@ -74,7 +68,7 @@ def random_product_vectors(dims: BipartiteDims, count: int, seed=None) -> np.nda
 
 def random_separable_state(dims: BipartiteDims, terms: int = 4, seed=None) -> np.ndarray:
     """Random convex mixture of product pure states."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     w = rng.dirichlet(np.ones(terms))
     out = np.zeros((dims.total, dims.total), dtype=complex)
     for k in range(terms):

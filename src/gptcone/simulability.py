@@ -79,7 +79,7 @@ def non_simulability_certificate(measurement: Dovm, tol: float = 1e-9,
                                    detail="perfect pair with residual overlap")
 
 
-def shrunk_bloch_example(p: float, samples: int = 1000, seed: int = 0) -> dict:
+def shrunk_bloch_example(p: float, samples: int = 1000) -> dict:
     """The depolarized-qubit instance: a beyond-POVM effect pair valid on
     the shrunk state space that perfectly splits two overlapping states.
 
@@ -88,28 +88,27 @@ def shrunk_bloch_example(p: float, samples: int = 1000, seed: int = 0) -> dict:
     [0, 1] on every shrunk state ``p rho + (1-p) I/2``, and the boundary
     states ``rho_i = p P_i + (1-p) I/2`` are distinguished exactly while
     overlapping by ``p(1-p) + (1-p)^2/2 > 0``.
-    """
-    from .sampling import random_state
 
+    Validity on the domain is checked exactly: ``Tr (p rho + (1-p) I/2) M``
+    is least at rho = M's bottom eigenprojector, where it equals
+    ``p lambda_min(M) + (1-p)/2 Tr M``.  ``samples`` is ignored.
+    """
     if not 0.0 < p < 1.0:
         raise ValidationError("p must lie in (0, 1)")
     P1 = np.diag([1.0, 0.0]).astype(complex)
     P2 = np.diag([0.0, 1.0]).astype(complex)
     eye = np.eye(2, dtype=complex)
     m1 = -((1.0 - p) / (2.0 * p)) * P1 + ((1.0 + p) / (2.0 * p)) * P2
-    # The effects are valid against the shrunk domain (checked below over
-    # sampled states), not block-positive on a tensor split, so the
-    # tensor-split screening is bypassed with precomputed evidence.
+    # The effects are valid against the shrunk domain (checked below), not
+    # block-positive on a tensor split, so the tensor-split screening is
+    # bypassed with precomputed evidence.
     evidence = (MembershipVerdict(UNKNOWN, tier="shrunk-domain"),
                 MembershipVerdict(UNKNOWN, tier="shrunk-domain"))
     meas = Dovm(m1=m1, m2=eye - m1, dims=BipartiteDims(1, 2),
                 block_positivity_evidence=evidence)
 
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    for _ in range(samples):
-        sigma = p * random_state(2, rng) + (1.0 - p) / 2.0 * eye
-        worst = min(worst, *(trace_inner(sigma, m) for m in meas.effects))
+    worst = min(p * np.linalg.eigvalsh(m)[0]
+                + (1.0 - p) / 2.0 * np.trace(m).real for m in meas.effects)
     valid_on_domain = worst >= -1e-9
 
     rho1 = p * P2 + (1.0 - p) / 2.0 * eye

@@ -11,7 +11,7 @@ import numpy as np
 
 from .cones import ConeRep, membership
 from .herm import BipartiteDims, ValidationError, ensure_herm, trace_inner
-from .sampling import _rng, haar_unitary
+from .sampling import haar_unitary
 from .verdict import IN, OUT
 
 GLOBAL_UNITARY = "GLOBAL_UNITARY"
@@ -37,7 +37,7 @@ class TransformSpec:
 
     def sample(self, rng=None):
         """Draw one transform as a callable on Hermitian matrices."""
-        rng = _rng(rng)
+        rng = np.random.default_rng(rng)
         dA, dB = self.dims.dA, self.dims.dB
         if self.kind == GLOBAL_UNITARY:
             U = haar_unitary(self.dims.total, rng)
@@ -98,7 +98,7 @@ def orbit_invariance_check(cone: ConeRep, spec: TransformSpec,
             "kind": spec.kind}
 
 
-def gu_falsifier(x, dims: BipartiteDims, tol: float = 1e-9, seed: int = 0):
+def gu_falsifier(x, dims: BipartiteDims, tol: float = 1e-9):
     """Full-unitary-orbit contradiction chain for a cone holding a
     non-PSD element x.
 

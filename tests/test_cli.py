@@ -249,6 +249,52 @@ def test_verify_all_keeps_report_when_a_check_raises(capsys, monkeypatch):
     assert rep["checks"]["duality_identity"]["ok"]
 
 
+def _raise_validation(*args, **kwargs):
+    raise ValidationError("check failed")
+
+
+def test_symmetry_keeps_report_when_the_check_raises(capsys, monkeypatch):
+    monkeypatch.setattr(cli.symmetry, "two_symmetry_counterexample",
+                        _raise_validation)
+    assert cli.run(["symmetry", "--check", "two-symmetry"]) == 2
+    rep = _stdout_report(capsys)
+    assert rep["check"] == "two-symmetry"
+    assert rep["two-symmetry"] == {"ok": False, "error": "check failed"}
+    assert rep["pass"] is False
+
+
+def test_build_pses_keeps_report_when_the_check_raises(capsys, monkeypatch):
+    monkeypatch.setattr(cli.pses, "dist_example", _raise_validation)
+    assert cli.run(["build-pses", "--r", "0.1"]) == 2
+    rep = _stdout_report(capsys)
+    assert rep["audit"]["pass"]
+    assert rep["discrimination_example"] == {"ok": False,
+                                             "error": "check failed"}
+    assert rep["pass"] is False
+
+
+def test_simulability_keeps_report_when_the_check_raises(tmp_path, capsys,
+                                                         monkeypatch):
+    path = _write_fixture_measurement(tmp_path)
+    monkeypatch.setattr(cli.simulability, "non_simulability_certificate",
+                        _raise_validation)
+    assert cli.run(["simulability", path]) == 2
+    rep = _stdout_report(capsys)
+    assert rep["certificate"] == {"ok": False, "error": "check failed"}
+    assert rep["pass"] is False
+
+
+def test_input_errors_still_exit_one(tmp_path, capsys):
+    assert cli.run(["build-pses", "--eps", "-1"]) == 1
+    assert cli.run(["simulability", "--shrunk-bloch", "1.5"]) == 1
+    assert cli.run(["simulability", str(tmp_path / "missing.json")]) == 1
+    m1 = np.diag([-0.5, 1.0, 1.0, 1.0])
+    path = tmp_path / "not_block_positive.json"
+    path.write_text(json.dumps(measurement_to_json([m1, np.eye(4) - m1])))
+    assert cli.run(["simulability", str(path)]) == 1
+    assert capsys.readouterr().out == ""
+
+
 def test_jsonify_writes_non_hermitian_square_arrays(bell_state, dims22):
     rep = symmetry.gu_falsifier(partial_transpose(bell_state, dims22), dims22)
     out = json.loads(json.dumps(cli._jsonify(rep)))

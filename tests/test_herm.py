@@ -34,9 +34,13 @@ def test_ensure_herm_repair_symmetrizes():
     assert np.allclose(H, H.conj().T)
 
 
+# Rejected, not warned about: inf - inf in the Hermiticity test is NaN.
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("x", [np.diag([np.nan, 1.0]),
                                np.array([[1.0, np.inf], [0.0, 1.0]]),
-                               np.diag([1.0, complex(0.0, np.inf)])])
+                               np.diag([1.0, complex(0.0, np.inf)]),
+                               np.diag([np.inf, 1.0]),
+                               np.array([[1.0, -np.inf], [-np.inf, 1.0]])])
 def test_non_finite_matrices_are_rejected(x):
     # A NaN pairing would give an Out whose witness cannot be checked.
     psd = make_named_cone(PSD, dim=2)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gptcone.cones import SEP, ConeRep
-from gptcone.fixtures import build_fixtures, load_fixture
 from gptcone.herm import BipartiteDims, ValidationError
 from gptcone.io import (
     cone_from_json,
@@ -77,15 +76,6 @@ def test_measurement_roundtrip():
     assert all(np.max(np.abs(a - b)) < 1e-16 for a, b in zip(back, effects))
     with pytest.raises(ValidationError):
         measurement_from_json({"operators": []})
-
-
-def test_fixture_checksums_and_content():
-    built = build_fixtures()
-    for name, ref in built.items():
-        loaded = load_fixture(name)
-        assert np.max(np.abs(loaded - ref)) < 1e-15, name
-    with pytest.raises(FileNotFoundError):
-        load_fixture("no-such-fixture")
 
 
 def test_cone_from_json_rejects_unknown_tags_and_missing_params():

@@ -3,7 +3,7 @@ import pytest
 
 from gptcone.dovm import Dovm, bq_witness_states
 from gptcone.herm import BipartiteDims, ValidationError, trace_inner
-from gptcone.sampling import random_separable_state
+from gptcone.sampling import random_separable_state, random_state
 from gptcone.simulability import (
     domain_contains,
     n_copy_overlap,
@@ -91,6 +91,22 @@ def test_shrunk_bloch_example_half():
     assert rep["table_residual"] <= 1e-12
     assert rep["valid_on_domain"]
     assert rep["certificate"].status == "NonSimulable"
+
+
+@pytest.mark.parametrize("p", [0.05, 0.3, 0.5, 0.7, 0.95])
+def test_shrunk_bloch_domain_minimum_is_exact(p):
+    rep = shrunk_bloch_example(p)
+    m1, m2 = rep["measurement"].effects
+    rho1, rho2 = rep["boundary_states"]
+    # Each effect's least probability is reached at a boundary state.
+    boundary = min(trace_inner(rho2, m1), trace_inner(rho1, m2))
+    assert rep["domain_min_probability"] == pytest.approx(boundary, abs=1e-12)
+    rng = np.random.default_rng(int(100 * p))
+    eye = np.eye(2)
+    for _ in range(200):
+        sigma = p * random_state(2, rng) + (1.0 - p) / 2.0 * eye
+        for m in (m1, m2):
+            assert trace_inner(sigma, m) >= rep["domain_min_probability"] - 1e-12
 
 
 def test_shrunk_bloch_overlap_vanishes_near_quantum():
