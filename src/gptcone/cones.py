@@ -132,8 +132,7 @@ def make_named_cone(tag: str, params: dict | None = None,
                    oracle=tag, params=dict(params or {}), dims=dims)
 
 
-def min_product_expectation(X, dims: BipartiteDims, restarts: int = 64,
-                            iters: int = 60, tol: float = 1e-12, seed: int = 0):
+def min_product_expectation(X, dims: BipartiteDims, restarts: int = 64):
     """Local search for the minimum of ``<a(x)b| X |a(x)b>`` over product
     unit vectors.
 
@@ -146,12 +145,12 @@ def min_product_expectation(X, dims: BipartiteDims, restarts: int = 64,
 
     X = ensure_herm(X)
     T = X.reshape(dims.dA, dims.dB, dims.dA, dims.dB)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     best = (np.inf, None, None)
     for _ in range(max(1, restarts)):
         b = random_pure_vector(dims.dB, rng)
         val = np.inf
-        for _ in range(iters):
+        for _ in range(60):
             MA = np.einsum("a,iajb,b->ij", b.conj(), T, b)
             vals, vecs = np.linalg.eigh((MA + MA.conj().T) / 2.0)
             a = vecs[:, 0]
@@ -159,7 +158,7 @@ def min_product_expectation(X, dims: BipartiteDims, restarts: int = 64,
             vals, vecs = np.linalg.eigh((MB + MB.conj().T) / 2.0)
             b = vecs[:, 0]
             new_val = float(vals[0])
-            if val - new_val <= tol:
+            if val - new_val <= 1e-12:
                 val = new_val
                 break
             val = new_val
@@ -179,8 +178,8 @@ def gurvits_ball_contains(X, tol: float = 1e-9) -> bool:
     return norm(np.eye(d) - scaled, "hilbert_schmidt") <= 1.0 + tol
 
 
-def block_positivity(x, dims: BipartiteDims, tol: float = DEFAULT_TOL,
-                     seed: int = 0) -> MembershipVerdict:
+def block_positivity(x, dims: BipartiteDims,
+                     tol: float = DEFAULT_TOL) -> MembershipVerdict:
     """Membership of Hermitian ``x`` in SEP_DUAL, the block-positive cone.
 
     PSD x is In; a product vector from :func:`min_product_expectation`
@@ -195,8 +194,7 @@ def block_positivity(x, dims: BipartiteDims, tol: float = DEFAULT_TOL,
     if vals[0] >= -tol:
         return MembershipVerdict(IN, margin=float(vals[0]), tier="psd")
     exact = dims.total <= 6
-    val, a, b = min_product_expectation(x, dims, restarts=1 if exact else 64,
-                                        seed=seed)
+    val, a, b = min_product_expectation(x, dims, restarts=1 if exact else 64)
     if val < -tol:
         ab = np.kron(a, b)
         return MembershipVerdict(OUT, witness=np.outer(ab, ab.conj()),
@@ -211,10 +209,10 @@ def _units(d):
     return [np.diag(e) for e in np.eye(d, dtype=complex)]
 
 
-# The named oracles: ``oracle(x, cone, tol, seed)`` decides ``x in K``
+# The named oracles: ``oracle(x, cone, tol)`` decides ``x in K``
 # for the cone's tag, with x already validated against the cone.
 
-def _psd(x, cone, tol, seed):
+def _psd(x, cone, tol):
     vals, vecs = np.linalg.eigh(x)
     if vals[0] >= -tol:
         return MembershipVerdict(IN, margin=float(vals[0]), tier="eigenvalue")
@@ -223,7 +221,7 @@ def _psd(x, cone, tol, seed):
                              margin=float(vals[0]), tier="eigenvalue")
 
 
-def _sep(x, cone, tol, seed):
+def _sep(x, cone, tol):
     if gurvits_ball_contains(x, tol):
         return MembershipVerdict(IN, margin=0.0, tier="gurvits")
     pt = partial_transpose(x, cone.dims)
@@ -235,7 +233,7 @@ def _sep(x, cone, tol, seed):
                                  tier="ppt")
     lam = float(np.linalg.eigvalsh(x)[0])
     if lam < -tol:
-        return _psd(x, cone, tol, seed)
+        return _psd(x, cone, tol)
     if cone.dims.total <= 6:
         # PPT is equivalent to separability for 2x2 and 2x3 (Horodecki,
         # Horodecki & Horodecki, Phys. Lett. A 223, 1996).
@@ -244,11 +242,11 @@ def _sep(x, cone, tol, seed):
     return MembershipVerdict(UNKNOWN, margin=float(vals[0]), tier="ppt")
 
 
-def _block_positive(x, cone, tol, seed):
-    return block_positivity(x, cone.dims, tol, seed)
+def _block_positive(x, cone, tol):
+    return block_positivity(x, cone.dims, tol)
 
 
-def _diagonal(x, cone, tol, seed):
+def _diagonal(x, cone, tol):
     diag = np.real(np.diag(x))
     k = int(np.argmin(diag))
     if diag[k] >= -tol:
@@ -259,16 +257,16 @@ def _diagonal(x, cone, tol, seed):
                              tier="diagonal")
 
 
-def _orthant(x, cone, tol, seed):
+def _orthant(x, cone, tol):
     off = x - np.diag(np.diag(x))
     worst = float(np.max(np.abs(off)))
     if worst > tol:
         return MembershipVerdict(OUT, witness=-off, margin=-worst,
                                  tier="diagonal")
-    return _diagonal(x, cone, tol, seed)
+    return _diagonal(x, cone, tol)
 
 
-def _shrunk_bloch(x, cone, tol, seed, dual=False):
+def _shrunk_bloch(x, cone, tol, dual=False):
     # The cone is T(PSD) for the self-adjoint T(y) = p y + (1-p)/2 tr(y) I,
     # so x is in it when T^-1(x) is PSD and in its dual when T(x) is.  The
     # same map applied to the bottom eigenprojector is an Out witness.
@@ -287,7 +285,7 @@ def _shrunk_bloch(x, cone, tol, seed, dual=False):
                              margin=float(vals[0]), tier=tier)
 
 
-def _cs_neg(x, cone, tol, seed):
+def _cs_neg(x, cone, tol):
     s = cone.params["s"]
     excess = max(-float(np.linalg.eigvalsh(x)[0]), 0.0) \
         - s * float(np.trace(x).real)
@@ -296,18 +294,18 @@ def _cs_neg(x, cone, tol, seed):
         witness = np.outer(v, v.conj()) + s * np.eye(cone.dim)
         return MembershipVerdict(OUT, witness=witness, margin=-excess,
                                  tier="nege")
-    bp = block_positivity(x, cone.dims, tol, seed)
+    bp = block_positivity(x, cone.dims, tol)
     if bp.status == OUT:
         return bp
     tier = "nege+" + bp.tier if bp.status == IN else "nege"
     return MembershipVerdict(bp.status, margin=bp.margin, tier=tier)
 
 
-def _cr(x, cone, tol, seed):
+def _cr(x, cone, tol):
     return cr_membership(x, cone.params["pses"], tol=tol)
 
 
-def _no_dual(x, cone, tol, seed):
+def _no_dual(x, cone, tol):
     return MembershipVerdict(UNKNOWN, tier="no-description")
 
 
@@ -350,8 +348,7 @@ def conic_program(cone: ConeRep):
 _RANK = {OUT: 0, UNKNOWN: 1, IN: 2}  # the worst verdict first
 
 
-def _evaluate(cone: ConeRep, x, tol: float, seed: int,
-              dual: bool) -> MembershipVerdict:
+def _evaluate(cone: ConeRep, x, tol: float, dual: bool) -> MembershipVerdict:
     """``x`` in ``cone``, or in its dual when ``dual`` is set.
 
     The hull ``K + cone(G)`` is In when K says In, Out when K's Out
@@ -369,7 +366,7 @@ def _evaluate(cone: ConeRep, x, tol: float, seed: int,
         tag, gens, hull = None, cone.dual_generators, dual
     else:
         tag, gens, hull = cone.oracle, cone.generators, not dual
-    v = _NAMED[tag][dual](x, cone, tol, seed) if tag else None
+    v = _NAMED[tag][dual](x, cone, tol) if tag else None
 
     if not hull:
         parts = [] if v is None else [v]
@@ -391,36 +388,33 @@ def _evaluate(cone: ConeRep, x, tol: float, seed: int,
     return MembershipVerdict(UNKNOWN, margin=v.margin, tier=v.tier)
 
 
-def membership(cone: ConeRep, x, tol: float = DEFAULT_TOL,
-               seed: int = 0) -> MembershipVerdict:
+def membership(cone: ConeRep, x, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     """Tiered membership oracle for ``x in cone``."""
-    return _evaluate(cone, x, tol, seed, dual=False)
+    return _evaluate(cone, x, tol, dual=False)
 
 
-def dual_cone_membership(cone: ConeRep, x, tol: float = DEFAULT_TOL,
-                         seed: int = 0) -> MembershipVerdict:
+def dual_cone_membership(cone: ConeRep, x,
+                         tol: float = DEFAULT_TOL) -> MembershipVerdict:
     """Membership of ``x`` in the *dual* of ``cone``.
 
     Used to validate effects: the effect space of a model lives in the
     dual of its state cone.
     """
-    return _evaluate(cone, x, tol, seed, dual=True)
+    return _evaluate(cone, x, tol, dual=True)
 
 
-def validate_measurement(model: GptModel, effects, tol: float = 1e-10,
-                         seed: int = 0) -> Measurement:
+def validate_measurement(model: GptModel, effects) -> Measurement:
     """Check sum-to-unit and dual-cone membership of every effect."""
     if not effects:
         raise MeasurementValidationError("empty effect list")
     effects = [ensure_herm(e) for e in effects]
     total = sum(effects)
     dev = float(np.max(np.abs(total - model.unit)))
-    if dev > tol:
+    if dev > 1e-10:
         raise MeasurementValidationError(
             f"effects sum to the unit only within {dev:.3e}")
     for k, e in enumerate(effects):
-        verdict = dual_cone_membership(model.cone, e, tol=max(tol, DEFAULT_TOL),
-                                       seed=seed)
+        verdict = dual_cone_membership(model.cone, e)
         if verdict.status == OUT:
             raise MeasurementValidationError(
                 f"effect {k} is outside the dual cone (margin {verdict.margin:.3e})",

@@ -21,9 +21,9 @@ def err_of_measurement(rho1, rho2, measurement) -> float:
         + trace_inner(ensure_herm(rho2), effects[0])
 
 
-def _check_state(rho, tol=1e-8):
+def _check_state(rho):
     rho = ensure_herm(rho)
-    if np.linalg.eigvalsh(rho)[0] < -tol or abs(np.trace(rho).real - 1.0) > tol:
+    if np.linalg.eigvalsh(rho)[0] < -1e-8 or abs(np.trace(rho).real - 1.0) > 1e-8:
         raise ValidationError("input is not a density matrix")
     return rho
 
@@ -79,21 +79,20 @@ def perfectly_distinguishable(states, measurement, tol: float = 1e-9) -> bool:
     return float(np.max(np.abs(gram - np.eye(len(states))))) <= tol
 
 
-def arai_criterion(rhoA1, rhoB1, rhoA2, rhoB2,
-                   tol: float = 1e-9) -> tuple[bool, float]:
+def arai_criterion(rhoA1, rhoB1, rhoA2, rhoB2) -> tuple[bool, float]:
     """Perfect-distinguishability criterion for pure product pairs.
 
-    Returns ``(lhs <= 1, lhs)`` with
+    Returns ``(lhs <= 1, lhs)``, to 1e-9, with
     ``lhs = Tr rhoA1 rhoA2 + Tr rhoB1 rhoB2``.
     """
     for rho in (rhoA1, rhoB1, rhoA2, rhoB2):
         rho = ensure_herm(rho)
         vals = np.linalg.eigvalsh(rho)
-        if vals[0] < -tol or abs(vals[-1] - 1.0) > 1e-8 \
+        if vals[0] < -1e-9 or abs(vals[-1] - 1.0) > 1e-8 \
                 or np.sum(vals > 1e-8) != 1:
             raise ValidationError("local states must be pure (rank-1, trace 1)")
     lhs = trace_inner(rhoA1, rhoA2) + trace_inner(rhoB1, rhoB2)
-    return lhs <= 1.0 + tol, lhs
+    return lhs <= 1.0 + 1e-9, lhs
 
 
 def yah_region(x: float, y: float, family: str, s: float | None = None,
@@ -159,7 +158,7 @@ def preceding_measurement(alpha1: float, alpha2: float,
     return Dovm(m1=m1, m2=m2, dims=dims)
 
 
-def entropy_example_audit(tol: float = 1e-12) -> dict:
+def entropy_example_audit() -> dict:
     """Audit of the two-entropy decomposition example.
 
     One mixed state decomposes into perfectly distinguishable pure pairs
@@ -195,6 +194,6 @@ def entropy_example_audit(tol: float = 1e-12) -> dict:
         "entropy_first_bits": H1,
         "entropy_second_bits": H2,
         "entropy_gap_bits": abs(H1 - H2),
-        "pass": residual <= tol and pair1_ok and pair2_ok
+        "pass": residual <= 1e-12 and pair1_ok and pair2_ok
                 and abs(H1 - H2) > 0.17,
     }

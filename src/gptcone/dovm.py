@@ -15,6 +15,7 @@ BQ = "BQ"
 AQ = "AQ"
 NAQ = "NAQ"
 POVM = "POVM"
+TOL = 1e-9  # spectral tolerance of the class boundaries
 
 
 @dataclass
@@ -62,30 +63,30 @@ class DovmClass:
     spectrum_summary: tuple
 
 
-def classify(dovm: Dovm, tol: float = 1e-9) -> DovmClass:
+def classify(dovm: Dovm) -> DovmClass:
     """Classify a DOVM by the extreme eigenvalues of its effects.
 
     POVM: both effects PSD.  Otherwise examine the effect with a negative
     eigenvalue: BQ if its top eigenvalue reaches 1, AQ if it lies strictly
     between ``1 + lambda_min`` and 1, NAQ if the spectral width is at most
-    1.  Boundary ``lambda_max in [1-tol, 1+tol]`` resolves to BQ (the BQ
+    1.  Boundary ``lambda_max in [1-TOL, 1+TOL]`` resolves to BQ (the BQ
     condition is the closed one).
     """
     spectra = [np.linalg.eigvalsh(m) for m in (dovm.m1, dovm.m2)]
     summary = tuple((float(s[0]), float(s[-1])) for s in spectra)
-    neg = [k for k, s in enumerate(spectra) if s[0] < -tol]
+    neg = [k for k, s in enumerate(spectra) if s[0] < -TOL]
     if not neg:
         return DovmClass(POVM, 0, summary)
     k = neg[0]
     lam1, lamd = summary[k]
-    if lamd >= 1.0 - tol:
+    if lamd >= 1.0 - TOL:
         return DovmClass(BQ, k, summary)
-    if lamd > 1.0 + lam1 + tol:
+    if lamd > 1.0 + lam1 + TOL:
         return DovmClass(AQ, k, summary)
     return DovmClass(NAQ, k, summary)
 
 
-def bq_witness_states(dovm: Dovm, tol: float = 1e-9):
+def bq_witness_states(dovm: Dovm):
     """Non-orthogonal pure state pair perfectly discriminated by a BQ DOVM.
 
     Built on the extreme eigenvectors of the deciding effect:
@@ -93,7 +94,7 @@ def bq_witness_states(dovm: Dovm, tol: float = 1e-9):
     and the complementary weights for ``phi2``.  Returns
     ``(rho1, rho2, overlap)`` with ``Tr rho_i M_j = delta_ij``.
     """
-    cls = classify(dovm, tol)
+    cls = classify(dovm)
     if cls.tag != BQ:
         raise ValidationError(f"witness construction needs a BQ DOVM, got {cls.tag}")
     k = cls.deciding_effect
@@ -117,7 +118,7 @@ def bq_witness_states(dovm: Dovm, tol: float = 1e-9):
     return rho1, rho2, overlap
 
 
-def aq_advantage_states(dovm: Dovm, tol: float = 1e-9):
+def aq_advantage_states(dovm: Dovm):
     """Separable state pair on which a BQ/AQ DOVM beats the quantum optimum.
 
     ``rho1 = I/d`` and ``rho2 = I/d + (E_1 - E_d)/(sqrt(2) d)`` built from
@@ -130,12 +131,12 @@ def aq_advantage_states(dovm: Dovm, tol: float = 1e-9):
     """
     from .discrimination import err_of_measurement, helstrom
 
-    cls = classify(dovm, tol)
+    cls = classify(dovm)
     if cls.tag not in (BQ, AQ):
         raise ValidationError(f"advantage construction needs BQ or AQ, got {cls.tag}")
     k = cls.deciding_effect
     vals, vecs = np.linalg.eigh(dovm.effects[k])
-    if vals[-1] - vals[0] <= 1.0 + tol:
+    if vals[-1] - vals[0] <= 1.0 + TOL:
         raise ValidationError("deciding effect has spectral width <= 1")
     d = dovm.dims.total
     E1 = np.outer(vecs[:, 0], vecs[:, 0].conj())
@@ -173,7 +174,7 @@ def _psd_evidence(m) -> MembershipVerdict:
                              tier="psd")
 
 
-def random_dovm(dims: BipartiteDims, seed=None, max_tries: int = 200,
+def random_dovm(dims: BipartiteDims, seed=None,
                 target: str | None = None) -> Dovm:
     """Synthetic DOVM sampler whose effects carry their block-positivity
     certificate from the construction.
@@ -185,13 +186,16 @@ def random_dovm(dims: BipartiteDims, seed=None, max_tries: int = 200,
     partial transpose is m1, so m1 is block-positive: it is In with tier
     ``partial-transpose`` and witness ``c rho``.  The scale keeps m1's top
     eigenvalue at most 1, so ``m2 = I - m1`` is PSD (tier ``psd``).
+    ``target`` is one of the four class tags, or None for a random class.
     """
     from .herm import partial_transpose
     from .sampling import haar_unitary, random_pure_state, random_state
 
+    if target not in (None, POVM, NAQ, AQ, BQ):
+        raise ValidationError(f"unknown DOVM class {target!r}")
     rng = np.random.default_rng(seed)
     d = dims.total
-    for _ in range(max_tries):
+    for _ in range(200):
         kind = target or rng.choice([POVM, NAQ, AQ, BQ])
         if kind == POVM:
             vals = rng.uniform(0.0, 1.0, size=d)

@@ -454,7 +454,7 @@ class DualIdentityReport:
         return not self.disagreements
 
 
-def dual_identity_check(g1, g2, samples: int = 1000, tol: float = 1e-9,
+def dual_identity_check(g1, g2, samples: int = 1000,
                         seed: int = 0) -> DualIdentityReport:
     """Membership in dual(g1 u g2) must equal dual(g1) AND dual(g2)."""
     from .sampling import random_herm
@@ -466,7 +466,7 @@ def dual_identity_check(g1, g2, samples: int = 1000, tol: float = 1e-9,
     xs = _stack([random_herm(d, rng) for _ in range(samples)], d)
 
     def inside(gens):
-        return np.all(_op(_stack(gens, d), xs) >= -tol, axis=0)
+        return np.all(_op(_stack(gens, d), xs) >= -1e-9, axis=0)
 
     lhs = inside(g1 + g2)
     rhs = inside(g1) & inside(g2)

@@ -35,7 +35,7 @@ class BipartiteDims:
         return self.dA * self.dB
 
 
-def ensure_herm(A, tol: float = HERM_TOL, repair: bool = False) -> np.ndarray:
+def ensure_herm(A, repair: bool = False) -> np.ndarray:
     """Validate Hermiticity of ``A`` and return it as a complex array.
 
     With ``repair=True`` the matrix is symmetrized instead of rejected.
@@ -47,7 +47,7 @@ def ensure_herm(A, tol: float = HERM_TOL, repair: bool = False) -> np.ndarray:
         raise ValidationError(f"expected a square matrix, got shape {A.shape}")
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, caught below
         dev = np.abs(A - A.conj().T).max() if A.size else 0.0
-    if not dev <= tol:  # also when an entry is NaN or infinite
+    if not dev <= HERM_TOL:  # also when an entry is NaN or infinite
         if not np.all(np.isfinite(A)):
             raise ValidationError("matrix has non-finite entries")
         if repair:
@@ -139,11 +139,11 @@ def sco(v, dims: BipartiteDims) -> float:
     return float(lam[0] * lam[1])
 
 
-def fidelity(rho, sigma, tol: float = 1e-9) -> float:
+def fidelity(rho, sigma) -> float:
     """Fidelity ``Tr rho sigma`` of a state with a *pure* state sigma."""
     sigma = ensure_herm(sigma)
     vals = np.linalg.eigvalsh(sigma)
-    if np.sum(vals > tol) != 1 or vals[0] < -tol:
+    if np.sum(vals > 1e-9) != 1 or vals[0] < -1e-9:
         raise ValidationError("sigma must be a rank-1 PSD matrix")
     return trace_inner(ensure_herm(rho), sigma)
 
@@ -158,8 +158,6 @@ def max_entangled_fidelity(
     rho,
     dims: BipartiteDims,
     restarts: int = 32,
-    iters: int = 200,
-    tol: float = 1e-12,
     seed: int | None = 0,
 ) -> tuple[float, np.ndarray]:
     """Lower bound on the best fidelity with a maximally entangled state.
@@ -188,9 +186,9 @@ def max_entangled_fidelity(
     for k in range(max(1, restarts)):
         U = np.eye(m, dtype=complex) if k == 0 else haar_unitary(m, rng)
         val = -np.inf
-        for _ in range(iters):
+        for _ in range(200):
             new_val, U = value_and_update(U)
-            if new_val - val <= tol:
+            if new_val - val <= 1e-12:
                 val = new_val
                 break
             val = new_val

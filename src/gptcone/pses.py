@@ -41,19 +41,19 @@ class MeopFamily:
             raise ValidationError("family must span the composite space")
         self.projectors = [ensure_herm(P) for P in self.projectors]
 
-    def validate(self, tol: float = 1e-10):
+    def validate(self):
         m = self.dims.dA
-        gram = np.array([[trace_inner(P, Q) for Q in self.projectors]
-                         for P in self.projectors])
-        if np.max(np.abs(gram - np.eye(len(self.projectors)))) > tol:
+        flat = np.array(self.projectors).reshape(len(self.projectors), -1)
+        gram = np.real(flat.conj() @ flat.T)
+        if np.max(np.abs(gram - np.eye(len(self.projectors)))) > 1e-10:
             raise ValidationError("projectors are not trace-orthonormal")
         total = sum(self.projectors)
-        if np.max(np.abs(total - np.eye(self.dims.total))) > tol:
+        if np.max(np.abs(total - np.eye(self.dims.total))) > 1e-10:
             raise ValidationError("projectors do not resolve the identity")
         for P in self.projectors:
             for keep in ("A", "B"):
                 red = partial_trace(P, self.dims, keep)
-                if np.max(np.abs(red - np.eye(m) / m)) > tol:
+                if np.max(np.abs(red - np.eye(m) / m)) > 1e-10:
                     raise ValidationError("projector is not maximally entangled")
         return self
 
@@ -192,7 +192,7 @@ class AuditReport:
 
 
 def predual_audit(params: PsesParams, product_samples: int = 10_000,
-                  tol: float = 1e-9, seed: int = 0) -> AuditReport:
+                  seed: int = 0) -> AuditReport:
     """Numerical evidence that the deformed cone is pre-dual.
 
     (i) ``product_state_nonnegativity``: every deformation endpoint pairs
@@ -204,6 +204,8 @@ def predual_audit(params: PsesParams, product_samples: int = 10_000,
     """
     from .sampling import random_product_vectors
 
+    if product_samples < 1:
+        raise ValidationError("product_samples must be at least 1")
     report = AuditReport()
     gens = npm_endpoint_generators(params)
     D = params.dims.total
@@ -215,30 +217,31 @@ def predual_audit(params: PsesParams, product_samples: int = 10_000,
         vals = np.real(np.einsum("ni,ij,nj->n", V.conj(), N, V))
         worst = min(worst, float(np.min(vals)))
     bound1 = (np.sqrt(D) - 1.0) / 2.0
-    report.add("product_state_nonnegativity", worst >= -tol,
+    report.add("product_state_nonnegativity", worst >= -1e-9,
                min_value=worst, analytic_bound=bound1,
                r_within_bound=params.r <= bound1 + 1e-12,
                samples=product_samples)
 
-    ok, (pair, value) = gram_predual_check(gens, tol)
+    ok, (pair, value) = gram_predual_check(gens, 1e-9)
     report.add("endpoint_gram", ok, min_pair=list(pair), min_value=value,
                r0=r0(params.dims), r_within_r0=params.r <= r0(params.dims) + 1e-12)
     return report
 
 
-def hierarchy_audit(r_list, family_set, dims: BipartiteDims,
-                    tol: float = 1e-9) -> AuditReport:
+def hierarchy_audit(r_list, family_set, dims: BipartiteDims) -> AuditReport:
     """Strictness certificates for the inclusion chain over decreasing r.
 
     For consecutive r1 > r2 the endpoint ``N(r1)`` lies outside
     ``PSD + cone(r2 endpoints)``.  A step is strict when
     :func:`conic_membership` answers Out with a separator W that passes
-    direct checks: W PSD, ``<W, N> >= -tol`` for every r2 endpoint N and
-    ``<W, N(r1)> < -tol``.  W and the checked values are recorded.  A
+    direct checks: W PSD, ``<W, N> >= -1e-9`` for every r2 endpoint N and
+    ``<W, N(r1)> < -1e-9``.  W and the checked values are recorded.  A
     passing chain certifies (by the general theory, existence only) an
     n-independent family of self-dual modifications.
     """
     r_list = list(r_list)
+    if not r_list:
+        raise ValidationError("hierarchy audit needs at least one r value")
     if any(r <= 0 for r in r_list):
         raise ValidationError("hierarchy audit needs positive r values")
     if any(r1 <= r2 for r1, r2 in zip(r_list, r_list[1:])):
@@ -265,9 +268,9 @@ def hierarchy_audit(r_list, family_set, dims: BipartiteDims,
                 "separator_min_pairing": min(trace_inner(W, g) for g in gens),
                 "separator_pairing": trace_inner(W, n_outer),
             }
-            strict = (detail["separator_min_eigenvalue"] >= -tol
-                      and detail["separator_min_pairing"] >= -tol
-                      and detail["separator_pairing"] < -tol)
+            strict = (detail["separator_min_eigenvalue"] >= -1e-9
+                      and detail["separator_min_pairing"] >= -1e-9
+                      and detail["separator_pairing"] < -1e-9)
         bound = -v.margin / float(np.linalg.norm(W)) if strict else 0.0
         report.add(f"strict_step_{i}", strict, r_outer=r1, r_inner=r2,
                    witness_min_eigenvalue=lam_w,
@@ -277,8 +280,7 @@ def hierarchy_audit(r_list, family_set, dims: BipartiteDims,
     return report
 
 
-def distance_upper_bound(params: PsesParams, sigma, tol: float = 1e-8,
-                         restarts: int = 32):
+def distance_upper_bound(params: PsesParams, sigma, restarts: int = 32):
     """Trace-distance witness: a dual-side state within ``eps_r`` of a
     maximally entangled target.
 
@@ -306,12 +308,12 @@ def distance_upper_bound(params: PsesParams, sigma, tol: float = 1e-8,
     eye = np.eye(D, dtype=complex)
     rho0 = a * sigma + (1.0 - a) * (eye - sigma) / (D - 1.0)
 
-    if max(a, (1.0 - a) / (D - 1.0)) > a + tol:
+    if max(a, (1.0 - a) / (D - 1.0)) > a + 1e-8:
         raise ValidationError("fidelity certificate exceeded the target level")
-    if not dual_membership(npm_endpoint_generators(params), rho0, tol):
+    if not dual_membership(npm_endpoint_generators(params), rho0, 1e-8):
         raise ValidationError("rho0 failed a dual-side endpoint pairing")
     dist = norm(rho0 - sigma, "trace")
-    if dist > eps_of_r(params.r) + tol:
+    if dist > eps_of_r(params.r) + 1e-8:
         raise ValidationError("distance exceeded the analytic bound")
     return dist, rho0
 
@@ -389,7 +391,7 @@ def overlap_eps_relation(eps: float) -> dict:
 
 
 def self_duality_verifier(candidate_generators, outer: PsesParams,
-                          samples: int = 100, tol: float = 1e-8) -> AuditReport:
+                          samples: int = 100) -> AuditReport:
     """Evidence that a candidate generator set describes a self-dual cone
     sandwiched inside the deformed structure.
 
@@ -408,14 +410,14 @@ def self_duality_verifier(candidate_generators, outer: PsesParams,
     cands = [ensure_herm(g) for g in candidate_generators]
     report = AuditReport()
 
-    ok, (pair, value) = gram_predual_check(cands, tol)
+    ok, (pair, value) = gram_predual_check(cands, 1e-8)
     report.add("candidate_gram", ok, min_pair=list(pair), min_value=value)
 
     sandwich_ok = True
     for g in cands:
         if norm(g, "hilbert_schmidt") < 1e-12:
             continue
-        v = cr_membership(g, outer, tol=tol)
+        v = cr_membership(g, outer, tol=1e-8)
         if v.status == OUT:
             sandwich_ok = False
             break

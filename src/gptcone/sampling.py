@@ -16,11 +16,11 @@ def haar_unitary(n: int, seed=None) -> np.ndarray:
     return Q * (np.diag(R) / np.abs(np.diag(R)))
 
 
-def random_herm(n: int, seed=None, scale: float = 1.0) -> np.ndarray:
+def random_herm(n: int, seed=None) -> np.ndarray:
     """Random Hermitian matrix with Gaussian entries."""
     rng = np.random.default_rng(seed)
     Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return scale * (Z + Z.conj().T) / 2.0
+    return (Z + Z.conj().T) / 2.0
 
 
 def random_pure_vector(n: int, seed=None) -> np.ndarray:
@@ -43,10 +43,10 @@ def random_state(n: int, seed=None, rank: int | None = None) -> np.ndarray:
     return W / np.trace(W).real
 
 
-def random_psd(n: int, seed=None, scale: float = 1.0) -> np.ndarray:
+def random_psd(n: int, seed=None) -> np.ndarray:
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return scale * (G @ G.conj().T) / n
+    return (G @ G.conj().T) / n
 
 
 def random_product_vector(dims: BipartiteDims, seed=None) -> np.ndarray:
@@ -66,12 +66,12 @@ def random_product_vectors(dims: BipartiteDims, count: int, seed=None) -> np.nda
     return np.einsum("na,nb->nab", A, B).reshape(count, dims.total)
 
 
-def random_separable_state(dims: BipartiteDims, terms: int = 4, seed=None) -> np.ndarray:
-    """Random convex mixture of product pure states."""
+def random_separable_state(dims: BipartiteDims, seed=None) -> np.ndarray:
+    """Random convex mixture of four product pure states."""
     rng = np.random.default_rng(seed)
-    w = rng.dirichlet(np.ones(terms))
+    w = rng.dirichlet(np.ones(4))
     out = np.zeros((dims.total, dims.total), dtype=complex)
-    for k in range(terms):
+    for k in range(4):
         a = random_pure_state(dims.dA, rng)
         b = random_pure_state(dims.dB, rng)
         out += w[k] * tensor(a, b)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dovm import BQ, Dovm, bq_witness_states, classify
+from .dovm import BQ, TOL, Dovm, bq_witness_states, classify
 from .herm import BipartiteDims, ValidationError, ensure_herm, trace_inner
 from .verdict import UNKNOWN, MembershipVerdict
 
@@ -37,7 +37,7 @@ def n_copy_overlap(rho1, rho2, n: int) -> float:
     return float(trace_inner(rho1, rho2) ** n)
 
 
-def non_simulability_certificate(measurement: Dovm, tol: float = 1e-9,
+def non_simulability_certificate(measurement: Dovm,
                                  states=None) -> SimulabilityCertificate:
     """Witness that no copy-and-measure protocol reproduces the statistics.
 
@@ -49,22 +49,22 @@ def non_simulability_certificate(measurement: Dovm, tol: float = 1e-9,
     boundary states of a noisy domain); by default the spectral witness
     construction is used.
     """
-    cls = classify(measurement, tol)
+    cls = classify(measurement)
     if cls.tag != BQ:
         return SimulabilityCertificate(
             status="Inconclusive",
             detail=f"classification {cls.tag} admits no perfect-pair witness")
     if states is None:
-        rho1, rho2, _ = bq_witness_states(measurement, tol)
+        rho1, rho2, _ = bq_witness_states(measurement)
     else:
         rho1, rho2 = (ensure_herm(s) for s in states)
     for rho in (rho1, rho2):
-        if not domain_contains(measurement, rho, max(tol, 1e-8)):
+        if not domain_contains(measurement, rho, 1e-8):
             return SimulabilityCertificate(
                 status="Inconclusive",
                 detail="candidate state fell outside the measurement domain")
     overlap = trace_inner(rho1, rho2)
-    if overlap <= tol:
+    if overlap <= TOL:
         return SimulabilityCertificate(
             status="Inconclusive", detail="witness pair is orthogonal")
     gram = np.array([[trace_inner(rho1, measurement.m1),

@@ -63,7 +63,7 @@ class TransformSpec:
 
 def orbit_invariance_check(cone: ConeRep, spec: TransformSpec,
                            elements, samples: int = 20,
-                           tol: float = 1e-8, seed: int = 0) -> dict:
+                           seed: int = 0) -> dict:
     """Test whether sampled transforms preserve the cone's verdicts.
 
     Each element's membership status is compared before and after each
@@ -75,14 +75,14 @@ def orbit_invariance_check(cone: ConeRep, spec: TransformSpec,
     violation = None
     for X in elements:
         X = ensure_herm(X)
-        base = membership(cone, X, tol)
+        base = membership(cone, X, 1e-8)
         if base.status not in (IN, OUT):
             skipped += 1
             continue
         for _ in range(samples):
             act = spec.sample(rng)
             image = ensure_herm(act(X), repair=True)
-            after = membership(cone, image, tol)
+            after = membership(cone, image, 1e-8)
             if after.status not in (IN, OUT):
                 skipped += 1
                 continue
@@ -98,7 +98,7 @@ def orbit_invariance_check(cone: ConeRep, spec: TransformSpec,
             "kind": spec.kind}
 
 
-def gu_falsifier(x, dims: BipartiteDims, tol: float = 1e-9):
+def gu_falsifier(x, dims: BipartiteDims):
     """Full-unitary-orbit contradiction chain for a cone holding a
     non-PSD element x.
 
@@ -113,7 +113,7 @@ def gu_falsifier(x, dims: BipartiteDims, tol: float = 1e-9):
     """
     x = ensure_herm(x)
     vals, vecs = np.linalg.eigh(x)
-    if vals[0] >= -tol:
+    if vals[0] >= -1e-9:
         raise ValidationError("falsifier needs an element with a negative eigenvalue")
     v = vecs[:, 0]
     rho = np.outer(v, v.conj())
@@ -128,7 +128,7 @@ def gu_falsifier(x, dims: BipartiteDims, tol: float = 1e-9):
     if np.max(np.abs(product_image - np.outer(e0, e0.conj()))) > 1e-9:
         raise ValidationError("orbit construction failed to reach the product state")
     value = trace_inner(product_image, gx)
-    if value >= -tol:
+    if value >= -1e-9:
         raise ValidationError("image unexpectedly passed the product pairing")
     a = np.zeros(dims.dA, dtype=complex)
     b = np.zeros(dims.dB, dtype=complex)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gptcone.cones import (
     CLASSICAL_ORTHANT,
@@ -67,7 +68,7 @@ def test_sep_ppt_out_with_witness(sep22, bell_state, dims22):
     assert v.tier == "ppt"
     # The PPT witness is block-positive and pairs negatively with the input.
     assert trace_inner(v.witness, bell_state) < -1e-9
-    val, _, _ = min_product_expectation(v.witness, dims22, restarts=16, seed=0)
+    val, _, _ = min_product_expectation(v.witness, dims22, restarts=16)
     assert val >= -1e-9
 
 
@@ -124,7 +125,7 @@ def test_gurvits_ball_contains():
 
 def test_min_product_expectation_matches_eigmin_on_product_ops(dims22):
     X = np.kron(np.diag([1.0, -0.5]), np.diag([1.0, 0.25]))
-    val, a, b = min_product_expectation(X, dims22, restarts=16, seed=0)
+    val, a, b = min_product_expectation(X, dims22, restarts=16)
     assert val == pytest.approx(-0.5, abs=1e-9)
     ab = np.kron(a, b)
     assert np.real(np.vdot(ab, X @ ab)) == pytest.approx(val, abs=1e-9)
@@ -309,3 +310,44 @@ def test_sep_stays_unknown_beyond_ppt_exactness():
     x[0, 0] = 1.0  # |00><00|, outside the separability ball
     v = membership(make_named_cone(SEP, dims=dims), x)
     assert (v.status, v.tier) == (UNKNOWN, "ppt")
+
+
+_SCALED_CONES = [
+    pytest.param(tag, dims, params, id=f"{tag}-{dims.dA}x{dims.dB}")
+    for tag, params in ((PSD, {}), (SEP, {}), (SEP_DUAL, {}),
+                        (CLASSICAL_ORTHANT, {}), (CS_NEG, {"s": 0.1}))
+    for dims in (BipartiteDims(2, 2), BipartiteDims(2, 3))
+] + [pytest.param(SHRUNK_BLOCH, BipartiteDims(1, 2), {"p": 0.5},
+                  id="SHRUNK_BLOCH")]
+
+
+@pytest.mark.parametrize("tag,dims,params", _SCALED_CONES)
+@given(seed=st.integers(0, 2**32 - 1), shift=st.floats(-0.5, 1.5),
+       kind=st.sampled_from(["shifted", "diagonal", "transposed"]))
+@settings(max_examples=20, deadline=None)
+def test_named_oracle_verdicts_are_scale_invariant(tag, dims, params, seed,
+                                                   shift, kind):
+    # Only verdicts decided at least 1e-3 from the boundary: x - 1e-3 I is
+    # still In, or x + 1e-3 I still Out (I is interior to every cone here).
+    # For the eigenvalue tiers that is |margin| >= 1e-3; it also covers the
+    # conic tiers, whose In margin is a residual.  Partial transposes of
+    # states reach the decomposition tier of SEP_DUAL and CS_NEG.
+    cone = make_named_cone(tag, params=params, dims=dims, dim=dims.total)
+    d = dims.total
+    if kind == "transposed":
+        x = partial_transpose(random_state(d, seed, rank=2), dims) \
+            + 0.1 * (shift - 0.5) * np.eye(d)
+    else:
+        x = random_herm(d, seed) + shift * np.eye(d)
+        if kind == "diagonal":
+            x = np.diag(np.diag(x))
+    for check in (membership, dual_cone_membership):
+        v = check(cone, x)
+        if v.status not in (IN, OUT):
+            continue
+        step = 1e-3 * np.eye(d) * (-1 if v.status == IN else 1)
+        if check(cone, x + step).status != v.status:
+            continue
+        for scale in (1e-2, 1e2):
+            w = check(cone, scale * x)
+            assert (w.status, w.tier) == (v.status, v.tier), (check, scale)

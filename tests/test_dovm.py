@@ -148,6 +148,13 @@ def test_random_dovm_targets(dims22):
             assert classify(d).tag == target
 
 
+@pytest.mark.parametrize("target", ["bq", "QUANTUM", ""])
+def test_random_dovm_rejects_unknown_targets(dims22, target):
+    # Unknown names once fell through to the NAQ branch.
+    with pytest.raises(ValidationError):
+        random_dovm(dims22, seed=1, target=target)
+
+
 @given(st.integers(0, 10_000), st.sampled_from([None, BQ, AQ, NAQ, POVM]),
        st.sampled_from([(2, 2), (2, 3), (3, 3)]))
 @settings(max_examples=40, deadline=None)

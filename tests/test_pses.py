@@ -48,7 +48,7 @@ def params01(bell_family):
 def test_generalized_bell_invariants(m):
     fam = generalized_bell(m)
     assert len(fam.projectors) == m * m
-    fam.validate(tol=1e-10)
+    fam.validate()
     for P in fam.projectors:
         red = partial_trace(P, fam.dims, "A")
         assert np.max(np.abs(red - np.eye(m) / m)) <= 1e-12
@@ -66,7 +66,7 @@ def test_swap_family_involution(bell_family):
 
 
 def test_swap_preserves_invariants(bell_family):
-    swap_family(bell_family).validate(tol=1e-10)
+    swap_family(bell_family).validate()
 
 
 def test_deformation_pair_sums_to_identity(bell_family):
@@ -187,6 +187,17 @@ def test_hierarchy_audit(bell_family):
         hierarchy_audit([0.1, 0.1], swap_pair(bell_family), bell_family.dims)
     with pytest.raises(ValidationError):
         hierarchy_audit([0.1, -0.2], swap_pair(bell_family), bell_family.dims)
+
+
+def test_hierarchy_audit_rejects_an_empty_chain(bell_family):
+    # No levels would certify nothing, yet pass vacuously.
+    with pytest.raises(ValidationError):
+        hierarchy_audit([], swap_pair(bell_family), bell_family.dims)
+
+
+def test_predual_audit_needs_a_product_sample(params01):
+    with pytest.raises(ValidationError):
+        predual_audit(params01, product_samples=0)
 
 
 def test_distance_upper_bound(params01):
