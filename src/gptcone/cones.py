@@ -17,16 +17,16 @@ from functools import partial
 
 import numpy as np
 
-from .dual import conic_membership, dual_membership, identity
+from .dual import _conic_membership, _dual_membership, identity
 from .herm import (
     BipartiteDims,
     ValidationError,
+    _as_bipartite,
+    _inner,
     ensure_herm,
-    norm,
     partial_transpose,
-    trace_inner,
 )
-from .pses import cr_membership
+from .pses import _cr_membership
 from .verdict import IN, OUT, UNKNOWN, MembershipVerdict
 
 PSD = "PSD"
@@ -54,13 +54,12 @@ class ConeRep:
     def __post_init__(self):
         if not (self.generators or self.dual_generators or self.oracle):
             raise ValidationError("a ConeRep needs at least one description")
-        self.generators = [ensure_herm(g) for g in self.generators]
-        self.dual_generators = [ensure_herm(h) for h in self.dual_generators]
-        for g in self.generators + self.dual_generators:
-            if g.shape != (self.dim, self.dim):
-                raise ValidationError("generator dimension mismatch")
+        k = len(self.generators)
+        gens = [*self.generators, *self.dual_generators]
+        gens = list(ensure_herm(gens, dim=self.dim)) if gens else []
+        self.generators, self.dual_generators = gens[:k], gens[k:]
         if self.generators and self.dual_generators:
-            worst = min(dual_membership(self.generators, h).margin
+            worst = min(_dual_membership(self.generators, h, 1e-9).margin
                         for h in self.dual_generators)
             if worst < -1e-9:
                 raise ValidationError(
@@ -91,14 +90,14 @@ class GptModel:
     dims: BipartiteDims | None = None
 
     def __post_init__(self):
-        self.unit = ensure_herm(self.unit)
+        self.unit = ensure_herm(self.unit, dim=self.cone.dim)
         if self.dims is None:
             self.dims = self.cone.dims
         if self.cone.oracle == PSD:
             if np.linalg.eigvalsh(self.unit)[0] <= 0:
                 raise ValidationError("order unit must be positive definite")
         for g in self.cone.generators:
-            if norm(g, "hilbert_schmidt") > 1e-12 and trace_inner(self.unit, g) <= 0:
+            if np.linalg.norm(g) > 1e-12 and _inner(self.unit, g) <= 0:
                 raise ValidationError("order unit not interior to the dual cone")
 
 
@@ -140,11 +139,12 @@ def min_product_expectation(X, dims: BipartiteDims, restarts: int = 64):
     ``restarts`` random starts.
     Returns ``(value, a, b)``; a negative value is a certified
     block-positivity violation, a nonnegative one is only evidence.
+    Only X's shape is checked, as the search reads X's Hermitian part; a
+    non-finite entry leaves no finite value and raises.
     """
     from .sampling import random_pure_vector
 
-    X = ensure_herm(X)
-    T = X.reshape(dims.dA, dims.dB, dims.dA, dims.dB)
+    T = _as_bipartite(X, dims)
     rng = np.random.default_rng(0)
     best = (np.inf, None, None)
     for _ in range(max(1, restarts)):
@@ -164,23 +164,28 @@ def min_product_expectation(X, dims: BipartiteDims, restarts: int = 64):
             val = new_val
         if val < best[0]:
             best = (val, a, b)
+    if best[1] is None:
+        raise ValidationError("matrix has non-finite entries")
     return best
 
 
 def gurvits_ball_contains(X, tol: float = 1e-9) -> bool:
     """Sufficient separability condition ``||I - X * d/Tr X||_2 <= 1``."""
-    X = ensure_herm(X)
+    return _gurvits(ensure_herm(X), tol)
+
+
+def _gurvits(X, tol):
     d = X.shape[0]
     t = float(np.trace(X).real)
     if t <= tol:
         return False
     scaled = X * (d / t)
-    return norm(np.eye(d) - scaled, "hilbert_schmidt") <= 1.0 + tol
+    return float(np.linalg.norm(np.eye(d) - scaled)) <= 1.0 + tol
 
 
 def block_positivity(x, dims: BipartiteDims,
                      tol: float = DEFAULT_TOL) -> MembershipVerdict:
-    """Membership of Hermitian ``x`` in SEP_DUAL, the block-positive cone.
+    """:func:`membership` of ``x`` in SEP_DUAL, the block-positive cone.
 
     PSD x is In; a product vector from :func:`min_product_expectation`
     with a negative expectation gives Out with its projector as witness.
@@ -190,9 +195,13 @@ def block_positivity(x, dims: BipartiteDims,
     or a separator W with W, W^Gamma PSD.  Above 6 the search makes 64
     descents, and a nonnegative minimum is Unknown.
     """
-    vals = np.linalg.eigvalsh(x)
-    if vals[0] >= -tol:
-        return MembershipVerdict(IN, margin=float(vals[0]), tier="psd")
+    return membership(make_named_cone(SEP_DUAL, dims=dims), x, tol)
+
+
+def _block_positivity(x, dims, tol, lam):
+    """:func:`block_positivity` of checked x with least eigenvalue lam."""
+    if lam >= -tol:
+        return MembershipVerdict(IN, margin=float(lam), tier="psd")
     exact = dims.total <= 6
     val, a, b = min_product_expectation(x, dims, restarts=1 if exact else 64)
     if val < -tol:
@@ -201,7 +210,7 @@ def block_positivity(x, dims: BipartiteDims,
                                  margin=val, tier="product-search")
     if exact:  # SEP_DUAL's conic description decides
         program = conic_program(make_named_cone(SEP_DUAL, dims=dims))
-        return conic_membership(x, *program, max(tol, 1e-8))
+        return _conic_membership(x, *program, max(tol, 1e-8))
     return MembershipVerdict(UNKNOWN, margin=val, tier="product-search")
 
 
@@ -212,42 +221,41 @@ def _units(d):
 # The named oracles: ``oracle(x, cone, tol)`` decides ``x in K``
 # for the cone's tag, with x already validated against the cone.
 
-def _psd(x, cone, tol):
-    vals, vecs = np.linalg.eigh(x)
-    if vals[0] >= -tol:
-        return MembershipVerdict(IN, margin=float(vals[0]), tier="eigenvalue")
-    v = vecs[:, 0]
-    return MembershipVerdict(OUT, witness=np.outer(v, v.conj()),
-                             margin=float(vals[0]), tier="eigenvalue")
+def _psd(x, cone, tol, tier="eigenvalue"):
+    # The eigenvalues decide; only an Out witness needs an eigenvector.
+    lam = float(np.linalg.eigvalsh(x)[0])
+    if lam >= -tol:
+        return MembershipVerdict(IN, margin=lam, tier=tier)
+    v = np.linalg.eigh(x)[1][:, 0]
+    return MembershipVerdict(OUT, witness=np.outer(v, v.conj()), margin=lam,
+                             tier=tier)
 
 
 def _sep(x, cone, tol):
-    if gurvits_ball_contains(x, tol):
+    if _gurvits(x, tol):
         return MembershipVerdict(IN, margin=0.0, tier="gurvits")
-    pt = partial_transpose(x, cone.dims)
-    vals, vecs = np.linalg.eigh(pt)
-    if vals[0] < -tol:
-        v = vecs[:, 0]
-        witness = partial_transpose(np.outer(v, v.conj()), cone.dims)
-        return MembershipVerdict(OUT, witness=witness, margin=float(vals[0]),
-                                 tier="ppt")
-    lam = float(np.linalg.eigvalsh(x)[0])
-    if lam < -tol:
-        return _psd(x, cone, tol)
-    if cone.dims.total <= 6:
-        # PPT is equivalent to separability for 2x2 and 2x3 (Horodecki,
-        # Horodecki & Horodecki, Phys. Lett. A 223, 1996).
-        return MembershipVerdict(IN, margin=min(lam, float(vals[0])),
-                                 tier="ppt-exact")
-    return MembershipVerdict(UNKNOWN, margin=float(vals[0]), tier="ppt")
+    dims = cone.dims
+    ppt = _psd(partial_transpose(x, dims), cone, tol, "ppt")
+    if ppt.status == OUT:
+        ppt.witness = partial_transpose(ppt.witness, dims)
+        return ppt
+    v = _psd(x, cone, tol)
+    if v.status == OUT:
+        return v
+    if dims.total > 6:
+        return MembershipVerdict(UNKNOWN, margin=ppt.margin, tier="ppt")
+    # PPT is equivalent to separability for 2x2 and 2x3 (Horodecki,
+    # Horodecki & Horodecki, Phys. Lett. A 223, 1996).
+    return MembershipVerdict(IN, margin=min(v.margin, ppt.margin),
+                             tier="ppt-exact")
 
 
 def _block_positive(x, cone, tol):
-    return block_positivity(x, cone.dims, tol)
+    return _block_positivity(x, cone.dims, tol, np.linalg.eigvalsh(x)[0])
 
 
 def _diagonal(x, cone, tol):
-    diag = np.real(np.diag(x))
+    diag = x.diagonal().real
     k = int(np.argmin(diag))
     if diag[k] >= -tol:
         return MembershipVerdict(IN, margin=float(diag[k]), tier="diagonal")
@@ -258,10 +266,11 @@ def _diagonal(x, cone, tol):
 
 
 def _orthant(x, cone, tol):
-    off = x - np.diag(np.diag(x))
+    off = -x
+    np.fill_diagonal(off, 0.0)
     worst = float(np.max(np.abs(off)))
     if worst > tol:
-        return MembershipVerdict(OUT, witness=-off, margin=-worst,
+        return MembershipVerdict(OUT, witness=off, margin=-worst,
                                  tier="diagonal")
     return _diagonal(x, cone, tol)
 
@@ -276,25 +285,23 @@ def _shrunk_bloch(x, cone, tol, dual=False):
         t = (1 - p) / 2.0 * float(np.trace(y).real) * np.eye(cone.dim)
         return p * y + t if dual else (y - t) / p
 
-    vals, vecs = np.linalg.eigh(shrink(x))
-    tier = "shrunk-bloch-dual" if dual else "affine-psd"
-    if vals[0] >= -tol:
-        return MembershipVerdict(IN, margin=float(vals[0]), tier=tier)
-    u = vecs[:, 0]
-    return MembershipVerdict(OUT, witness=shrink(np.outer(u, u.conj())),
-                             margin=float(vals[0]), tier=tier)
+    v = _psd(shrink(x), cone, tol,
+             "shrunk-bloch-dual" if dual else "affine-psd")
+    if v.status == OUT:
+        v.witness = shrink(v.witness)
+    return v
 
 
 def _cs_neg(x, cone, tol):
     s = cone.params["s"]
-    excess = max(-float(np.linalg.eigvalsh(x)[0]), 0.0) \
-        - s * float(np.trace(x).real)
+    lam = np.linalg.eigvalsh(x)[0]
+    excess = max(-float(lam), 0.0) - s * float(np.trace(x).real)
     if excess > tol:
         v = np.linalg.eigh(x)[1][:, 0]
         witness = np.outer(v, v.conj()) + s * np.eye(cone.dim)
         return MembershipVerdict(OUT, witness=witness, margin=-excess,
                                  tier="nege")
-    bp = block_positivity(x, cone.dims, tol)
+    bp = _block_positivity(x, cone.dims, tol, lam)
     if bp.status == OUT:
         return bp
     tier = "nege+" + bp.tier if bp.status == IN else "nege"
@@ -302,7 +309,7 @@ def _cs_neg(x, cone, tol):
 
 
 def _cr(x, cone, tol):
-    return cr_membership(x, cone.params["pses"], tol=tol)
+    return _cr_membership(x, cone.params["pses"], tol)
 
 
 def _no_dual(x, cone, tol):
@@ -349,7 +356,7 @@ _RANK = {OUT: 0, UNKNOWN: 1, IN: 2}  # the worst verdict first
 
 
 def _evaluate(cone: ConeRep, x, tol: float, dual: bool) -> MembershipVerdict:
-    """``x`` in ``cone``, or in its dual when ``dual`` is set.
+    """Checked ``x`` in ``cone``, or in its dual when ``dual`` is set.
 
     The hull ``K + cone(G)`` is In when K says In, Out when K's Out
     witness clears every generator, else decided by one conic solve over
@@ -358,9 +365,6 @@ def _evaluate(cone: ConeRep, x, tol: float, dual: bool) -> MembershipVerdict:
     """
     if tol <= 0:
         raise ValidationError("tol must be positive")
-    x = ensure_herm(x)
-    if x.shape != (cone.dim, cone.dim):
-        raise ValidationError("dimension mismatch")
     if cone.oracle is None and not cone.generators:
         # Only halfspaces H: the cone is cone(H)*, its dual cone(H).
         tag, gens, hull = None, cone.dual_generators, dual
@@ -371,18 +375,18 @@ def _evaluate(cone: ConeRep, x, tol: float, dual: bool) -> MembershipVerdict:
     if not hull:
         parts = [] if v is None else [v]
         if gens:
-            parts.append(dual_membership(gens, x, tol))
+            parts.append(_dual_membership(gens, x, tol))
         return min(parts, key=lambda part: (_RANK[part.status], part.margin))
 
     if v is not None and (v.status == IN or v.status == OUT and all(
-            trace_inner(v.witness, g) >= -tol for g in gens)):
+            _inner(v.witness, g) >= -tol for g in gens)):
         return v
     tol = max(tol, 1e-8)
     program = conic_program(cone) if tag else (gens, ())
     if program is not None:
-        return conic_membership(x, *program, tol=tol)
+        return _conic_membership(x, *program, tol)
     if gens:  # cone(G)'s separator certifies nothing for K + cone(G)
-        w = conic_membership(x, gens, (), tol=tol)
+        w = _conic_membership(x, gens, (), tol)
         if w.status == IN:
             return w
     return MembershipVerdict(UNKNOWN, margin=v.margin, tier=v.tier)
@@ -390,7 +394,7 @@ def _evaluate(cone: ConeRep, x, tol: float, dual: bool) -> MembershipVerdict:
 
 def membership(cone: ConeRep, x, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     """Tiered membership oracle for ``x in cone``."""
-    return _evaluate(cone, x, tol, dual=False)
+    return _evaluate(cone, ensure_herm(x, dim=cone.dim), tol, dual=False)
 
 
 def dual_cone_membership(cone: ConeRep, x,
@@ -400,21 +404,21 @@ def dual_cone_membership(cone: ConeRep, x,
     Used to validate effects: the effect space of a model lives in the
     dual of its state cone.
     """
-    return _evaluate(cone, x, tol, dual=True)
+    return _evaluate(cone, ensure_herm(x, dim=cone.dim), tol, dual=True)
 
 
 def validate_measurement(model: GptModel, effects) -> Measurement:
     """Check sum-to-unit and dual-cone membership of every effect."""
     if not effects:
         raise MeasurementValidationError("empty effect list")
-    effects = [ensure_herm(e) for e in effects]
+    effects = list(ensure_herm(list(effects), dim=model.cone.dim))
     total = sum(effects)
     dev = float(np.max(np.abs(total - model.unit)))
     if dev > 1e-10:
         raise MeasurementValidationError(
             f"effects sum to the unit only within {dev:.3e}")
     for k, e in enumerate(effects):
-        verdict = dual_cone_membership(model.cone, e)
+        verdict = _evaluate(model.cone, e, DEFAULT_TOL, dual=True)
         if verdict.status == OUT:
             raise MeasurementValidationError(
                 f"effect {k} is outside the dual cone (margin {verdict.margin:.3e})",

@@ -6,9 +6,8 @@ from __future__ import annotations
 import numpy as np
 
 from .cones import ConeRep, Measurement, conic_program
-from .dual import identity, min_over_effects
-from .herm import ValidationError, ensure_herm, norm, partial_transpose, trace_inner
-from .herm import BipartiteDims
+from .dual import _min_over_effects, identity
+from .herm import BipartiteDims, ValidationError, _inner, ensure_herm, partial_transpose
 
 
 def err_of_measurement(rho1, rho2, measurement) -> float:
@@ -17,15 +16,17 @@ def err_of_measurement(rho1, rho2, measurement) -> float:
         else list(measurement)
     if len(effects) != 2:
         raise ValidationError("error functional needs a 2-outcome measurement")
-    return trace_inner(ensure_herm(rho1), effects[1]) \
-        + trace_inner(ensure_herm(rho2), effects[0])
+    rho1, rho2, m1, m2 = ensure_herm([rho1, rho2, *effects])
+    return _inner(rho1, m2) + _inner(rho2, m1)
 
 
-def _check_state(rho):
-    rho = ensure_herm(rho)
-    if np.linalg.eigvalsh(rho)[0] < -1e-8 or abs(np.trace(rho).real - 1.0) > 1e-8:
+def _check_states(*rhos, dim=None):
+    S = ensure_herm(list(rhos), dim=dim)
+    traces = np.trace(S, axis1=1, axis2=2).real
+    if np.linalg.eigvalsh(S)[:, 0].min() < -1e-8 \
+            or np.abs(traces - 1.0).max() > 1e-8:
         raise ValidationError("input is not a density matrix")
-    return rho
+    return S
 
 
 def helstrom(rho1, rho2) -> tuple[float, Measurement]:
@@ -34,8 +35,7 @@ def helstrom(rho1, rho2) -> tuple[float, Measurement]:
     The optimizer takes M1 as the projector onto the nonnegative
     eigenspace of ``rho1 - rho2``.
     """
-    rho1 = _check_state(rho1)
-    rho2 = _check_state(rho2)
+    rho1, rho2 = _check_states(rho1, rho2)
     delta = rho1 - rho2
     vals, vecs = np.linalg.eigh(delta)
     m1 = (vecs * (vals >= 0.0)) @ vecs.conj().T
@@ -56,8 +56,7 @@ def min_error_over_cone(rho1, rho2,
     :func:`~gptcone.dual.min_over_effects` to a certified duality gap.
     The returned effects ``M`` and ``I - M`` are exactly Hermitian.
     """
-    rho1 = _check_state(rho1)
-    rho2 = _check_state(rho2)
+    rho1, rho2 = _check_states(rho1, rho2, dim=dual_cone.dim)
     program = conic_program(dual_cone)
     if program is None:
         name = dual_cone.oracle or "halfspace-only"
@@ -65,7 +64,7 @@ def min_error_over_cone(rho1, rho2,
     gens, maps = program
     if dual_cone.oracle is None:
         maps = (identity,)
-    value, M = min_over_effects(rho2 - rho1, gens, maps)
+    value, M = _min_over_effects(rho2 - rho1, gens, maps)
     return 1.0 + value, Measurement(effects=[M, np.eye(len(M)) - M])
 
 
@@ -75,7 +74,8 @@ def perfectly_distinguishable(states, measurement, tol: float = 1e-9) -> bool:
         else list(measurement)
     if len(states) != len(effects):
         raise ValidationError("state and effect counts differ")
-    gram = np.array([[trace_inner(s, e) for e in effects] for s in states])
+    S, n = ensure_herm([*states, *effects]), len(states)
+    gram = np.array([[_inner(s, e) for e in S[n:]] for s in S[:n]])
     return float(np.max(np.abs(gram - np.eye(len(states))))) <= tol
 
 
@@ -85,13 +85,12 @@ def arai_criterion(rhoA1, rhoB1, rhoA2, rhoB2) -> tuple[bool, float]:
     Returns ``(lhs <= 1, lhs)``, to 1e-9, with
     ``lhs = Tr rhoA1 rhoA2 + Tr rhoB1 rhoB2``.
     """
-    for rho in (rhoA1, rhoB1, rhoA2, rhoB2):
-        rho = ensure_herm(rho)
-        vals = np.linalg.eigvalsh(rho)
+    pairs = ensure_herm([rhoA1, rhoA2]), ensure_herm([rhoB1, rhoB2])
+    for vals in [*np.linalg.eigvalsh(pairs[0]), *np.linalg.eigvalsh(pairs[1])]:
         if vals[0] < -1e-9 or abs(vals[-1] - 1.0) > 1e-8 \
                 or np.sum(vals > 1e-8) != 1:
             raise ValidationError("local states must be pure (rank-1, trace 1)")
-    lhs = trace_inner(rhoA1, rhoA2) + trace_inner(rhoB1, rhoB2)
+    lhs = _inner(*pairs[0]) + _inner(*pairs[1])
     return lhs <= 1.0 + 1e-9, lhs
 
 

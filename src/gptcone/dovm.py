@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import block_positivity
-from .herm import BipartiteDims, ValidationError, ensure_herm
+from .cones import DEFAULT_TOL, _block_positivity
+from .herm import BipartiteDims, ValidationError, _inner, ensure_herm
 from .verdict import IN, OUT, MembershipVerdict
 
 BQ = "BQ"
@@ -36,14 +36,15 @@ class Dovm:
     block_positivity_evidence: tuple = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.m1 = ensure_herm(self.m1)
-        self.m2 = ensure_herm(self.m2)
-        dev = float(np.max(np.abs(self.m1 + self.m2 - np.eye(self.dims.total))))
+        d = self.dims.total
+        self.m1, self.m2 = ensure_herm([self.m1, self.m2], dim=d)
+        dev = float(np.max(np.abs(self.m1 + self.m2 - np.eye(d))))
         if dev > 1e-10:
             raise ValidationError(f"effects sum to I only within {dev:.3e}")
         if self.block_positivity_evidence is None:
-            self.block_positivity_evidence = tuple(
-                block_positivity(m, self.dims) for m in (self.m1, self.m2))
+            self.block_positivity_evidence = tuple(_block_positivity(
+                m, self.dims, DEFAULT_TOL, np.linalg.eigvalsh(m)[0])
+                for m in (self.m1, self.m2))
         for k, v in enumerate(self.block_positivity_evidence):
             if v.status == OUT:
                 raise ValidationError(
@@ -129,7 +130,7 @@ def aq_advantage_states(dovm: Dovm):
     is the quantum optimum minus the DOVM's error sum,
     ``(l_d - l_1 - 1)/(sqrt(2) d) > 0``.
     """
-    from .discrimination import err_of_measurement, helstrom
+    from .discrimination import helstrom
 
     cls = classify(dovm)
     if cls.tag not in (BQ, AQ):
@@ -147,7 +148,7 @@ def aq_advantage_states(dovm: Dovm):
     # Orient outcomes so the deciding effect (which underweights rho2)
     # answers for rho1.
     effects = dovm.effects if k == 0 else dovm.effects[::-1]
-    err = err_of_measurement(rho1, rho2, effects)
+    err = _inner(rho1, effects[1]) + _inner(rho2, effects[0])
     return rho1, rho2, hval - err
 
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .herm import ValidationError, ensure_herm, trace_inner
+from .herm import ValidationError, _inner, ensure_herm
 from .verdict import IN, OUT, UNKNOWN, MembershipVerdict
 
 
@@ -89,7 +89,7 @@ def _herm(A):
 
 def _stack(mats, d: int) -> np.ndarray:
     """Hermitian matrices as a ``(len(mats), d, d)`` array, also when empty."""
-    return np.array(mats, dtype=complex).reshape(len(mats), d, d)
+    return np.asarray(mats, dtype=complex).reshape(len(mats), d, d)
 
 
 def _op(A, X):
@@ -252,8 +252,12 @@ def dual_membership(generators, x, tol: float = 1e-9) -> MembershipVerdict:
     """
     if not len(generators):
         raise ValueError("dual_membership needs at least one generator")
-    x = ensure_herm(x)
-    gens = _stack([ensure_herm(g) for g in generators], len(x))
+    S = ensure_herm([x, *generators])
+    return _dual_membership(S[1:], S[0], tol)
+
+
+def _dual_membership(gens, x, tol) -> MembershipVerdict:
+    gens = _stack(gens, len(x))
     vals = _op(gens, x)
     k = int(np.argmin(vals))
     if vals[k] >= -tol:
@@ -270,8 +274,11 @@ def gram_predual_check(generators, tol: float = 1e-9):
     """
     if not len(generators):
         raise ValueError("gram_predual_check needs at least one generator")
-    G = np.array([np.asarray(g).reshape(-1) for g in generators])
-    gram = np.real(G.conj() @ G.T)
+    return _gram_check(ensure_herm(list(generators)), tol)
+
+
+def _gram_check(gens, tol):
+    gram = _op(_stack(gens, len(gens[0])), gens)
     i, j = np.unravel_index(np.argmin(gram), gram.shape)
     worst = float(gram[i, j])
     return worst >= -tol, ((int(i), int(j)), worst)
@@ -336,11 +343,15 @@ def conic_feasibility(x, generators, maps=(identity,), tol: float = 1e-8):
     maps), else an :class:`Infeasible` whose witness W has
     ``<W, g_k> >= -tol``, each ``L(W)`` PSD to ``-tol`` and ``<W, x> < 0``.
     """
+    S = ensure_herm([x, *generators])
+    return _feasibility(S[0], S[1:], maps, tol)
+
+
+def _feasibility(x, gens, maps, tol):
     if maps and maps[0] is not identity:
         raise ValueError("a nonempty list of maps begins with the identity")
-    x = ensure_herm(x)
     d = x.shape[0]
-    gens = _stack([ensure_herm(g) for g in generators], d)
+    gens = _stack(gens, d)
     m = len(gens)
     E = _basis(d)
     if maps:
@@ -362,7 +373,7 @@ def conic_feasibility(x, generators, maps=(identity,), tol: float = 1e-8):
                                 sol.iterations, sol.converged)
 
     W = _herm(W)
-    pairing = trace_inner(W, x)
+    pairing = _inner(W, x)
     separates = pairing < 0.0 and bool(np.all(_op(gens, W) >= -tol)) and all(
         np.linalg.eigvalsh(L(W))[0] >= -tol for L in maps)
     if separates:
@@ -377,7 +388,12 @@ def conic_membership(x, generators, maps=(identity,),
     Out with the separator W and margin ``<W, x>``, Unknown when neither
     verified.  Tiers: ``decomposition`` (In) and ``spectrahedron-search``
     with maps, ``conic-feasibility`` without."""
-    res = conic_feasibility(x, generators, maps, tol)
+    S = ensure_herm([x, *generators])
+    return _conic_membership(S[0], S[1:], maps, tol)
+
+
+def _conic_membership(x, gens, maps, tol) -> MembershipVerdict:
+    res = _feasibility(x, gens, maps, tol)
     if isinstance(res, ConicCertificate):
         tier = "decomposition" if maps else "conic-feasibility"
         return MembershipVerdict(IN, res, -res.residual, tier)
@@ -385,7 +401,7 @@ def conic_membership(x, generators, maps=(identity,),
     if res.witness is None:
         return MembershipVerdict(UNKNOWN, margin=0.0, tier=tier)
     return MembershipVerdict(OUT, witness=res.witness,
-                             margin=trace_inner(res.witness, x), tier=tier)
+                             margin=_inner(res.witness, x), tier=tier)
 
 
 def min_over_spectrahedron(x, halfspaces=(), tol: float = 1e-9):
@@ -399,14 +415,13 @@ def min_over_spectrahedron(x, halfspaces=(), tol: float = 1e-9):
     ``tol`` (for instance when no trace-one PSD ``y`` meets the
     halfspaces).
     """
-    x = ensure_herm(x)
-    hs = _stack([ensure_herm(h) for h in halfspaces], len(x))
-    sol = _w_form(x, hs, [])
+    S = ensure_herm([x, *halfspaces])
+    sol = _w_form(S[0], S[1:], [])
     if not sol.converged or abs(sol.gap) > tol:
         raise ValidationError("spectrahedron solve did not converge "
                               f"(duality gap {sol.gap:.3e})")
     y = _herm(sol.X[0])
-    return trace_inner(x, y), y
+    return _inner(S[0], y), y
 
 
 def min_over_effects(c, generators, maps=(identity,)):
@@ -414,10 +429,14 @@ def min_over_effects(c, generators, maps=(identity,)):
     ``(generators, maps)``: ``M = sum mu_k g_k + sum_L L(T_L)``, ``I - M``
     alike with nu and S_L, T_L and S_L PSD.  M is exactly Hermitian.
     Raises :class:`ValidationError` when the solve does not converge."""
-    c = ensure_herm(c)
+    S = ensure_herm([c, *generators])
+    return _min_over_effects(S[0], S[1:], maps)
+
+
+def _min_over_effects(c, gens, maps):
     d = c.shape[0]
     E = _basis(d)
-    gens = _stack([ensure_herm(g) for g in generators], d)
+    gens = _stack(gens, d)
     m = len(gens)
     blocks = []
     for L in maps:
@@ -439,7 +458,7 @@ def min_over_effects(c, generators, maps=(identity,)):
                               "(is the unit decomposable over the cone?)")
     M = _herm(_adj(gens, sol.u[:m]) + sum(
         (L(T) for L, T in zip(maps, sol.X[::2])), np.zeros_like(c)))
-    return trace_inner(c, M), M
+    return _inner(c, M), M
 
 
 @dataclass
@@ -459,16 +478,15 @@ def dual_identity_check(g1, g2, samples: int = 1000,
     """Membership in dual(g1 u g2) must equal dual(g1) AND dual(g2)."""
     from .sampling import random_herm
 
-    g1 = [ensure_herm(g) for g in g1]
-    g2 = [ensure_herm(g) for g in g2]
-    d = (g1 + g2)[0].shape[0]
+    G = ensure_herm([*g1, *g2])
+    d, k = G.shape[1], len(g1)
     rng = np.random.default_rng(seed)
     xs = _stack([random_herm(d, rng) for _ in range(samples)], d)
 
     def inside(gens):
-        return np.all(_op(_stack(gens, d), xs) >= -1e-9, axis=0)
+        return np.all(_op(gens, xs) >= -1e-9, axis=0)
 
-    lhs = inside(g1 + g2)
-    rhs = inside(g1) & inside(g2)
+    lhs = inside(G)
+    rhs = inside(G[:k]) & inside(G[k:])
     return DualIdentityReport(samples, [(int(k), bool(lhs[k]), bool(rhs[k]))
                                         for k in np.flatnonzero(lhs != rhs)])

@@ -35,34 +35,43 @@ class BipartiteDims:
         return self.dA * self.dB
 
 
-def ensure_herm(A, repair: bool = False) -> np.ndarray:
+def ensure_herm(A, repair: bool = False, dim: int | None = None) -> np.ndarray:
     """Validate Hermiticity of ``A`` and return it as a complex array.
 
+    ``A`` is one square matrix, or a list or tuple of square matrices of
+    one size (``dim`` when given), returned as an ``(n, d, d)`` stack.
     With ``repair=True`` the matrix is symmetrized instead of rejected.
     Repair is opt-in on purpose: silently symmetrizing hides fixture bugs.
     A NaN or infinite entry is rejected either way.
     """
-    A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {A.shape}")
+    stack = isinstance(A, (list, tuple))
+    try:
+        A = np.asarray(A, dtype=complex)
+    except ValueError:  # a ragged list: matrices of different sizes
+        raise ValidationError("expected matrices of one size") from None
+    d = A.shape[-1] if A.ndim == 2 or stack and A.ndim == 3 else None
+    if d is None or A.shape[-2] != d or dim not in (None, d):
+        raise ValidationError(f"expected square matrices of size {dim or 'd'}"
+                              f", got shape {A.shape}")
+    AH = A.conj().swapaxes(-1, -2)
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, caught below
-        dev = np.abs(A - A.conj().T).max() if A.size else 0.0
+        dev = np.abs(A - AH).max() if A.size else 0.0
     if not dev <= HERM_TOL:  # also when an entry is NaN or infinite
         if not np.all(np.isfinite(A)):
             raise ValidationError("matrix has non-finite entries")
         if repair:
-            return (A + A.conj().T) / 2.0
+            return (A + AH) / 2.0
         raise ValidationError(f"matrix is not Hermitian (deviation {dev:.3e})")
     return A
 
 
+def _inner(X, Y) -> float:
+    return float(np.real(np.sum(X * Y.T)))
+
+
 def trace_inner(X, Y) -> float:
     """Trace inner product ``Tr XY`` of two Hermitian matrices."""
-    X = ensure_herm(X)
-    Y = ensure_herm(Y)
-    if X.shape != Y.shape:
-        raise ValidationError(f"dimension mismatch: {X.shape} vs {Y.shape}")
-    return float(np.real(np.sum(X * Y.T)))
+    return _inner(*ensure_herm([X, Y]))
 
 
 def norm(X, kind: str = "trace") -> float:
@@ -141,11 +150,11 @@ def sco(v, dims: BipartiteDims) -> float:
 
 def fidelity(rho, sigma) -> float:
     """Fidelity ``Tr rho sigma`` of a state with a *pure* state sigma."""
-    sigma = ensure_herm(sigma)
+    rho, sigma = ensure_herm([rho, sigma])
     vals = np.linalg.eigvalsh(sigma)
     if np.sum(vals > 1e-9) != 1 or vals[0] < -1e-9:
         raise ValidationError("sigma must be a rank-1 PSD matrix")
-    return trace_inner(ensure_herm(rho), sigma)
+    return _inner(rho, sigma)
 
 
 def maximally_entangled_vector(m: int) -> np.ndarray:

@@ -11,17 +11,17 @@ import numpy as np
 
 from .dual import (
     ConicCertificate,
-    conic_membership,
-    dual_membership,
-    gram_predual_check,
+    _conic_membership,
+    _dual_membership,
+    _gram_check,
+    identity,
 )
 from .herm import (
     BipartiteDims,
     ValidationError,
+    _inner,
     ensure_herm,
-    norm,
     partial_trace,
-    trace_inner,
 )
 from .verdict import IN, OUT, MembershipVerdict
 
@@ -39,7 +39,7 @@ class MeopFamily:
             raise ValidationError("maximally entangled families need dA == dB")
         if len(self.projectors) != self.dims.total:
             raise ValidationError("family must span the composite space")
-        self.projectors = [ensure_herm(P) for P in self.projectors]
+        self.projectors = list(ensure_herm(list(self.projectors)))
 
     def validate(self):
         m = self.dims.dA
@@ -161,9 +161,12 @@ def cr_membership(x, params: PsesParams,
     clearing the pairings is In with ``lam = 0, P = x``.  Otherwise
     :func:`conic_membership` over ``PSD + cone(N_k)`` decides.
     """
-    x = ensure_herm(x)
+    return _cr_membership(ensure_herm(x, dim=params.dims.total), params, tol)
+
+
+def _cr_membership(x, params, tol):
     gens = npm_endpoint_generators(params)
-    v = dual_membership(gens, x, tol)
+    v = _dual_membership(gens, x, tol)
     if v.status == OUT:
         return replace(v, tier="npm-endpoint")
     lam = float(np.linalg.eigvalsh(x)[0])
@@ -171,7 +174,7 @@ def cr_membership(x, params: PsesParams,
         return MembershipVerdict(
             IN, witness=ConicCertificate(np.zeros(len(gens)), x, 0.0),
             margin=min(lam, v.margin), tier="psd")
-    return conic_membership(x, gens, tol=tol)
+    return _conic_membership(x, gens, (identity,), tol)
 
 
 @dataclass
@@ -222,7 +225,7 @@ def predual_audit(params: PsesParams, product_samples: int = 10_000,
                r_within_bound=params.r <= bound1 + 1e-12,
                samples=product_samples)
 
-    ok, (pair, value) = gram_predual_check(gens, 1e-9)
+    ok, (pair, value) = _gram_check(gens, 1e-9)
     report.add("endpoint_gram", ok, min_pair=list(pair), min_value=value,
                r0=r0(params.dims), r_within_r0=params.r <= r0(params.dims) + 1e-12)
     return report
@@ -254,7 +257,7 @@ def hierarchy_audit(r_list, family_set, dims: BipartiteDims) -> AuditReport:
         p2 = PsesParams(family_set=family_set, r=r2, dims=dims)
         gens = npm_endpoint_generators(p2)
         n_outer = npm_element(r1, family_set[0])
-        v = conic_membership(n_outer, gens, tol=1e-7)
+        v = _conic_membership(n_outer, gens, (identity,), 1e-7)
         lam_w = float(np.linalg.eigvalsh(n_outer)[0])
         detail = {}
         strict = v.status == OUT
@@ -265,8 +268,8 @@ def hierarchy_audit(r_list, family_set, dims: BipartiteDims) -> AuditReport:
             detail = {
                 "separator": W,
                 "separator_min_eigenvalue": float(np.linalg.eigvalsh(W)[0]),
-                "separator_min_pairing": min(trace_inner(W, g) for g in gens),
-                "separator_pairing": trace_inner(W, n_outer),
+                "separator_min_pairing": min(_inner(W, g) for g in gens),
+                "separator_pairing": _inner(W, n_outer),
             }
             strict = (detail["separator_min_eigenvalue"] >= -1e-9
                       and detail["separator_min_pairing"] >= -1e-9
@@ -310,9 +313,9 @@ def distance_upper_bound(params: PsesParams, sigma, restarts: int = 32):
 
     if max(a, (1.0 - a) / (D - 1.0)) > a + 1e-8:
         raise ValidationError("fidelity certificate exceeded the target level")
-    if not dual_membership(npm_endpoint_generators(params), rho0, 1e-8):
+    if not _dual_membership(npm_endpoint_generators(params), rho0, 1e-8):
         raise ValidationError("rho0 failed a dual-side endpoint pairing")
-    dist = norm(rho0 - sigma, "trace")
+    dist = float(np.sum(np.abs(np.linalg.eigvalsh(rho0 - sigma))))
     if dist > eps_of_r(params.r) + 1e-8:
         raise ValidationError("distance exceeded the analytic bound")
     return dist, rho0
@@ -349,13 +352,12 @@ def dist_example(r: float, family: MeopFamily, tol: float = 1e-10):
     rho1 = np.outer(phi1, phi1.conj())
     rho2 = np.outer(phi2, phi2.conj())
 
-    gram = np.array([[trace_inner(rho1, M1), trace_inner(rho1, M2)],
-                     [trace_inner(rho2, M1), trace_inner(rho2, M2)]])
+    gram = np.array([[_inner(r, M) for M in (M1, M2)] for r in (rho1, rho2)])
     if np.max(np.abs(gram - np.eye(2))) > tol:
         raise ValidationError("discrimination table deviated from identity")
     params = PsesParams(family_set=swap_pair(family), r=r, dims=dims)
     gens = npm_endpoint_generators(params)
-    if not all(dual_membership(gens, rho, tol) for rho in (rho1, rho2)):
+    if not all(_dual_membership(gens, rho, tol) for rho in (rho1, rho2)):
         raise ValidationError("state failed a dual-side pairing")
     overlap = float(abs(np.vdot(phi1, phi2)) ** 2)
     return (M1, M2), (rho1, rho2), overlap
@@ -407,25 +409,18 @@ def self_duality_verifier(candidate_generators, outer: PsesParams,
     """
     if not len(candidate_generators):
         raise ValidationError("candidate set must be nonempty")
-    cands = [ensure_herm(g) for g in candidate_generators]
+    cands = ensure_herm(list(candidate_generators))
     report = AuditReport()
 
-    ok, (pair, value) = gram_predual_check(cands, 1e-8)
+    ok, (pair, value) = _gram_check(cands, 1e-8)
     report.add("candidate_gram", ok, min_pair=list(pair), min_value=value)
 
-    sandwich_ok = True
-    for g in cands:
-        if norm(g, "hilbert_schmidt") < 1e-12:
-            continue
-        v = cr_membership(g, outer, tol=1e-8)
-        if v.status == OUT:
-            sandwich_ok = False
-            break
-    endpoint_fail = None
-    for k, N in enumerate(npm_endpoint_generators(outer)):
-        if not conic_membership(N, cands, tol=1e-6):
-            endpoint_fail = k
-            break
+    sandwich_ok = all(np.linalg.norm(g) < 1e-12
+                      or _cr_membership(g, outer, 1e-8).status != OUT
+                      for g in cands)
+    endpoint_fail = next(
+        (k for k, N in enumerate(npm_endpoint_generators(outer))
+         if not _conic_membership(N, cands, (identity,), 1e-6)), None)
     report.add("sandwich", sandwich_ok and endpoint_fail is None,
                candidates_inside_outer=sandwich_ok,
                failed_endpoint=endpoint_fail)

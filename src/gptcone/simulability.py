@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dovm import BQ, TOL, Dovm, bq_witness_states, classify
-from .herm import BipartiteDims, ValidationError, ensure_herm, trace_inner
+from .herm import BipartiteDims, ValidationError, _inner, ensure_herm
 from .verdict import UNKNOWN, MembershipVerdict
 
 
@@ -22,10 +22,10 @@ class SimulabilityCertificate:
 
 def domain_contains(measurement: Dovm, rho, tol: float = 1e-9) -> bool:
     """Whether a PSD state gives valid probabilities on both effects."""
-    rho = ensure_herm(rho)
+    rho, *effects = ensure_herm([rho, *measurement.effects])
     if np.linalg.eigvalsh(rho)[0] < -tol:
         raise ValidationError("domain membership is defined for PSD states")
-    return all(trace_inner(rho, m) >= -tol for m in measurement.effects)
+    return all(_inner(rho, m) >= -tol for m in effects)
 
 
 def n_copy_overlap(rho1, rho2, n: int) -> float:
@@ -33,8 +33,7 @@ def n_copy_overlap(rho1, rho2, n: int) -> float:
     which factorises as ``(Tr rho1 rho2)^n``."""
     if n < 1:
         raise ValidationError("n must be a positive integer")
-    rho1, rho2 = ensure_herm(rho1), ensure_herm(rho2)
-    return float(trace_inner(rho1, rho2) ** n)
+    return float(_inner(*ensure_herm([rho1, rho2])) ** n)
 
 
 def non_simulability_certificate(measurement: Dovm,
@@ -57,20 +56,18 @@ def non_simulability_certificate(measurement: Dovm,
     if states is None:
         rho1, rho2, _ = bq_witness_states(measurement)
     else:
-        rho1, rho2 = (ensure_herm(s) for s in states)
+        rho1, rho2 = ensure_herm(list(states))
     for rho in (rho1, rho2):
         if not domain_contains(measurement, rho, 1e-8):
             return SimulabilityCertificate(
                 status="Inconclusive",
                 detail="candidate state fell outside the measurement domain")
-    overlap = trace_inner(rho1, rho2)
+    overlap = _inner(rho1, rho2)
     if overlap <= TOL:
         return SimulabilityCertificate(
             status="Inconclusive", detail="witness pair is orthogonal")
-    gram = np.array([[trace_inner(rho1, measurement.m1),
-                      trace_inner(rho1, measurement.m2)],
-                     [trace_inner(rho2, measurement.m1),
-                      trace_inner(rho2, measurement.m2)]])
+    gram = np.array([[_inner(r, m) for m in measurement.effects]
+                     for r in (rho1, rho2)])
     if np.max(np.abs(gram - np.eye(2))) > 1e-8:
         raise ValidationError("witness pair is not perfectly distinguished")
     return SimulabilityCertificate(status="NonSimulable",
@@ -113,10 +110,9 @@ def shrunk_bloch_example(p: float, samples: int = 1000) -> dict:
 
     rho1 = p * P2 + (1.0 - p) / 2.0 * eye
     rho2 = p * P1 + (1.0 - p) / 2.0 * eye
-    table = np.array([[trace_inner(rho1, meas.m1), trace_inner(rho1, meas.m2)],
-                      [trace_inner(rho2, meas.m1), trace_inner(rho2, meas.m2)]])
+    table = np.array([[_inner(r, m) for m in meas.effects] for r in (rho1, rho2)])
     table_residual = float(np.max(np.abs(table - np.eye(2))))
-    overlap = trace_inner(rho1, rho2)
+    overlap = _inner(rho1, rho2)
     expected = p * (1.0 - p) + (1.0 - p) ** 2 / 2.0
     cert = non_simulability_certificate(meas, states=(rho1, rho2))
     return {

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import ConeRep, membership
-from .herm import BipartiteDims, ValidationError, ensure_herm, trace_inner
+from .cones import ConeRep, _evaluate
+from .herm import BipartiteDims, ValidationError, _inner, ensure_herm
 from .sampling import haar_unitary
 from .verdict import IN, OUT
 
@@ -74,15 +74,15 @@ def orbit_invariance_check(cone: ConeRep, spec: TransformSpec,
     checked, skipped = 0, 0
     violation = None
     for X in elements:
-        X = ensure_herm(X)
-        base = membership(cone, X, 1e-8)
+        X = ensure_herm(X, dim=cone.dim)
+        base = _evaluate(cone, X, 1e-8, dual=False)
         if base.status not in (IN, OUT):
             skipped += 1
             continue
         for _ in range(samples):
             act = spec.sample(rng)
             image = ensure_herm(act(X), repair=True)
-            after = membership(cone, image, 1e-8)
+            after = _evaluate(cone, image, 1e-8, dual=False)
             if after.status not in (IN, OUT):
                 skipped += 1
                 continue
@@ -123,11 +123,11 @@ def gu_falsifier(x, dims: BipartiteDims):
     e0 = np.zeros(dims.total, dtype=complex)
     e0[0] = 1.0
     U = _complete_basis(e0) @ _complete_basis(v).conj().T
-    gx = ensure_herm(U @ x @ U.conj().T, repair=True)
-    product_image = ensure_herm(U @ rho @ U.conj().T, repair=True)
+    gx, product_image = ensure_herm([U @ x @ U.conj().T, U @ rho @ U.conj().T],
+                                    repair=True)
     if np.max(np.abs(product_image - np.outer(e0, e0.conj()))) > 1e-9:
         raise ValidationError("orbit construction failed to reach the product state")
-    value = trace_inner(product_image, gx)
+    value = _inner(product_image, gx)
     if value >= -1e-9:
         raise ValidationError("image unexpectedly passed the product pairing")
     a = np.zeros(dims.dA, dtype=complex)
@@ -182,8 +182,8 @@ def two_symmetry_counterexample(samples: int = 200, tol: float = 1e-10,
     sigma1 = np.outer(u1, u1.conj())
     sigma2 = np.outer(u2, u2.conj())
 
-    g_rho = trace_inner(rho1, rho2)
-    g_sigma = trace_inner(sigma1, sigma2)
+    g_rho = _inner(rho1, rho2)
+    g_sigma = _inner(sigma1, sigma2)
     if abs(g_rho - 0.25) > tol or abs(g_sigma) > tol:
         raise ValidationError("pair overlaps deviated from 1/4 and 0")
 
@@ -191,8 +191,8 @@ def two_symmetry_counterexample(samples: int = 200, tol: float = 1e-10,
     worst = 0.0
     for _ in range(samples):
         f = _form_three_map(dims, rng)
-        a, b = ensure_herm(f(rho1), repair=True), ensure_herm(f(rho2), repair=True)
-        worst = max(worst, abs(trace_inner(a, b) - g_rho))
+        a, b = ensure_herm([f(rho1), f(rho2)], repair=True)
+        worst = max(worst, abs(_inner(a, b) - g_rho))
     if worst > tol:
         raise ValidationError("a sampled symmetry failed overlap invariance")
     return {"pair_one_overlap": float(g_rho),

@@ -60,6 +60,15 @@ def test_discriminate(tmp_path, capsys):
     assert len(rep["helstrom_measurement"]) == 2
 
 
+def test_discriminate_rejects_states_of_different_sizes(tmp_path, capsys):
+    p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
+    save_matrix(p1, np.eye(4) / 4)
+    save_matrix(p2, np.eye(6) / 6)
+    assert cli.run(["discriminate", str(p1), str(p2)]) == 1
+    err = capsys.readouterr().err
+    assert "size" in err and "broadcast" not in err
+
+
 def test_discriminate_with_cone(tmp_path, capsys):
     p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
     save_matrix(p1, np.diag([1.0, 0.0, 0.0, 0.0]))  # |00><00|

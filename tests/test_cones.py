@@ -1,7 +1,11 @@
+import sys
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gptcone import herm
 from gptcone.cones import (
     CLASSICAL_ORTHANT,
     CR,
@@ -12,6 +16,7 @@ from gptcone.cones import (
     SHRUNK_BLOCH,
     ConeRep,
     MeasurementValidationError,
+    block_positivity,
     capacity_demo,
     dual_cone_membership,
     gurvits_ball_contains,
@@ -22,7 +27,9 @@ from gptcone.cones import (
     ses_model,
     validate_measurement,
 )
+from gptcone.dual import conic_membership, identity
 from gptcone.herm import BipartiteDims, ValidationError, partial_transpose, trace_inner
+from gptcone.pses import PsesParams, generalized_bell, npm_element, swap_pair
 from gptcone.sampling import random_herm, random_separable_state, random_state
 from gptcone.verdict import IN, OUT, UNKNOWN
 
@@ -351,3 +358,160 @@ def test_named_oracle_verdicts_are_scale_invariant(tag, dims, params, seed,
         for scale in (1e-2, 1e2):
             w = check(cone, scale * x)
             assert (w.status, w.tier) == (v.status, v.tier), (check, scale)
+
+
+@pytest.mark.parametrize("x,dims", [
+    (np.eye(4) + 5.0 * np.eye(4, k=3), BipartiteDims(2, 2)),  # not Hermitian
+    (np.eye(6), BipartiteDims(2, 2)),  # 6x6 against 2x2
+    (np.diag([np.nan, 1.0, 1.0, 1.0]), BipartiteDims(2, 2)),
+], ids=["non-hermitian", "wrong-size", "nan"])
+def test_block_positivity_rejects_invalid_input(x, dims):
+    with pytest.raises(ValidationError):
+        block_positivity(x, dims)
+
+
+def test_block_positivity_rejects_a_nonpositive_tol():
+    with pytest.raises(ValidationError):
+        block_positivity(np.eye(4), BipartiteDims(2, 2), tol=-1.0)
+
+
+@pytest.fixture
+def ensure_herm_calls(monkeypatch):
+    """Counts ``ensure_herm`` calls, patched in every gptcone module that
+    binds it."""
+    calls = []
+    original = herm.ensure_herm
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "gptcone" or name.startswith("gptcone."):
+            for attr, val in list(vars(mod).items()):
+                if val is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def _named_cone(tag, m):
+    if tag == SHRUNK_BLOCH:
+        return make_named_cone(tag, params={"p": 0.5}, dim=2)
+    dims = BipartiteDims(m, m)
+    params = {}
+    if tag == CS_NEG:
+        params = {"s": 0.1}
+    elif tag == CR:
+        fam = generalized_bell(m)
+        params = {"pses": PsesParams(swap_pair(fam), 0.1, dims)}
+    return make_named_cone(tag, params=params, dims=dims, dim=dims.total)
+
+
+@pytest.mark.parametrize("tag,m", [
+    pytest.param(tag, m, id=f"{tag}-{m}x{m}")
+    for tag in (PSD, SEP, SEP_DUAL, CLASSICAL_ORTHANT, CS_NEG, CR)
+    for m in (2, 3)] + [pytest.param(SHRUNK_BLOCH, 1, id=SHRUNK_BLOCH)])
+def test_each_query_validates_its_input_once(tag, m, ensure_herm_calls):
+    cone = _named_cone(tag, m)
+    d = cone.dim
+    inputs = [random_state(d, 1), random_herm(d, 2) + 0.5 * np.eye(d)]
+    if cone.dims is not None:
+        inputs.append(random_separable_state(cone.dims, seed=3))
+        inputs.append(partial_transpose(random_state(d, 4, rank=2), cone.dims))
+    if tag == CR:
+        inputs.append(npm_element(0.1, cone.params["pses"].family_set[0]))
+    for x in inputs:
+        for check in (membership, dual_cone_membership):
+            ensure_herm_calls.clear()
+            check(cone, x)
+            assert len(ensure_herm_calls) == 1, (check.__name__, x)
+
+
+def _reference_psd(x, tol, tier="eigenvalue"):
+    vals, vecs = np.linalg.eigh(x)
+    v = vecs[:, 0]
+    return (IN if vals[0] >= -tol else OUT), tier, vals[0], np.outer(v, v.conj())
+
+
+def _reference_block_positive(x, dims, tol):
+    # The eigenvalue tier by eigh; past it, the product search and the
+    # decomposition solve through their public entry points.
+    status, _, lam, _ = _reference_psd(x, tol)
+    if status == IN:
+        return IN, "psd", lam, None
+    exact = dims.total <= 6
+    val, a, b = min_product_expectation(x, dims, restarts=1 if exact else 64)
+    if val < -tol:
+        ab = np.kron(a, b)
+        return OUT, "product-search", val, np.outer(ab, ab.conj())
+    if not exact:
+        return UNKNOWN, "product-search", val, None
+    w = conic_membership(x, [], (identity, partial(partial_transpose,
+                                                   dims=dims)), 1e-8)
+    return w.status, w.tier, w.margin, w.witness
+
+
+def _reference(tag, dual, x, dims, tol):
+    """(status, tier, margin, witness) of a named oracle from eigh."""
+    if tag == PSD:
+        return _reference_psd(x, tol)
+    if tag == CLASSICAL_ORTHANT:
+        off = x - np.diag(np.diag(x))
+        if not dual and np.abs(off).max() > tol:
+            return OUT, "diagonal", -np.abs(off).max(), -off
+        k = int(np.argmin(np.diag(x).real))
+        w = np.zeros_like(x)
+        w[k, k] = 1.0
+        return (IN if x[k, k].real >= -tol else OUT), "diagonal", \
+            x[k, k].real, w
+    if tag == CS_NEG:
+        if dual:
+            return UNKNOWN, "no-description", 0.0, None
+        _, _, lam, proj = _reference_psd(x, tol)
+        excess = max(-lam, 0.0) - 0.1 * np.trace(x).real
+        if excess > tol:
+            return OUT, "nege", -excess, proj + 0.1 * np.eye(len(x))
+        status, tier, margin, w = _reference_block_positive(x, dims, tol)
+        if status == OUT:
+            return status, tier, margin, w
+        return status, "nege+" + tier if status == IN else "nege", margin, w
+    if (tag == SEP_DUAL) != dual:
+        return _reference_block_positive(x, dims, tol)
+    d, t = len(x), np.trace(x).real
+    if t > tol and np.sqrt(np.sum(np.linalg.eigvalsh(
+            np.eye(d) - x * (d / t)) ** 2)) <= 1.0 + tol:
+        return IN, "gurvits", 0.0, None
+    status, _, pt_lam, proj = _reference_psd(partial_transpose(x, dims), tol)
+    if status == OUT:
+        return OUT, "ppt", pt_lam, partial_transpose(proj, dims)
+    status, tier, lam, proj = _reference_psd(x, tol)
+    if status == OUT:
+        return status, tier, lam, proj
+    return IN, "ppt-exact", min(lam, pt_lam), None
+
+
+@pytest.mark.parametrize("tag,dims", [
+    pytest.param(tag, dims, id=f"{tag}-{dims.dA}x{dims.dB}")
+    for tag in (PSD, SEP, SEP_DUAL, CS_NEG, CLASSICAL_ORTHANT)
+    for dims in (BipartiteDims(2, 2), BipartiteDims(2, 3))])
+@given(seed=st.integers(0, 2**32 - 1), shift=st.floats(-0.5, 1.5),
+       kind=st.sampled_from(["shifted", "state", "separable", "transposed"]))
+@settings(max_examples=25, deadline=None)
+def test_named_oracles_match_an_eigh_reference(tag, dims, seed, shift, kind):
+    params = {"s": 0.1} if tag == CS_NEG else {}
+    cone = make_named_cone(tag, params=params, dims=dims, dim=dims.total)
+    d = dims.total
+    x = {"shifted": lambda: random_herm(d, seed) + shift * np.eye(d),
+         "state": lambda: random_state(d, seed),
+         "separable": lambda: random_separable_state(dims, seed=seed),
+         "transposed": lambda: partial_transpose(random_state(d, seed, rank=2),
+                                                 dims)}[kind]()
+    for dual, check in ((False, membership), (True, dual_cone_membership)):
+        v = check(cone, x)
+        status, tier, margin, witness = _reference(tag, dual, x, dims, 1e-9)
+        assert (v.status, v.tier) == (status, tier), check.__name__
+        if v.status == IN:
+            assert abs(v.margin - margin) <= 1e-12
+        if v.status == OUT:
+            assert np.real(np.vdot(v.witness, x)) < 0
+            assert np.real(np.vdot(witness, x)) < 0

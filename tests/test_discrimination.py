@@ -250,3 +250,14 @@ def test_entropy_example_audit():
     assert rep["entropy_first_bits"] == pytest.approx(0.9182958, abs=1e-6)
     assert rep["entropy_second_bits"] == pytest.approx(0.7440, abs=5e-4)
     assert rep["entropy_gap_bits"] > 0.17
+
+
+def test_states_of_different_sizes_are_rejected():
+    with pytest.raises(ValidationError):
+        helstrom(np.eye(4) / 4, np.eye(6) / 6)
+    with pytest.raises(ValidationError):
+        err_of_measurement(np.eye(4) / 4, np.eye(6) / 6,
+                           [np.eye(4), np.zeros((4, 4))])
+    cone = make_named_cone(PSD, dim=4)
+    with pytest.raises(ValidationError):
+        min_error_over_cone(np.eye(6) / 6, np.eye(6) / 6, cone)

@@ -170,3 +170,8 @@ def test_random_dovm_certificates_reverify(seed, target, split):
             W = v.witness
             assert np.linalg.eigvalsh(W)[0] >= -1e-12
             assert np.linalg.norm(partial_transpose(W, dims) - m) <= 1e-12
+
+
+def test_dovm_effects_must_match_the_dims():
+    with pytest.raises(ValidationError):
+        Dovm(m1=np.eye(4) / 2, m2=np.eye(4) / 2, dims=BipartiteDims(2, 3))

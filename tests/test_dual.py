@@ -170,3 +170,21 @@ def test_effect_program_rejects_a_unit_outside_the_span():
     # Without maps, M and I - M must lie in the span of the generators.
     with pytest.raises(ValidationError):
         min_over_effects(np.diag([1.0, -1.0]), [np.diag([1.0, 0.0])], ())
+
+
+@pytest.mark.parametrize("call", [
+    lambda: dual_membership([np.eye(6)], np.eye(4)),
+    lambda: conic_feasibility(np.eye(4), [np.eye(6)]),
+    lambda: min_over_spectrahedron(np.eye(4), [np.eye(2)]),
+    lambda: min_over_effects(np.eye(4), [np.eye(3)], ()),
+], ids=["dual_membership", "conic_feasibility", "min_over_spectrahedron",
+        "min_over_effects"])
+def test_generators_of_another_size_are_rejected(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
+def test_gram_predual_check_rejects_non_hermitian_generators():
+    x = np.array([[1.0, 2.0], [0.0, 1.0]])
+    with pytest.raises(ValidationError):
+        gram_predual_check([x, np.eye(2)])
