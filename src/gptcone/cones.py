@@ -58,18 +58,11 @@ class ConeRep:
         gens = [*self.generators, *self.dual_generators]
         gens = list(ensure_herm(gens, dim=self.dim)) if gens else []
         self.generators, self.dual_generators = gens[:k], gens[k:]
-        if self.generators and self.dual_generators:
-            worst = min(_dual_membership(self.generators, h, 1e-9).margin
-                        for h in self.dual_generators)
-            if worst < -1e-9:
-                raise ValidationError(
-                    f"V- and H-descriptions are inconsistent (min pairing {worst:.3e})"
-                )
+        if self.dual_generators and (self.generators or self.oracle):
+            # Halfspaces next to generators or an oracle would go unread.
+            raise ValidationError(
+                "halfspaces stand alone, without an oracle or generators")
         if self.oracle is not None:
-            if self.dual_generators:
-                # Halfspaces next to an oracle would be dropped unread.
-                raise ValidationError(
-                    "a named cone takes generators, not halfspaces")
             if self.oracle not in _NAMED:
                 raise ValidationError(f"unknown cone tag {self.oracle!r}")
             _, _, valid, needs, _ = _NAMED[self.oracle]
@@ -365,8 +358,8 @@ def _evaluate(cone: ConeRep, x, tol: float, dual: bool) -> MembershipVerdict:
     """
     if tol <= 0:
         raise ValidationError("tol must be positive")
-    if cone.oracle is None and not cone.generators:
-        # Only halfspaces H: the cone is cone(H)*, its dual cone(H).
+    if cone.dual_generators:
+        # Halfspaces H stand alone: the cone is cone(H)*, its dual cone(H).
         tag, gens, hull = None, cone.dual_generators, dual
     else:
         tag, gens, hull = cone.oracle, cone.generators, not dual

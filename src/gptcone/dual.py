@@ -3,7 +3,8 @@
 The numerical heart of the library: membership in a cone described by
 ``(generators, maps)``, the hull of finitely many Hermitian matrices and
 the images of PSD under linear maps, pre-duality certificates via Gram
-matrices, and linear minimization over spectrahedra and effects.  Only
+matrices, linear minimization over spectrahedra and effects, and the
+largest overlap with a state whose marginals are maximally mixed.  Only
 this module turns a description into a program for :func:`_solve`, one
 dense primal-dual interior-point method over a nonnegative orthant times
 Hermitian PSD blocks, and every answer carries its certificate.
@@ -459,6 +460,30 @@ def _min_over_effects(c, gens, maps):
     M = _herm(_adj(gens, sol.u[:m]) + sum(
         (L(T) for L, T in zip(maps, sol.X[::2])), np.zeros_like(c)))
     return _inner(c, M), M
+
+
+def _max_over_mixed_marginals(rho, m: int):
+    """``(upper, sigma)``: ``max <rho, sigma>`` over states sigma on an
+    m x m system whose two marginals are I/m, bounded from above, and the
+    optimal sigma.
+
+    The equalities pair sigma with ``E_i (x) I`` and ``I (x) E_i`` over
+    :func:`_basis`, less the first of the second kind: both kinds sum
+    their diagonal units to the identity.  The dual slack
+    ``Z = -rho - sum_i y_i A_i`` is re-checked by eigenvalues, and every
+    feasible sigma has trace one, so ``-b.y + max(0, -lambda_min(Z))`` is
+    a certified upper bound.  Raises :class:`ValidationError` when the
+    solve does not converge.
+    """
+    E, I = _basis(m), np.eye(m)
+    A_s = np.concatenate([np.kron(E, I), np.kron(I, E[1:])])
+    b = _op(A_s, np.eye(m * m) / (m * m))
+    sol = _solve(b, np.zeros(0), np.zeros((len(b), 0)), [(-rho, A_s)])
+    if not sol.converged:
+        raise ValidationError("marginal-constrained program did not converge "
+                              f"(duality gap {sol.gap:.3e})")
+    slack = np.linalg.eigvalsh(_herm(-rho - _adj(A_s, sol.y)))[0]
+    return float(-b @ sol.y + max(0.0, -slack)), _herm(sol.X[0])
 
 
 @dataclass

@@ -163,46 +163,29 @@ def maximally_entangled_vector(m: int) -> np.ndarray:
     return v / np.sqrt(m)
 
 
-def max_entangled_fidelity(
-    rho,
-    dims: BipartiteDims,
-    restarts: int = 32,
-    seed: int | None = 0,
-) -> tuple[float, np.ndarray]:
-    """Lower bound on the best fidelity with a maximally entangled state.
+def max_entangled_fidelity(rho, dims: BipartiteDims
+                           ) -> tuple[float, float, np.ndarray]:
+    """Best fidelity of ``rho`` with a maximally entangled state, bounded
+    both ways: ``(lower, upper, P)``.
 
-    Every maximally entangled pure state is ``(I (x) U)|Phi>`` for a
-    unitary U, so we ascend over U by the polar-decomposition fixed point
-    of the quadratic form ``<Phi_U| rho |Phi_U>``, best over Haar restarts.
-    The result is a certified lower bound, not an exact maximum.
+    ``upper`` is the certified maximum of ``<rho, sigma>`` over states
+    whose two marginals are maximally mixed, a set that holds every
+    maximally entangled state.  The top eigenvector of its optimum,
+    reshaped to an m x m matrix, has a unitary polar factor U; P projects
+    onto the maximally entangled ``vec(U) / sqrt(m)`` and
+    ``lower = <rho, P>``.  At m = 2 the bounds meet: unital qubit channels
+    are mixed-unitary (Landau & Streater, 1993), so that set is the hull
+    of the maximally entangled states.  At m >= 3 it is larger, and the
+    bounds can stay apart.
     """
-    from .sampling import haar_unitary
+    from .dual import _max_over_mixed_marginals
 
     if dims.dA != dims.dB:
         raise ValidationError("maximally entangled states need dA == dB")
     m = dims.dA
-    R = _as_bipartite(ensure_herm(rho), dims)
-    rng = np.random.default_rng(seed)
-
-    def value_and_update(U):
-        # M[b, a] = sum_{c,d} R[a, b, c, d] U[d, c]
-        M = np.einsum("abcd,dc->ba", R, U) / m
-        val = float(np.real(np.sum(U.conj() * M)))
-        W, _, Vh = np.linalg.svd(M)
-        return val, W @ Vh
-
-    best_val, best_U = -np.inf, np.eye(m, dtype=complex)
-    for k in range(max(1, restarts)):
-        U = np.eye(m, dtype=complex) if k == 0 else haar_unitary(m, rng)
-        val = -np.inf
-        for _ in range(200):
-            new_val, U = value_and_update(U)
-            if new_val - val <= 1e-12:
-                val = new_val
-                break
-            val = new_val
-        if val > best_val:
-            best_val, best_U = val, U
-    phi = (np.kron(np.eye(m, dtype=complex), best_U)
-           @ maximally_entangled_vector(m))
-    return best_val, np.outer(phi, phi.conj())
+    rho = ensure_herm(rho, dim=dims.total)
+    upper, sigma = _max_over_mixed_marginals(rho, m)
+    W, _, Vh = np.linalg.svd(np.linalg.eigh(sigma)[1][:, -1].reshape(m, m))
+    phi = (W @ Vh).reshape(-1) / np.sqrt(m)
+    P = np.outer(phi, phi.conj())
+    return _inner(rho, P), upper, P

@@ -255,7 +255,7 @@ def test_verify_all_keeps_report_when_a_check_raises(capsys, monkeypatch):
     assert cli.run(["verify-all", "--fast"]) == 2
     rep = _stdout_report(capsys)
     assert rep["checks"]["hierarchy"]["ok"] is False
-    assert rep["checks"]["duality_identity"]["ok"]
+    assert rep["checks"]["pses_distance"]["ok"]
 
 
 def _raise_validation(*args, **kwargs):

@@ -141,8 +141,12 @@ def test_min_product_expectation_matches_eigmin_on_product_ops(dims22):
 def test_cone_rep_cross_consistency_rejected():
     g = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
     h = [np.diag([-1.0, 0.0])]
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="stand alone"):
         ConeRep(dim=2, generators=g, dual_generators=h)
+    # Consistent halfspaces would go unread too: diag(0, 1) lies in
+    # cone(g)* but not in cone(diag(1, 0)).
+    with pytest.raises(ValidationError, match="stand alone"):
+        ConeRep(dim=2, generators=g[:1], dual_generators=g)
 
 
 def test_dual_cone_membership_psd_self_dual():

@@ -8,6 +8,7 @@ from gptcone.dovm import (
     BQ,
     NAQ,
     POVM,
+    TOL,
     Dovm,
     aq_advantage_states,
     aq_from_subcone_witness,
@@ -52,6 +53,21 @@ def test_classify_naq():
 def test_classify_boundary_resolves_to_bq():
     dovm = _commuting_dovm([1.0, -0.2, 0.5, 0.4])
     assert classify(dovm).tag == BQ
+
+
+@given(st.floats(1e-8, 0.9), st.floats(0.0, 1.0),
+       st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2))
+@settings(max_examples=50, deadline=None)
+def test_classify_class_boundaries(a, t, mid):
+    def tag(top, bottom):
+        # First effect spectrum: top, bottom and two values between them.
+        inner = [bottom + s * (top - bottom) for s in mid]
+        return classify(_commuting_dovm([top, bottom, *inner])).tag
+
+    assert tag(1.0 - t * TOL, -a) == BQ  # lambda_max in [1 - TOL, 1]
+    assert tag(1.0 - a, -a) == NAQ  # width exactly 1
+    assert tag(1.0 - a + 2.0 * TOL, -a) == AQ  # width 1 + 2 TOL
+    assert tag(t, -TOL / 2.0) == POVM  # lambda_min = -TOL / 2
 
 
 def test_classify_invariant_under_swap_and_unitary(e_pair, dims22):

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gptcone import dual
 from gptcone.cones import PSD, make_named_cone, membership
 from gptcone.dual import conic_membership
 from gptcone.herm import (
@@ -20,7 +23,11 @@ from gptcone.herm import (
     tensor,
     trace_inner,
 )
-from gptcone.sampling import random_herm, random_state
+from gptcone.sampling import (
+    random_herm,
+    random_max_entangled_state,
+    random_state,
+)
 
 
 def test_ensure_herm_rejects_non_hermitian():
@@ -134,30 +141,111 @@ def test_fidelity_pure_target():
 
 
 def test_max_entangled_fidelity_of_bell(bell_state, dims22):
-    f, P = max_entangled_fidelity(bell_state, dims22, restarts=4, seed=0)
-    assert f == pytest.approx(1.0, abs=1e-9)
+    lower, upper, P = max_entangled_fidelity(bell_state, dims22)
+    assert lower == pytest.approx(1.0, abs=1e-9)
+    assert upper == pytest.approx(1.0, abs=1e-9)
     assert np.allclose(P, bell_state, atol=1e-6)
 
 
 def test_max_entangled_fidelity_product_state(dims22):
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
-    f, _ = max_entangled_fidelity(rho, dims22, restarts=8, seed=0)
+    lower, upper, _ = max_entangled_fidelity(rho, dims22)
     # A product state overlaps any maximally entangled vector by <= 1/m.
-    assert f == pytest.approx(0.5, abs=1e-9)
+    assert lower == pytest.approx(0.5, abs=1e-9)
+    assert upper == pytest.approx(0.5, abs=1e-9)
 
 
 def test_max_entangled_fidelity_lower_bounds_true_value(dims22):
     rng = np.random.default_rng(3)
     rho = random_state(4, rng)
-    f, P = max_entangled_fidelity(rho, dims22, restarts=6, seed=1)
-    assert f == pytest.approx(trace_inner(rho, P), abs=1e-9)
+    lower, upper, P = max_entangled_fidelity(rho, dims22)
+    assert lower == pytest.approx(trace_inner(rho, P), abs=1e-12)
     # The argmax is itself a maximally entangled state.
     for keep in ("A", "B"):
         assert np.allclose(partial_trace(P, dims22, keep), np.eye(2) / 2,
                            atol=1e-8)
     # And it never exceeds the overlap with the best pure state.
-    assert f <= np.linalg.eigvalsh(rho)[-1] + 1e-9
+    assert lower <= upper <= np.linalg.eigvalsh(rho)[-1] + 1e-9
+
+
+def _two_qubit_max_entangled_fidelity(rho):
+    """lambda_max(Re(B^dag rho B)), B's columns the magic basis, in which
+    the maximally entangled states are exactly the real unit vectors (Hill
+    & Wootters, PRL 78, 5022, 1997)."""
+    B = np.array([[1, 1j, 0, 0], [0, 0, 1j, 1],
+                  [0, 0, 1j, -1], [1, -1j, 0, 0]]) / np.sqrt(2.0)
+    return np.linalg.eigvalsh((B.conj().T @ rho @ B).real)[-1]
+
+
+def test_max_entangled_fidelity_is_exact_for_qubits(dims22):
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        rho = random_state(4, rng)
+        lower, upper, _ = max_entangled_fidelity(rho, dims22)
+        closed = _two_qubit_max_entangled_fidelity(rho)
+        assert lower == pytest.approx(closed, abs=1e-8)
+        assert upper == pytest.approx(closed, abs=1e-8)
+
+
+# At m = 4 the states with maximally mixed marginals reach beyond the
+# hull of the maximally entangled ones, and the bounds can stay apart: on
+# 4 of these 20 states, by up to 4e-3.
+@pytest.mark.parametrize("m, max_gap", [(3, 1e-8), (4, 1e-2)])
+def test_max_entangled_fidelity_brackets_the_maximum(m, max_gap):
+    dims = BipartiteDims(m, m)
+    rng = np.random.default_rng(m)
+    gaps = []
+    for _ in range(20):
+        rho = random_state(m * m, rng)
+        lower, upper, P = max_entangled_fidelity(rho, dims)
+        gaps.append(upper - lower)
+        for keep in ("A", "B"):
+            assert np.allclose(partial_trace(P, dims, keep), np.eye(m) / m,
+                               atol=1e-8)
+        best = max(trace_inner(rho, random_max_entangled_state(m, rng))
+                   for _ in range(200))
+        assert lower >= best - 1e-12
+    assert 0.0 <= min(gaps) and max(gaps) <= max_gap
+
+
+@pytest.mark.parametrize("rho, dims", [
+    (np.eye(6) / 6, BipartiteDims(2, 3)),
+    (np.eye(9) / 9, BipartiteDims(2, 2)),
+    (np.triu(np.ones((4, 4))) / 4, BipartiteDims(2, 2)),
+])
+def test_max_entangled_fidelity_rejects_bad_input(rho, dims):
+    with pytest.raises(ValidationError):
+        max_entangled_fidelity(rho, dims)
+
+
+def test_max_entangled_fidelity_raises_when_the_solve_fails(dims22,
+                                                            monkeypatch):
+    solve = dual._solve
+    monkeypatch.setattr(dual, "_solve", lambda *args: dataclasses.replace(
+        solve(*args), converged=False))
+    with pytest.raises(ValidationError, match="did not converge"):
+        max_entangled_fidelity(np.eye(4) / 4, dims22)
+
+
+def test_max_entangled_fidelity_upper_is_certified_off_the_optimum(
+        dims22, monkeypatch):
+    # A dual point moved off the optimum, even out of the feasible set,
+    # still gives an upper bound: the slack's eigenvalues pay for it.
+    rng = np.random.default_rng(5)
+    solve = dual._solve
+
+    def perturbed(*args):
+        sol = solve(*args)
+        return dataclasses.replace(
+            sol, y=sol.y + 1e-3 * rng.standard_normal(len(sol.y)))
+
+    monkeypatch.setattr(dual, "_solve", perturbed)
+    for _ in range(20):
+        rho = random_state(4, rng)
+        closed = _two_qubit_max_entangled_fidelity(rho)
+        _, upper, _ = max_entangled_fidelity(rho, dims22)
+        assert closed <= upper + 1e-12
 
 
 def test_tensor_trace_multiplicative():
