@@ -463,17 +463,15 @@ def _min_over_effects(c, gens, maps):
 
 
 def _max_over_mixed_marginals(rho, m: int):
-    """``(upper, sigma)``: ``max <rho, sigma>`` over states sigma on an
-    m x m system whose two marginals are I/m, bounded from above, and the
-    optimal sigma.
+    """``(upper, sigma)``: an upper bound on ``max <rho, sigma>`` over
+    states sigma on an m x m system with both marginals I/m, and sigma.
 
     The equalities pair sigma with ``E_i (x) I`` and ``I (x) E_i`` over
-    :func:`_basis`, less the first of the second kind: both kinds sum
-    their diagonal units to the identity.  The dual slack
-    ``Z = -rho - sum_i y_i A_i`` is re-checked by eigenvalues, and every
-    feasible sigma has trace one, so ``-b.y + max(0, -lambda_min(Z))`` is
-    a certified upper bound.  Raises :class:`ValidationError` when the
-    solve does not converge.
+    :func:`_basis`, less the first of the second kind (both kinds sum to
+    the identity).  Every feasible sigma has trace one, so with the dual
+    slack ``Z = -rho - sum_i y_i A_i`` re-checked by eigenvalues,
+    ``-b.y + max(0, -lambda_min(Z))`` is certified.  Raises
+    :class:`ValidationError` when the solve does not converge.
     """
     E, I = _basis(m), np.eye(m)
     A_s = np.concatenate([np.kron(E, I), np.kron(I, E[1:])])

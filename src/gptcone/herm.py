@@ -169,14 +169,12 @@ def max_entangled_fidelity(rho, dims: BipartiteDims
     both ways: ``(lower, upper, P)``.
 
     ``upper`` is the certified maximum of ``<rho, sigma>`` over states
-    whose two marginals are maximally mixed, a set that holds every
-    maximally entangled state.  The top eigenvector of its optimum,
-    reshaped to an m x m matrix, has a unitary polar factor U; P projects
-    onto the maximally entangled ``vec(U) / sqrt(m)`` and
-    ``lower = <rho, P>``.  At m = 2 the bounds meet: unital qubit channels
-    are mixed-unitary (Landau & Streater, 1993), so that set is the hull
-    of the maximally entangled states.  At m >= 3 it is larger, and the
-    bounds can stay apart.
+    with maximally mixed marginals, which hold every maximally entangled
+    state.  A polar fixed point ascends over unitaries U from the polar
+    factor of each eigenvector in the optimum's range (as m x m); P
+    projects onto the best ``vec(U) / sqrt(m)`` and ``lower = <rho, P>``.
+    The bounds meet at m = 2, where unital channels are mixed-unitary
+    (Landau & Streater, 1993), and can stay apart at m >= 3.
     """
     from .dual import _max_over_mixed_marginals
 
@@ -185,7 +183,20 @@ def max_entangled_fidelity(rho, dims: BipartiteDims
     m = dims.dA
     rho = ensure_herm(rho, dim=dims.total)
     upper, sigma = _max_over_mixed_marginals(rho, m)
-    W, _, Vh = np.linalg.svd(np.linalg.eigh(sigma)[1][:, -1].reshape(m, m))
-    phi = (W @ Vh).reshape(-1) / np.sqrt(m)
-    P = np.outer(phi, phi.conj())
-    return _inner(rho, P), upper, P
+    w, vecs = np.linalg.eigh(sigma)
+    lower, P = -np.inf, None
+    for v in vecs[:, w > 1e-6 * w[-1]].T:
+        # <U, M> = <vec U|rho|vec U> / m; polar(M) never lowers it (rho PSD).
+        M, val = v.reshape(m, m), -np.inf
+        for _ in range(1000):
+            W, _, Vh = np.linalg.svd(M)
+            U = W @ Vh
+            M = (rho @ U.reshape(-1)).reshape(m, m) / m
+            new = float(np.real(np.vdot(U, M)))
+            if new - val <= 1e-12:
+                break
+            val = new
+        if new > lower:
+            phi = U.reshape(-1) / np.sqrt(m)
+            lower, P = new, np.outer(phi, phi.conj())
+    return lower, upper, P

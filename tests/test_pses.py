@@ -219,7 +219,9 @@ def test_isotropic_fidelity_closed_form_matches_the_ascent(m, r):
     a = 1.0 / (2.0 * r + 1.0)
     rho0 = a * sigma + (1.0 - a) * (np.eye(D) - sigma) / (D - 1.0)
     lower, upper, _ = max_entangled_fidelity(rho0, dims)
-    assert lower - 1e-8 <= max(a, (1.0 - a) / (D - 1.0)) <= upper + 1e-8
+    closed = max(a, (1.0 - a) / (D - 1.0))
+    assert lower - 1e-8 <= closed <= upper + 1e-8
+    assert lower == pytest.approx(closed, abs=1e-8)
 
 
 def test_distance_upper_bound_raises_past_the_fidelity_level(bell_family):
