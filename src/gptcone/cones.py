@@ -1,13 +1,13 @@
 """Positive cones, GPT models, states, effects, and measurements.
 
 A :class:`ConeRep` with a named oracle K and/or generators G denotes the
-hull ``K + cone(G)``, whose dual is ``K* intersect G*``; one with only
-halfspaces H denotes ``cone(H)*``.  Each named cone and its dual are
-written once, in one table (PSD is self-dual, SEP and SEP_DUAL are each
-other's duals).  Membership returns In or Out with the deciding tier and,
-for Out, a witness W with ``<W, x> < 0``; it returns Unknown honestly
-when no tier is decisive (separability is not decidable at tolerance in
-general).
+hull ``K + cone(G)``, whose dual is ``K* intersect G*``; the cone cut out
+by halfspaces H is the dual of ``ConeRep(generators=H)``.  Each named cone
+and its dual are written once, in one table (PSD is self-dual, SEP and
+SEP_DUAL are each other's duals).  Membership returns In or Out with the
+deciding tier and, for Out, a witness W with ``<W, x> < 0``; it returns
+Unknown honestly when no tier is decisive (separability is not decidable
+at tolerance in general).
 """
 
 from __future__ import annotations
@@ -46,22 +46,18 @@ class ConeRep:
 
     dim: int
     generators: list = field(default_factory=list)
-    dual_generators: list = field(default_factory=list)
     oracle: str | None = None
     params: dict = field(default_factory=dict)
     dims: BipartiteDims | None = None
 
     def __post_init__(self):
-        if not (self.generators or self.dual_generators or self.oracle):
+        if not (self.generators or self.oracle):
             raise ValidationError("a ConeRep needs at least one description")
-        k = len(self.generators)
-        gens = [*self.generators, *self.dual_generators]
-        gens = list(ensure_herm(gens, dim=self.dim)) if gens else []
-        self.generators, self.dual_generators = gens[:k], gens[k:]
-        if self.dual_generators and (self.generators or self.oracle):
-            # Halfspaces next to generators or an oracle would go unread.
-            raise ValidationError(
-                "halfspaces stand alone, without an oracle or generators")
+        if self.generators:
+            self.generators = list(ensure_herm(self.generators, dim=self.dim))
+        if self.dims is not None and self.dims.total != self.dim:
+            raise ValidationError(f"dims {self.dims.dA}x{self.dims.dB} do "
+                                  f"not match dimension {self.dim}")
         if self.oracle is not None:
             if self.oracle not in _NAMED:
                 raise ValidationError(f"unknown cone tag {self.oracle!r}")
@@ -310,7 +306,7 @@ def _no_dual(x, cone, tol):
 
 
 def _bipartite(cone):
-    return cone.dims is not None and cone.dims.total == cone.dim
+    return cone.dims is not None
 
 
 # tag -> (oracle, oracle of the dual, parameter check, what it requires, K's
@@ -337,10 +333,10 @@ _NAMED = {
 
 def conic_program(cone: ConeRep):
     """``cone`` as the description ``(generators, maps)`` that
-    :func:`~gptcone.dual.conic_feasibility` takes, or None (halfspace-only,
-    or a tag without a description)."""
+    :func:`~gptcone.dual.conic_feasibility` takes, or None for a tag
+    without a description."""
     if cone.oracle is None:
-        return (cone.generators, ()) if cone.generators else None
+        return cone.generators, ()
     describe = _NAMED[cone.oracle][4]
     return describe(cone) if describe else None
 
@@ -358,14 +354,10 @@ def _evaluate(cone: ConeRep, x, tol: float, dual: bool) -> MembershipVerdict:
     """
     if tol <= 0:
         raise ValidationError("tol must be positive")
-    if cone.dual_generators:
-        # Halfspaces H stand alone: the cone is cone(H)*, its dual cone(H).
-        tag, gens, hull = None, cone.dual_generators, dual
-    else:
-        tag, gens, hull = cone.oracle, cone.generators, not dual
+    tag, gens = cone.oracle, cone.generators
     v = _NAMED[tag][dual](x, cone, tol) if tag else None
 
-    if not hull:
+    if dual:
         parts = [] if v is None else [v]
         if gens:
             parts.append(_dual_membership(gens, x, tol))
@@ -375,7 +367,7 @@ def _evaluate(cone: ConeRep, x, tol: float, dual: bool) -> MembershipVerdict:
             _inner(v.witness, g) >= -tol for g in gens)):
         return v
     tol = max(tol, 1e-8)
-    program = conic_program(cone) if tag else (gens, ())
+    program = conic_program(cone)
     if program is not None:
         return _conic_membership(x, *program, tol)
     if gens:  # cone(G)'s separator certifies nothing for K + cone(G)

@@ -59,8 +59,8 @@ def min_error_over_cone(rho1, rho2,
     rho1, rho2 = _check_states(rho1, rho2, dim=dual_cone.dim)
     program = conic_program(dual_cone)
     if program is None:
-        name = dual_cone.oracle or "halfspace-only"
-        raise ValidationError(f"the {name} effect cone has no conic program")
+        raise ValidationError(
+            f"the {dual_cone.oracle} effect cone has no conic program")
     gens, maps = program
     if dual_cone.oracle is None:
         maps = (identity,)

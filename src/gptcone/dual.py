@@ -297,38 +297,34 @@ def _psd_part(R):
             float(np.linalg.norm(np.minimum(vals, 0.0))))
 
 
-def _w_form(x, halfspaces, images) -> _Solution:
-    """``min <x, W>`` over PSD W with ``tr W = 1``, ``<W, h_k> >= 0`` and
-    each ``L(W)`` PSD, a block tied to W by the images ``L(E_i)``.  The
-    dual is ``max t`` with ``x - t I - sum_k y_k h_k - sum_L L(Q_L)``, y
-    and every Q_L PSD; ``solution.y`` is t, y, then minus each Q_L."""
+def _w_form(x, halfspaces, maps) -> _Solution:
+    """``min <x, W>`` over normalised W with ``<W, h_k> >= 0`` and
+    ``L(W)`` PSD for every map L of the description.
+
+    With maps, W is PSD with ``tr W = 1``, and each map after the identity
+    adds a block tied to W by the images ``L(E_i)``.  The dual is ``max t``
+    with ``x - t I - sum_k y_k h_k - sum_L L(Q_L)``, y and every Q_L PSD.
+    Without maps W is free: ``W = X_0 - X_1`` with both blocks PSD and
+    ``tr X_0 + tr X_1 = 1``, the second carrying the halfspace rows
+    negated.  The dual is then ``max t`` with ``x - sum_k y_k h_k``
+    between ``t I`` and ``-t I``.  Either way ``solution.y`` is t, y, then
+    minus each Q_L.
+    """
     d, K = x.shape[0], len(halfspaces)
+    E = _basis(d)
+    images = [-_stack([L(e) for e in E], d) for L in maps[1:]]
     n = 1 + K + d * d * len(images)
     A_W = np.concatenate([np.eye(d, dtype=complex)[None], halfspaces,
-                          *[-LE for LE in images]])
+                          *images])
     A = np.vstack([np.zeros((1, K)), -np.eye(K), np.zeros((n - 1 - K, K))])
-    A_Y = np.zeros((len(images), n, d, d), dtype=complex)
-    for j, A_j in enumerate(A_Y):
-        A_j[1 + K + j * d * d:1 + K + (j + 1) * d * d] = _basis(d)
-    blocks = [(x, A_W)] + [(np.zeros((d, d)), A_j) for A_j in A_Y]
+    if not maps:
+        blocks = [(x, A_W), (-x, np.concatenate([A_W[:1], -A_W[1:]]))]
+    else:
+        A_Y = np.zeros((len(images), n, d, d), dtype=complex)
+        for j, A_j in enumerate(A_Y):
+            A_j[1 + K + j * d * d:1 + K + (j + 1) * d * d] = E
+        blocks = [(x, A_W)] + [(np.zeros((d, d)), A_j) for A_j in A_Y]
     return _solve(np.eye(1, n)[0], np.zeros(K), A, blocks)
-
-
-def _phase1(x, gens) -> _Solution:
-    """``min ||x - sum_k lam_k g_k||_1`` over ``lam >= 0``, the 1-norm
-    taken in the coordinates of :func:`_basis`.
-
-    The orthant block is ``(lam, s+, s-)`` with the residual split into
-    ``s+ - s-``.  The dual is ``max <x, Y>`` over Y with coordinates in
-    ``[-1, 1]`` and ``<Y, g_k> <= 0``, with Y's coordinates in
-    ``solution.y``.
-    """
-    E = _basis(x.shape[0])
-    p = len(E)
-    G = _op(E, gens)
-    A = np.hstack([G, np.eye(p), -np.eye(p)])
-    c = np.concatenate([np.zeros(G.shape[1]), np.ones(2 * p)])
-    return _solve(_op(E, x), c, A)
 
 
 def conic_feasibility(x, generators, maps=(identity,), tol: float = 1e-8):
@@ -338,11 +334,11 @@ def conic_feasibility(x, generators, maps=(identity,), tol: float = 1e-8):
     self-adjoint linear maps whose images of PSD the cone contains, ``()``
     for cone(G), ``(identity,)`` for PSD + cone(G), ``(identity, Gamma)``
     for PSD + PSD^Gamma; a nonempty list begins with :func:`identity`.
-    Solved by :func:`_w_form` (by :func:`_phase1` without maps) and
-    re-verified here: a :class:`ConicCertificate` when x less the
-    generators and mapped parts is within ``tol`` of PSD (of zero without
-    maps), else an :class:`Infeasible` whose witness W has
-    ``<W, g_k> >= -tol``, each ``L(W)`` PSD to ``-tol`` and ``<W, x> < 0``.
+    Solved by :func:`_w_form` and re-verified here: a
+    :class:`ConicCertificate` when x less the generators and mapped parts
+    is within ``tol`` of PSD (of zero without maps), else an
+    :class:`Infeasible` whose witness W has ``<W, g_k> >= -tol``, each
+    ``L(W)`` PSD to ``-tol`` and ``<W, x> < 0``.
     """
     S = ensure_herm([x, *generators])
     return _feasibility(S[0], S[1:], maps, tol)
@@ -355,16 +351,11 @@ def _feasibility(x, gens, maps, tol):
     gens = _stack(gens, d)
     m = len(gens)
     E = _basis(d)
-    if maps:
-        sol = _w_form(x, gens, [_stack([L(e) for e in E], d)
-                                for L in maps[1:]])
-        lam, W = sol.y[1:m + 1], sol.X[0]
-        parts = [_psd_part(-_adj(E, z))[0]
-                 for z in sol.y[m + 1:].reshape(len(maps) - 1, len(E))]
-    else:
-        sol = _phase1(x, gens)
-        lam, W, parts = sol.u[:m], -_adj(E, sol.y), []
-    lam = np.maximum(lam, 0.0)
+    sol = _w_form(x, gens, maps)
+    lam = np.maximum(sol.y[1:m + 1], 0.0)
+    W = sol.X[0] if maps else sol.X[0] - sol.X[1]
+    parts = [_psd_part(-_adj(E, z))[0]
+             for z in sol.y[m + 1:].reshape(-1, len(E))]
     R = x - _adj(gens, lam) - sum((L(P) for L, P in zip(maps[1:], parts)),
                                   np.zeros_like(x))
     psd_part, residual = _psd_part(R) if maps \
@@ -417,7 +408,7 @@ def min_over_spectrahedron(x, halfspaces=(), tol: float = 1e-9):
     halfspaces).
     """
     S = ensure_herm([x, *halfspaces])
-    sol = _w_form(S[0], S[1:], [])
+    sol = _w_form(S[0], S[1:], (identity,))
     if not sol.converged or abs(sol.gap) > tol:
         raise ValidationError("spectrahedron solve did not converge "
                               f"(duality gap {sol.gap:.3e})")

@@ -27,6 +27,9 @@ class BipartiteDims:
     dB: int
 
     def __post_init__(self):
+        if any(isinstance(n, bool) or not isinstance(n, (int, np.integer))
+               for n in (self.dA, self.dB)):
+            raise ValidationError("local dimensions must be integers")
         if self.dA < 1 or self.dB < 1:
             raise ValidationError("local dimensions must be positive")
 

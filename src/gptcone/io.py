@@ -1,8 +1,10 @@
 """JSON serialization for matrices, cones, and report payloads.
 
 Matrix files: ``{"dim": d, "re": d x d array, "im": d x d array}``.
-Cone files: ``{"tag":..., "params":..., "generators": [matrix...],
-"dual_generators": [matrix...]}``.
+Cone files: ``{"tag":..., "params":..., "dim": d, "dims": [dA, dB],
+"generators": [matrix...]}``, with a tag or generators; a missing ``dim``
+is read off the generators or ``dims``.  A cone cut out by halfspaces has
+no cone file, so a non-empty ``dual_generators`` field is rejected.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ def matrix_to_json(A) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
+    if not isinstance(obj, dict):
+        raise ValidationError("a matrix is one JSON object")
     for key in ("dim", "re", "im"):
         if key not in obj:
             raise ValidationError(f"matrix object missing field {key!r}")
@@ -54,31 +58,33 @@ def cone_to_json(cone) -> dict:
         "dim": cone.dim,
         "dims": [cone.dims.dA, cone.dims.dB] if cone.dims else None,
         "generators": [matrix_to_json(g) for g in cone.generators],
-        "dual_generators": [matrix_to_json(h) for h in cone.dual_generators],
     }
 
 
 def cone_from_json(obj: dict):
     from .cones import ConeRep
 
-    dims = None
-    if obj.get("dims"):
-        dims = BipartiteDims(*obj["dims"])
+    if not isinstance(obj, dict):
+        raise ValidationError("a cone file holds one JSON object")
+    if obj.get("dual_generators"):
+        raise ValidationError("halfspace-only cones are not supported: "
+                              "'dual_generators' must be empty")
+    dims = obj.get("dims")
+    if dims is not None:
+        if not isinstance(dims, list) or len(dims) != 2:
+            raise ValidationError("cone field 'dims' must be two integers")
+        dims = BipartiteDims(*dims)
     gens = [matrix_from_json(g) for g in obj.get("generators", [])]
-    duals = [matrix_from_json(h) for h in obj.get("dual_generators", [])]
     dim = obj.get("dim")
     if dim is None:
         if gens:
             dim = gens[0].shape[0]
-        elif duals:
-            dim = duals[0].shape[0]
         elif dims:
             dim = dims.total
         else:
             raise ValidationError("cone object has no dimension information")
-    return ConeRep(dim=dim, generators=gens, dual_generators=duals,
-                   oracle=obj.get("tag"), params=obj.get("params") or {},
-                   dims=dims)
+    return ConeRep(dim=dim, generators=gens, oracle=obj.get("tag"),
+                   params=obj.get("params") or {}, dims=dims)
 
 
 def load_cone(path):

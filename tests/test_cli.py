@@ -120,7 +120,25 @@ def test_discriminate_rejects_a_halfspace_only_cone(tmp_path, capsys):
     }))
     assert cli.run(["discriminate", str(p1), str(p2),
                     "--cone", str(cone_path)]) == 1
-    assert "halfspace-only" in capsys.readouterr().err
+    assert "'dual_generators' must be empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cone", [
+    {"tag": "SEP_DUAL", "dims": [2]},
+    {"tag": "SEP_DUAL", "dims": [2, "a"]},
+    [1, 2],
+    {"tag": "PSD", "dim": 4, "dims": [3, 3]},
+    {"dim": 4, "generators": [1]},
+])
+def test_discriminate_rejects_malformed_cone_files(tmp_path, capsys, cone):
+    p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
+    save_matrix(p1, np.diag([1.0, 0.0, 0.0, 0.0]))
+    save_matrix(p2, np.diag([0.0, 0.0, 0.0, 1.0]))
+    cone_path = tmp_path / "cone.json"
+    cone_path.write_text(json.dumps(cone))
+    assert cli.run(["discriminate", str(p1), str(p2),
+                    "--cone", str(cone_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_build_pses_pass(tmp_path, capsys):
@@ -161,6 +179,7 @@ def test_simulability_fixture(tmp_path, capsys):
     assert rep["status"] == "NonSimulable"
     assert rep["n_copy_overlaps"] == pytest.approx(
         [0.75, 0.75**2, 0.75**3], abs=1e-12)
+    assert rep["pass"] is True
 
 
 def test_simulability_shrunk_bloch(capsys):
@@ -177,6 +196,7 @@ def test_simulability_povm_fails(tmp_path, capsys):
     assert cli.run(["simulability", str(path)]) == 2
     rep = _stdout_report(capsys)
     assert rep["status"] == "Inconclusive"
+    assert rep["pass"] is False
 
 
 def test_simulability_needs_one_source(tmp_path, capsys):
@@ -216,13 +236,6 @@ def test_usage_errors(capsys):
     assert cli.run([]) == 1
     assert cli.run(["discriminate", "/nonexistent/a.json",
                     "/nonexistent/b.json"]) == 1
-
-
-def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("GPTCONE_SEED", "12345")
-    assert cli.run(["symmetry", "--check", "ses-orbit"]) == 0
-    rep = _stdout_report(capsys)
-    assert rep["pass"]
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -344,4 +357,4 @@ def test_discriminate_rejects_a_named_cone_with_halfspaces(tmp_path, capsys):
     }))
     assert cli.run(["discriminate", str(p1), str(p2),
                     "--cone", str(cone_path)]) == 1
-    assert "halfspaces" in capsys.readouterr().err
+    assert "'dual_generators' must be empty" in capsys.readouterr().err

@@ -8,6 +8,7 @@ from gptcone.herm import BipartiteDims, ValidationError
 from gptcone.io import (
     cone_from_json,
     cone_to_json,
+    load_cone,
     load_matrix,
     matrix_from_json,
     matrix_to_json,
@@ -66,6 +67,14 @@ def test_cone_roundtrip():
 def test_cone_from_json_needs_dimension():
     with pytest.raises(ValidationError):
         cone_from_json({"tag": None, "generators": []})
+
+
+def test_load_cone_rejects_dual_generators(tmp_path):
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps({"dim": 2, "dual_generators": [
+        matrix_to_json(np.eye(2))]}))
+    with pytest.raises(ValidationError, match="dual_generators"):
+        load_cone(path)
 
 
 def test_measurement_roundtrip():
