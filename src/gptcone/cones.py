@@ -1,13 +1,15 @@
 """Positive cones, GPT models, states, effects, and measurements.
 
-A :class:`ConeRep` with a named oracle K and/or generators G denotes the
-hull ``K + cone(G)``, whose dual is ``K* intersect G*``; the cone cut out
-by halfspaces H is the dual of ``ConeRep(generators=H)``.  Each named cone
-and its dual are written once, in one table (PSD is self-dual, SEP and
-SEP_DUAL are each other's duals).  Membership returns In or Out with the
-deciding tier and, for Out, a witness W with ``<W, x> < 0``; it returns
-Unknown honestly when no tier is decisive (separability is not decidable
-at tolerance in general).
+A :class:`ConeRep` with the named cone K of its tag and generators G
+denotes the hull ``K + cone(G)``, whose dual is ``K* intersect G*``; the
+tag defaults to PSD, so a ConeRep without one is ``PSD + cone(G)``, the
+form of the deformed structures SES + NPM_r.  Pure cone(G) and the cone
+G* cut out by halfspaces are decided in :mod:`gptcone.dual`.  Each named
+cone and its dual are written once, in one table (PSD is self-dual, SEP
+and SEP_DUAL are each other's duals).  Membership returns In or Out with
+the deciding tier and, for Out, a witness W with ``<W, x> < 0``; it
+returns Unknown honestly when no tier is decisive (separability is not
+decidable at tolerance in general).
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ DEFAULT_TOL = 1e-9
 
 @dataclass
 class ConeRep:
-    """A positive cone in the space of dim x dim Hermitian matrices."""
+    """The cone ``K + cone(generators)`` of dim x dim Hermitian matrices,
+    K named by the tag ``oracle``, which defaults to PSD."""
 
     dim: int
     generators: list = field(default_factory=list)
@@ -51,23 +54,21 @@ class ConeRep:
     dims: BipartiteDims | None = None
 
     def __post_init__(self):
-        if not (self.generators or self.oracle):
-            raise ValidationError("a ConeRep needs at least one description")
+        self.oracle = self.oracle or PSD
         if self.generators:
             self.generators = list(ensure_herm(self.generators, dim=self.dim))
         if self.dims is not None and self.dims.total != self.dim:
             raise ValidationError(f"dims {self.dims.dA}x{self.dims.dB} do "
                                   f"not match dimension {self.dim}")
-        if self.oracle is not None:
-            if self.oracle not in _NAMED:
-                raise ValidationError(f"unknown cone tag {self.oracle!r}")
-            _, _, valid, needs, _ = _NAMED[self.oracle]
-            try:
-                ok = valid is None or valid(self)
-            except TypeError:  # a parameter of the wrong type
-                ok = False
-            if not ok:
-                raise ValidationError(f"{self.oracle} needs {needs}")
+        if self.oracle not in _NAMED:
+            raise ValidationError(f"unknown cone tag {self.oracle!r}")
+        _, _, valid, needs, _ = _NAMED[self.oracle]
+        try:
+            ok = valid is None or valid(self)
+        except TypeError:  # a parameter of the wrong type
+            ok = False
+        if not ok:
+            raise ValidationError(f"{self.oracle} needs {needs}")
 
 
 @dataclass
@@ -335,8 +336,6 @@ def conic_program(cone: ConeRep):
     """``cone`` as the description ``(generators, maps)`` that
     :func:`~gptcone.dual.conic_feasibility` takes, or None for a tag
     without a description."""
-    if cone.oracle is None:
-        return cone.generators, ()
     describe = _NAMED[cone.oracle][4]
     return describe(cone) if describe else None
 
@@ -354,17 +353,15 @@ def _evaluate(cone: ConeRep, x, tol: float, dual: bool) -> MembershipVerdict:
     """
     if tol <= 0:
         raise ValidationError("tol must be positive")
-    tag, gens = cone.oracle, cone.generators
-    v = _NAMED[tag][dual](x, cone, tol) if tag else None
+    gens = cone.generators
+    v = _NAMED[cone.oracle][dual](x, cone, tol)
 
     if dual:
-        parts = [] if v is None else [v]
-        if gens:
-            parts.append(_dual_membership(gens, x, tol))
+        parts = [v, _dual_membership(gens, x, tol)] if gens else [v]
         return min(parts, key=lambda part: (_RANK[part.status], part.margin))
 
-    if v is not None and (v.status == IN or v.status == OUT and all(
-            _inner(v.witness, g) >= -tol for g in gens)):
+    if v.status == IN or v.status == OUT and all(
+            _inner(v.witness, g) >= -tol for g in gens):
         return v
     tol = max(tol, 1e-8)
     program = conic_program(cone)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cones import ConeRep, Measurement, conic_program
-from .dual import _min_over_effects, identity
+from .dual import _min_over_effects
 from .herm import BipartiteDims, ValidationError, _inner, ensure_herm, partial_transpose
 
 
@@ -48,10 +48,8 @@ def min_error_over_cone(rho1, rho2,
                         dual_cone: ConeRep) -> tuple[float, Measurement]:
     """Minimum error sum when effects range over ``dual_cone``.
 
-    The effect cone is its :func:`~gptcone.cones.conic_program`, except
-    that a generator-only cone, the form of the deformed effect cones
-    ``SES + NPM_r``, is read as ``PSD + cone(g_k)``; a cone without a
-    program raises :class:`ValidationError`.  The error sum of
+    The effect cone is its :func:`~gptcone.cones.conic_program`; a cone
+    without a program raises :class:`ValidationError`.  The error sum of
     ``{M, I - M}`` is ``1 + <rho2 - rho1, M>``, minimised by
     :func:`~gptcone.dual.min_over_effects` to a certified duality gap.
     The returned effects ``M`` and ``I - M`` are exactly Hermitian.
@@ -61,10 +59,7 @@ def min_error_over_cone(rho1, rho2,
     if program is None:
         raise ValidationError(
             f"the {dual_cone.oracle} effect cone has no conic program")
-    gens, maps = program
-    if dual_cone.oracle is None:
-        maps = (identity,)
-    value, M = _min_over_effects(rho2 - rho1, gens, maps)
+    value, M = _min_over_effects(rho2 - rho1, *program)
     return 1.0 + value, Measurement(effects=[M, np.eye(len(M)) - M])
 
 

@@ -134,7 +134,7 @@ def _max_step(v, dv, lam):
     return 1.0 / worst if worst > 0.0 else np.inf
 
 
-def _solve(b, c, A, blocks=()) -> _Solution:
+def _solve(b, c, A, blocks) -> _Solution:
     """Primal-dual interior-point method for the conic program
 
         min  c.u + sum_j <C_j, X_j>

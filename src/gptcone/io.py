@@ -2,9 +2,10 @@
 
 Matrix files: ``{"dim": d, "re": d x d array, "im": d x d array}``.
 Cone files: ``{"tag":..., "params":..., "dim": d, "dims": [dA, dB],
-"generators": [matrix...]}``, with a tag or generators; a missing ``dim``
-is read off the generators or ``dims``.  A cone cut out by halfspaces has
-no cone file, so a non-empty ``dual_generators`` field is rejected.
+"generators": [matrix...]}``; the tag defaults to ``PSD`` and a missing
+``dim`` is read off the generators or ``dims``.  A cone cut out by
+halfspaces has no cone file, so a non-empty ``dual_generators`` field is
+rejected.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         if key not in obj:
             raise ValidationError(f"matrix object missing field {key!r}")
     d = obj["dim"]
+    if type(d) is not int or d < 1:
+        raise ValidationError("matrix field 'dim' must be a positive integer")
     re = np.asarray(obj["re"], dtype=float)
     im = np.asarray(obj["im"], dtype=float)
     if re.shape != (d, d) or im.shape != (d, d):
@@ -96,8 +99,10 @@ def measurement_to_json(effects) -> dict:
 
 
 def measurement_from_json(obj: dict) -> list:
-    if "effects" not in obj:
-        raise ValidationError("measurement object missing field 'effects'")
+    if not isinstance(obj, dict):
+        raise ValidationError("a measurement is one JSON object")
+    if not isinstance(obj.get("effects"), list):
+        raise ValidationError("measurement field 'effects' must be a list")
     return [matrix_from_json(e) for e in obj["effects"]]
 
 

@@ -292,8 +292,9 @@ def _witness_cases(dims, rng):
         "psd": (make_named_cone(PSD, dim=d), _psd, _psd),
         "orthant": (make_named_cone(CLASSICAL_ORTHANT, dim=d), _diagonal,
                     _orthant),
-        "generators": (ConeRep(dim=d, generators=gens), _clears(gens),
-                       _one_of(gens)),
+        "psd+generators": (ConeRep(dim=d, generators=gens),
+                           lambda W: _psd(W) and _clears(gens)(W),
+                           lambda W: _psd(W) or _one_of(gens)(W)),
         "orthant+generators": (
             ConeRep(dim=d, generators=gens, oracle=CLASSICAL_ORTHANT),
             lambda W: _diagonal(W) and _clears(gens)(W),

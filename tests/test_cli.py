@@ -317,6 +317,22 @@ def test_input_errors_still_exit_one(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("content", [
+    5,
+    "effects",
+    {"effects": 3},
+    {"effects": [{"dim": [2], "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]},
+                 {"dim": [2], "re": [[0, 0], [0, 1]], "im": [[0, 0], [0, 0]]}]},
+], ids=["number", "string", "effects-not-a-list", "dim-not-an-integer"])
+def test_malformed_measurement_files_exit_one(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(content))
+    assert cli.run(["classify-dovm", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ")
+    assert "[2]" not in out.err
+
+
 def test_jsonify_writes_non_hermitian_square_arrays(bell_state, dims22):
     rep = symmetry.gu_falsifier(partial_transpose(bell_state, dims22), dims22)
     out = json.loads(json.dumps(cli._jsonify(rep)))

@@ -262,7 +262,7 @@ def test_generator_cone_out_carries_the_separator():
     # cone(diagonal projectors) is the diagonal orthant: x is outside it.
     gens = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
     x = np.array([[1.0, 1.0], [1.0, 1.0]])
-    v = membership(ConeRep(dim=2, generators=gens), x)
+    v = conic_membership(x, gens, ())
     assert v.status == OUT and v.tier == "conic-feasibility"
     assert trace_inner(v.witness, x) < 0
     assert all(trace_inner(v.witness, g) >= -1e-8 for g in gens)

@@ -11,6 +11,7 @@ from gptcone.cones import (
     SHRUNK_BLOCH,
     ConeRep,
     make_named_cone,
+    membership,
 )
 from gptcone.discrimination import (
     arai_criterion,
@@ -33,6 +34,7 @@ from gptcone.pses import (
     swap_pair,
 )
 from gptcone.sampling import random_pure_state, random_state
+from gptcone.verdict import IN
 
 
 def test_helstrom_orthogonal_pure_states():
@@ -87,6 +89,19 @@ def test_min_error_over_cone_psd_matches_helstrom():
         assert cval == pytest.approx(hval, abs=1e-6)
         assert np.allclose(meas.effects[0] + meas.effects[1], np.eye(4),
                            atol=1e-8)
+
+
+def test_a_cone_without_a_tag_is_psd_plus_its_generators():
+    # One ConeRep names one cone: the effects that min_error_over_cone
+    # returns over PSD + cone(diag(1, 0)) are members of that cone.
+    cone = ConeRep(dim=2, generators=[np.diag([1.0, 0.0])])
+    plus = np.full((2, 2), 0.5)
+    minus = np.array([[0.5, -0.5], [-0.5, 0.5]])
+    err, meas = min_error_over_cone(plus, minus, cone)
+    assert err <= 1e-8
+    for m in meas.effects:
+        assert membership(cone, m).status == IN
+    assert cone.oracle == ConeRep(dim=2).oracle == PSD
 
 
 def test_min_error_over_cone_antitone_in_generators():
