@@ -28,8 +28,13 @@ class ConicCertificate:
 
     The coefficients are nonnegative, the parts PSD (``psd_part`` is None
     without maps) and ``residual`` is the Hilbert-Schmidt norm of what the
-    decomposition misses.  ``gap``, ``iterations`` and ``converged`` are
-    the solver's; a certificate built without a solve keeps the defaults.
+    decomposition misses.  ``gap`` and ``iterations`` describe the solver
+    iterate the decomposition was read from, the first one that
+    re-verified, not an optimum; ``converged`` is True when the solve
+    stopped on a re-verified certificate or on its gap target.  A
+    certificate built without a solve, such as the vertex tier's
+    ``x - g_k`` PSD with coefficients e_k, keeps the defaults: gap 0,
+    0 iterations, converged.
     """
 
     coefficients: np.ndarray
@@ -48,9 +53,12 @@ class Infeasible:
     ``witness`` is a separating functional W with ``<W, g_k> >= 0`` for
     every generator, ``L(W)`` PSD for every map L of the description,
     and ``<W, x> < 0``.  ``bound = -<W, x> / ||W||_HS`` is then a lower
-    bound on the Hilbert-Schmidt distance from x to the cone.  When the
-    solver certified neither membership nor separation, ``witness`` is
-    None and ``bound`` is 0.  The rest is as in :class:`ConicCertificate`.
+    bound on the Hilbert-Schmidt distance from x to the cone.  W is the
+    separator of the first solver iterate that re-verified: a checked
+    separator but not the optimal one, so ``bound`` is valid but not the
+    best the program could give.  When no iterate certified membership or
+    separation, ``witness`` is None and ``bound`` is 0.  ``gap``,
+    ``iterations`` and ``converged`` are as in :class:`ConicCertificate`.
     """
 
     bound: float
@@ -73,8 +81,9 @@ _STALL_ITER = 5
 
 @dataclass
 class _Solution:
-    """Best iterate of :func:`_solve`.  The dual slacks are implied:
-    ``z = c - A^T y`` and ``Z_j = C_j - A_j^*(y)``."""
+    """Best or certified iterate of :func:`_solve`.  The dual slacks are
+    implied: ``z = c - A^T y`` and ``Z_j = C_j - A_j^*(y)``.
+    ``certificate`` is what the certify callback returned, if anything."""
 
     u: np.ndarray
     X: np.ndarray
@@ -82,6 +91,7 @@ class _Solution:
     gap: float
     iterations: int
     converged: bool
+    certificate: object = None
 
 
 def _herm(A):
@@ -134,7 +144,7 @@ def _max_step(v, dv, lam):
     return 1.0 / worst if worst > 0.0 else np.inf
 
 
-def _solve(b, c, A, blocks) -> _Solution:
+def _solve(b, c, A, blocks, certify=None) -> _Solution:
     """Primal-dual interior-point method for the conic program
 
         min  c.u + sum_j <C_j, X_j>
@@ -153,6 +163,10 @@ def _solve(b, c, A, blocks) -> _Solution:
     LU, which survives the near-singular systems close to the optimum
     where Cholesky fails (least squares if a pivot is exactly zero).
     Returns the iterate with the smallest worst relative residual or gap.
+    ``certify``, if given, is called on every iterate as a
+    :class:`_Solution` with ``converged`` True; the first iterate for which
+    it returns something other than None ends the solve and is returned
+    with that value as its ``certificate``.
     """
     norm = np.linalg.norm
     b = np.asarray(b, dtype=float)
@@ -192,6 +206,11 @@ def _solve(b, c, A, blocks) -> _Solution:
         if err < best_err:
             best = (u.copy(), X.copy(), y.copy(), pobj - dobj)
             best_err, best_it = err, it
+        if certify is not None:
+            sol = _Solution(u, X, y, float(pobj - dobj), it + 1, True)
+            sol.certificate = certify(sol)
+            if sol.certificate is not None:
+                return sol
         if err <= _TARGET or (best_err <= _ACCEPT
                               and it - best_it >= _STALL_ITER):
             break
@@ -297,7 +316,7 @@ def _psd_part(R):
             float(np.linalg.norm(np.minimum(vals, 0.0))))
 
 
-def _w_form(x, halfspaces, maps) -> _Solution:
+def _w_form(x, halfspaces, maps, certify=None) -> _Solution:
     """``min <x, W>`` over normalised W with ``<W, h_k> >= 0`` and
     ``L(W)`` PSD for every map L of the description.
 
@@ -308,7 +327,7 @@ def _w_form(x, halfspaces, maps) -> _Solution:
     ``tr X_0 + tr X_1 = 1``, the second carrying the halfspace rows
     negated.  The dual is then ``max t`` with ``x - sum_k y_k h_k``
     between ``t I`` and ``-t I``.  Either way ``solution.y`` is t, y, then
-    minus each Q_L.
+    minus each Q_L.  ``certify`` is passed on to :func:`_solve`.
     """
     d, K = x.shape[0], len(halfspaces)
     E = _basis(d)
@@ -324,7 +343,7 @@ def _w_form(x, halfspaces, maps) -> _Solution:
         for j, A_j in enumerate(A_Y):
             A_j[1 + K + j * d * d:1 + K + (j + 1) * d * d] = E
         blocks = [(x, A_W)] + [(np.zeros((d, d)), A_j) for A_j in A_Y]
-    return _solve(np.eye(1, n)[0], np.zeros(K), A, blocks)
+    return _solve(np.eye(1, n)[0], np.zeros(K), A, blocks, certify)
 
 
 def conic_feasibility(x, generators, maps=(identity,), tol: float = 1e-8):
@@ -334,11 +353,23 @@ def conic_feasibility(x, generators, maps=(identity,), tol: float = 1e-8):
     self-adjoint linear maps whose images of PSD the cone contains, ``()``
     for cone(G), ``(identity,)`` for PSD + cone(G), ``(identity, Gamma)``
     for PSD + PSD^Gamma; a nonempty list begins with :func:`identity`.
-    Solved by :func:`_w_form` and re-verified here: a
-    :class:`ConicCertificate` when x less the generators and mapped parts
-    is within ``tol`` of PSD (of zero without maps), else an
+
+    The answer is a :class:`ConicCertificate` when x less the generators
+    and mapped parts is within ``tol`` of PSD (of zero without maps), an
     :class:`Infeasible` whose witness W has ``<W, g_k> >= -tol``, each
-    ``L(W)`` PSD to ``-tol`` and ``<W, x> < 0``.
+    ``L(W)`` PSD to ``-tol`` and ``<W, x> < 0``, or an Infeasible without
+    witness when neither verified.  It comes from the first tier that
+    certifies:
+
+    - the vertex tier: ``x - v`` within ``tol`` of PSD (of zero without
+      maps) for v = 0 or a generator g_k gives In with coefficients e_k
+      (0 for v = 0) and 0 iterations, without a solve;
+    - one solve of :func:`_w_form`, stopped at the first iterate whose
+      decomposition or separator re-verifies.  ``gap`` and ``iterations``
+      are that iterate's, and an Out's W and ``bound`` are a checked
+      separator and a valid distance bound, not the optimal ones.
+      ``converged`` is True when the solve stopped on a re-verified
+      certificate or on its gap target.
     """
     S = ensure_herm([x, *generators])
     return _feasibility(S[0], S[1:], maps, tol)
@@ -347,13 +378,48 @@ def conic_feasibility(x, generators, maps=(identity,), tol: float = 1e-8):
 def _feasibility(x, gens, maps, tol):
     if maps and maps[0] is not identity:
         raise ValueError("a nonempty list of maps begins with the identity")
-    d = x.shape[0]
-    gens = _stack(gens, d)
+    gens = _stack(gens, x.shape[0])
+    vertex = _vertex(x, gens, maps, tol)
+    if vertex is not None:
+        return vertex
+    sol = _w_form(x, gens, maps,
+                  lambda it: _certificate(x, gens, maps, tol, it))
+    if sol.certificate is not None:
+        return sol.certificate
+    return Infeasible(0.0, None, sol.gap, sol.iterations, sol.converged)
+
+
+def _vertex(x, gens, maps, tol):
+    """The vertex tier: In with coefficients e_k when ``x - g_k`` is
+    within ``tol`` of PSD (of zero without maps), or with coefficients 0
+    when x itself is; the closest of these, by one stacked eigvalsh.  None
+    when no vertex is that close."""
+    R = x - np.concatenate([np.zeros_like(x)[None], gens])
+    if maps:
+        miss = np.linalg.norm(np.minimum(np.linalg.eigvalsh(R), 0.0), axis=1)
+    else:
+        miss = np.linalg.norm(R, axis=(1, 2))
+    k = int(np.argmin(miss))
+    if miss[k] > tol:
+        return None
+    coefficients = np.eye(len(gens) + 1)[k, 1:]
+    psd_part, residual = _psd_part(R[k]) if maps else (None, float(miss[k]))
+    return ConicCertificate(coefficients, psd_part, residual, mapped_parts=[
+        np.zeros_like(x) for _ in maps[1:]])
+
+
+def _certificate(x, gens, maps, tol, sol):
+    """The In decomposition or else the Out separator that one iterate of
+    :func:`_w_form` gives, if it re-verifies; None when neither does.
+
+    In: the weights ``max(y_k, 0)`` and the PSD parts of the Q_L leave x
+    within ``tol`` of PSD (of zero without maps).  Out: W, scaled to the
+    program's normalisation, has ``<W, g_k> >= -tol``, each ``L(W)`` PSD
+    to ``-tol`` and ``<W, x> < 0``.
+    """
     m = len(gens)
-    E = _basis(d)
-    sol = _w_form(x, gens, maps)
     lam = np.maximum(sol.y[1:m + 1], 0.0)
-    W = sol.X[0] if maps else sol.X[0] - sol.X[1]
+    E = _basis(len(x))
     parts = [_psd_part(-_adj(E, z))[0]
              for z in sol.y[m + 1:].reshape(-1, len(E))]
     R = x - _adj(gens, lam) - sum((L(P) for L, P in zip(maps[1:], parts)),
@@ -364,22 +430,31 @@ def _feasibility(x, gens, maps, tol):
         return ConicCertificate(lam, psd_part, residual, sol.gap, parts,
                                 sol.iterations, sol.converged)
 
-    W = _herm(W)
+    # The program asks tr W = 1 with maps, tr X_0 + tr X_1 = 1 without.
+    if maps:
+        W, scale = sol.X[0], np.trace(sol.X[0]).real
+    else:
+        W, scale = sol.X[0] - sol.X[1], np.trace(sol.X[0] + sol.X[1]).real
+    W = _herm(W) / scale
     pairing = _inner(W, x)
     separates = pairing < 0.0 and bool(np.all(_op(gens, W) >= -tol)) and all(
         np.linalg.eigvalsh(L(W))[0] >= -tol for L in maps)
     if separates:
         return Infeasible(-pairing / float(np.linalg.norm(W)), W, sol.gap,
                           sol.iterations, sol.converged)
-    return Infeasible(0.0, None, sol.gap, sol.iterations, sol.converged)
+    return None
 
 
 def conic_membership(x, generators, maps=(identity,),
                      tol: float = 1e-8) -> MembershipVerdict:
-    """:func:`conic_feasibility` as a verdict: In with the certificate,
-    Out with the separator W and margin ``<W, x>``, Unknown when neither
-    verified.  Tiers: ``decomposition`` (In) and ``spectrahedron-search``
-    with maps, ``conic-feasibility`` without."""
+    """:func:`conic_feasibility` as a verdict: In with the certificate and
+    margin minus its residual, Out with the separator W and margin
+    ``<W, x>``, Unknown when neither verified.  An In from the vertex tier
+    has 0 iterations; otherwise the verdict is the first solver iterate
+    that re-verified, so an Out margin is that of a checked separator, not
+    the least pairing the program could reach.  Tiers: ``decomposition``
+    (In) and ``spectrahedron-search`` with maps, ``conic-feasibility``
+    without."""
     S = ensure_herm([x, *generators])
     return _conic_membership(S[0], S[1:], maps, tol)
 

@@ -3,7 +3,8 @@
 Matrix files: ``{"dim": d, "re": d x d array, "im": d x d array}``.
 Cone files: ``{"tag":..., "params":..., "dim": d, "dims": [dA, dB],
 "generators": [matrix...]}``; the tag defaults to ``PSD`` and a missing
-``dim`` is read off the generators or ``dims``.  A cone cut out by
+``dim`` is read off the generators or ``dims``; a field of the wrong
+JSON type is rejected with :class:`ValidationError`.  A cone cut out by
 halfspaces has no cone file, so a non-empty ``dual_generators`` field is
 rejected.
 """
@@ -72,12 +73,20 @@ def cone_from_json(obj: dict):
     if obj.get("dual_generators"):
         raise ValidationError("halfspace-only cones are not supported: "
                               "'dual_generators' must be empty")
+    tag, params = obj.get("tag"), obj.get("params")
+    if tag is not None and not isinstance(tag, str):
+        raise ValidationError("cone field 'tag' must be a string")
+    if params is not None and not isinstance(params, dict):
+        raise ValidationError("cone field 'params' must be an object")
     dims = obj.get("dims")
     if dims is not None:
         if not isinstance(dims, list) or len(dims) != 2:
             raise ValidationError("cone field 'dims' must be two integers")
         dims = BipartiteDims(*dims)
-    gens = [matrix_from_json(g) for g in obj.get("generators", [])]
+    gens = obj.get("generators", [])
+    if not isinstance(gens, list):
+        raise ValidationError("cone field 'generators' must be a list")
+    gens = [matrix_from_json(g) for g in gens]
     dim = obj.get("dim")
     if dim is None:
         if gens:
@@ -86,8 +95,10 @@ def cone_from_json(obj: dict):
             dim = dims.total
         else:
             raise ValidationError("cone object has no dimension information")
-    return ConeRep(dim=dim, generators=gens, oracle=obj.get("tag"),
-                   params=obj.get("params") or {}, dims=dims)
+    elif type(dim) is not int or dim < 1:
+        raise ValidationError("cone field 'dim' must be a positive integer")
+    return ConeRep(dim=dim, generators=gens, oracle=tag, params=params or {},
+                   dims=dims)
 
 
 def load_cone(path):

@@ -159,7 +159,11 @@ def cr_membership(x, params: PsesParams,
     ``x = sum_k lam_k N_k + P`` with ``lam >= 0`` and P PSD.  A negative
     endpoint pairing gives Out with that endpoint as witness; PSD x
     clearing the pairings is In with ``lam = 0, P = x``.  Otherwise
-    :func:`conic_membership` over ``PSD + cone(N_k)`` decides.
+    :func:`conic_membership` over ``PSD + cone(N_k)`` decides: an x with
+    ``x - N_k`` PSD, such as the endpoint N_k itself, is In by its vertex
+    tier without a solve, and any other x gets the verdict of the first
+    solver iterate that re-verifies.  An Out margin ``<W, x>`` there is
+    that of a checked separator W, not the least pairing over the dual.
     """
     return _cr_membership(ensure_herm(x, dim=params.dims.total), params, tol)
 
@@ -238,8 +242,12 @@ def hierarchy_audit(r_list, family_set, dims: BipartiteDims) -> AuditReport:
     ``PSD + cone(r2 endpoints)``.  A step is strict when
     :func:`conic_membership` answers Out with a separator W that passes
     direct checks: W PSD, ``<W, N> >= -1e-9`` for every r2 endpoint N and
-    ``<W, N(r1)> < -1e-9``.  W and the checked values are recorded.  A
-    passing chain certifies (by the general theory, existence only) an
+    ``<W, N(r1)> < -1e-9``.  W and the checked values are recorded.  W
+    comes from the first solver iterate whose separator re-verified, so
+    ``separator_pairing`` and ``infeasibility_bound`` (``-<W, N(r1)>``
+    over ``||W||_HS``, a lower bound on the distance from N(r1) to the
+    inner cone) are checked values, not the optimum.  A passing chain
+    certifies (by the general theory, existence only) an
     n-independent family of self-dual modifications.
     """
     r_list = list(r_list)

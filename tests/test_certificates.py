@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from gptcone import dual
 from gptcone.cones import (
     CLASSICAL_ORTHANT,
     CS_NEG,
@@ -25,12 +26,18 @@ from gptcone.discrimination import helstrom, min_error_over_cone
 from gptcone.dual import (
     ConicCertificate,
     Infeasible,
+    _w_form,
     conic_feasibility,
     conic_membership,
     identity,
     min_over_spectrahedron,
 )
-from gptcone.herm import BipartiteDims, partial_transpose, trace_inner
+from gptcone.herm import (
+    BipartiteDims,
+    ensure_herm,
+    partial_transpose,
+    trace_inner,
+)
 from gptcone.pses import (
     PsesParams,
     cr_membership,
@@ -92,7 +99,7 @@ def test_conic_feasibility_certificates(seed, d, m, maps, inside):
     else:
         x = random_herm(d, rng)
     res = conic_feasibility(x, gens, maps, tol=TOL)
-    assert abs(res.gap) <= TOL
+    assert res.converged is True
     if isinstance(res, ConicCertificate):
         _check_certificate(res, x, gens, maps)
         return
@@ -145,6 +152,87 @@ def test_conic_membership_verdicts_are_scale_invariant(seed, n_maps, shift):
         assert (w.status, w.tier) == (v.status, v.tier)
 
 
+def _maps_22(n_maps):
+    """cone(G), PSD + cone(G) and PSD + PSD^Gamma + cone(G) at 2x2."""
+    dims = BipartiteDims(2, 2)
+    return (identity, lambda X: partial_transpose(X, dims))[:n_maps]
+
+
+@given(seeds, st.integers(0, 2), st.floats(-0.5, 1.0), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_early_verdicts_agree_with_the_optimum(seed, n_maps, shift, inside):
+    # A membership solve stops at the first iterate whose certificate
+    # re-verifies.  Away from the boundary its verdict is the sign of the
+    # W-form optimum t solved to its gap target: with maps x - t I is in
+    # the cone, without maps t is minus the operator-norm distance to it.
+    rng = np.random.default_rng(seed)
+    # <sigma, g_k> = 1/2 for a random state sigma rather than for I, so
+    # that the solver's first iterates, near I, need not clear G.
+    sigma = random_state(4, rng)
+    gens = [g + (0.5 - trace_inner(sigma, g)) / trace_inner(sigma, sigma)
+            * sigma for g in (random_herm(4, rng) for _ in range(3))]
+    maps = _maps_22(n_maps)
+    if inside:  # weights >= 1e-3 keep x off the boundary of cone(G)
+        x = sum(w * g for w, g in zip(rng.uniform(1e-3, 1, 3), gens))
+        if maps:
+            x = x + random_psd(4, rng)
+    else:
+        x = random_herm(4, rng) + shift * np.eye(4)
+    S = ensure_herm([x, *gens])
+    opt = _w_form(S[0], S[1:], maps)
+    assert opt.converged
+    t = opt.y[0]
+    assume(abs(t) >= 1e-3 or (inside and not maps))
+    v = conic_membership(x, gens, maps)
+    assert v.status == (IN if t > 0 or inside and not maps else OUT)
+    res = conic_feasibility(x, gens, maps)
+    assert res.converged is True and res.iterations <= opt.iterations
+    if v.status == IN:
+        _check_certificate(res, x, gens, maps)
+    else:
+        _check_separator(res.witness, x, gens, maps)
+        # Not the optimal bound, but at most the distance to a cone point
+        # within -t of x in operator norm (x - t I with maps).
+        assert res.bound <= -t * np.linalg.norm(np.eye(4)) + 1e-9
+
+
+@pytest.mark.parametrize("n_maps", [0, 1, 2])
+def test_vertex_tier_decides_generators_without_a_solve(n_maps):
+    rng = np.random.default_rng(5)
+    gens = _generators(4, 3, rng)
+    maps = _maps_22(n_maps)
+    for k, g in enumerate(gens):
+        # x = g_k + P with P PSD is in the hull only with maps.
+        xs = [g, g + 0.1 * random_psd(4, rng)] if maps else [g]
+        for x in xs:
+            res = conic_feasibility(x, gens, maps)
+            assert isinstance(res, ConicCertificate)
+            assert res.iterations == 0 and res.converged is True
+            assert np.array_equal(res.coefficients, np.eye(3)[k])
+            _check_certificate(res, x, gens, maps)
+        assert conic_feasibility(g - 1e-3 * np.eye(4), gens,
+                                 maps).iterations > 0
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_cr_membership_decides_endpoints_without_a_solve(m, monkeypatch):
+    # The PSD tier decides the lambda = 0 endpoints, the vertex tier the
+    # lambda = r ones.
+    fam = generalized_bell(m)
+    params = PsesParams(family_set=swap_pair(fam), r=0.5 * r0(fam.dims),
+                        dims=fam.dims)
+    gens = npm_endpoint_generators(params)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an endpoint needed a conic solve")
+
+    monkeypatch.setattr(dual, "_solve", no_solve)
+    for N in gens:
+        v = cr_membership(N, params)
+        assert v.status == IN
+        _check_certificate(v.witness, N, gens, (identity,))
+
+
 @given(seeds, st.integers(2, 4), st.integers(0, 4))
 @settings(max_examples=30, deadline=None)
 def test_min_over_spectrahedron_argmin_is_feasible(seed, d, m):
@@ -177,7 +265,7 @@ def test_cr_membership_witnesses(seed, m, r_frac, shift):
     assert v.status in (IN, OUT)
     if v.status == IN:
         assert min(trace_inner(x, g) for g in gens) >= -1e-9
-        assert abs(v.witness.gap) <= TOL
+        assert v.witness.converged is True
         _check_certificate(v.witness, x, gens, (identity,))
     elif v.tier == "npm-endpoint":
         assert trace_inner(v.witness, x) < 0

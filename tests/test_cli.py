@@ -129,6 +129,10 @@ def test_discriminate_rejects_a_halfspace_only_cone(tmp_path, capsys):
     [1, 2],
     {"tag": "PSD", "dim": 4, "dims": [3, 3]},
     {"dim": 4, "generators": [1]},
+    {"generators": 3},
+    {"dim": "4"},
+    {"dim": 4.0},
+    {"dim": 4, "params": 5},
 ])
 def test_discriminate_rejects_malformed_cone_files(tmp_path, capsys, cone):
     p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"

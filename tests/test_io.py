@@ -69,6 +69,21 @@ def test_cone_from_json_needs_dimension():
         cone_from_json({"tag": None, "generators": []})
 
 
+@pytest.mark.parametrize("obj", [
+    {"generators": 3},
+    {"dim": "2"},
+    {"dim": 2.0},
+    {"dim": True},
+    {"dim": 0},
+    {"dim": 2, "params": 5},
+    {"dim": 2, "params": ["p", 0.5]},
+    {"dim": 2, "tag": ["PSD"]},
+])
+def test_cone_from_json_checks_field_types(obj):
+    with pytest.raises(ValidationError, match="cone field"):
+        cone_from_json(obj)
+
+
 def test_load_cone_rejects_dual_generators(tmp_path):
     path = tmp_path / "cone.json"
     path.write_text(json.dumps({"dim": 2, "dual_generators": [
