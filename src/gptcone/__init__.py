@@ -53,7 +53,6 @@ from .dovm import (
 )
 from .dual import (
     ConicCertificate,
-    Infeasible,
     conic_feasibility,
     dual_identity_check,
     dual_membership,

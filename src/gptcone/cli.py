@@ -141,6 +141,8 @@ def cmd_discriminate(args) -> int:
 
 
 def _family_set(m: int, count: int):
+    if count < 1:
+        raise UsageError("--families must be at least 1")
     base = pses.generalized_bell(m)
     fams = [base, pses.swap_family(base)]
     k = 1

@@ -19,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from .dual import _conic_membership, _dual_membership, identity
+from .dual import _dual_membership, _feasibility, identity
 from .herm import (
     BipartiteDims,
     ValidationError,
@@ -28,7 +28,7 @@ from .herm import (
     ensure_herm,
     partial_transpose,
 )
-from .pses import _cr_membership
+from .pses import PsesParams, _cr_membership
 from .verdict import IN, OUT, UNKNOWN, MembershipVerdict
 
 PSD = "PSD"
@@ -200,7 +200,7 @@ def _block_positivity(x, dims, tol, lam):
                                  margin=val, tier="product-search")
     if exact:  # SEP_DUAL's conic description decides
         program = conic_program(make_named_cone(SEP_DUAL, dims=dims))
-        return _conic_membership(x, *program, max(tol, 1e-8))
+        return _feasibility(x, *program, max(tol, 1e-8))
     return MembershipVerdict(UNKNOWN, margin=val, tier="product-search")
 
 
@@ -327,8 +327,11 @@ _NAMED = {
     CS_NEG: (_cs_neg, _no_dual,
              lambda c: _bipartite(c) and c.params.get("s", -1) >= 0,
              "bipartite dims and s >= 0", None),
-    CR: (_cr, _no_dual, lambda c: _bipartite(c) and "pses" in c.params,
-         "bipartite dims and the PsesParams as params['pses']", None),
+    CR: (_cr, _no_dual,
+         lambda c: isinstance(c.params.get("pses"), PsesParams)
+         and c.params["pses"].dims == c.dims,
+         "a PsesParams with the cone's bipartite dims as params['pses']",
+         None),
 }
 
 
@@ -366,9 +369,9 @@ def _evaluate(cone: ConeRep, x, tol: float, dual: bool) -> MembershipVerdict:
     tol = max(tol, 1e-8)
     program = conic_program(cone)
     if program is not None:
-        return _conic_membership(x, *program, tol)
+        return _feasibility(x, *program, tol)
     if gens:  # cone(G)'s separator certifies nothing for K + cone(G)
-        w = _conic_membership(x, gens, (), tol)
+        w = _feasibility(x, gens, (), tol)
         if w.status == IN:
             return w
     return MembershipVerdict(UNKNOWN, margin=v.margin, tier=v.tier)

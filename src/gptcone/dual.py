@@ -28,44 +28,14 @@ class ConicCertificate:
 
     The coefficients are nonnegative, the parts PSD (``psd_part`` is None
     without maps) and ``residual`` is the Hilbert-Schmidt norm of what the
-    decomposition misses.  ``gap`` and ``iterations`` describe the solver
-    iterate the decomposition was read from, the first one that
-    re-verified, not an optimum; ``converged`` is True when the solve
-    stopped on a re-verified certificate or on its gap target.  A
-    certificate built without a solve, such as the vertex tier's
-    ``x - g_k`` PSD with coefficients e_k, keeps the defaults: gap 0,
-    0 iterations, converged.
+    decomposition misses.  It is the witness of an In verdict; the
+    diagnostics of the solve it was read from are on that verdict.
     """
 
     coefficients: np.ndarray
     psd_part: np.ndarray | None
     residual: float
-    gap: float = 0.0
     mapped_parts: list = field(default_factory=list)
-    iterations: int = 0
-    converged: bool = True
-
-
-@dataclass
-class Infeasible:
-    """``x`` lies outside the cone.
-
-    ``witness`` is a separating functional W with ``<W, g_k> >= 0`` for
-    every generator, ``L(W)`` PSD for every map L of the description,
-    and ``<W, x> < 0``.  ``bound = -<W, x> / ||W||_HS`` is then a lower
-    bound on the Hilbert-Schmidt distance from x to the cone.  W is the
-    separator of the first solver iterate that re-verified: a checked
-    separator but not the optimal one, so ``bound`` is valid but not the
-    best the program could give.  When no iterate certified membership or
-    separation, ``witness`` is None and ``bound`` is 0.  ``gap``,
-    ``iterations`` and ``converged`` are as in :class:`ConicCertificate`.
-    """
-
-    bound: float
-    witness: np.ndarray | None = None
-    gap: float = 0.0
-    iterations: int = 0
-    converged: bool = True
 
 
 # The solver stops once the relative primal and dual residuals and the
@@ -354,20 +324,23 @@ def conic_feasibility(x, generators, maps=(identity,), tol: float = 1e-8):
     for cone(G), ``(identity,)`` for PSD + cone(G), ``(identity, Gamma)``
     for PSD + PSD^Gamma; a nonempty list begins with :func:`identity`.
 
-    The answer is a :class:`ConicCertificate` when x less the generators
-    and mapped parts is within ``tol`` of PSD (of zero without maps), an
-    :class:`Infeasible` whose witness W has ``<W, g_k> >= -tol``, each
-    ``L(W)`` PSD to ``-tol`` and ``<W, x> < 0``, or an Infeasible without
-    witness when neither verified.  It comes from the first tier that
-    certifies:
+    In: the witness is a :class:`ConicCertificate` whose x less the
+    generators and mapped parts is within ``tol`` of PSD (of zero without
+    maps), the margin minus its residual.  Out: the witness is a separator
+    W with ``<W, g_k> >= -tol`` and each ``L(W)`` PSD to ``-tol``, the
+    margin ``<W, x> < 0``, and ``-<W, x> / ||W||_HS`` a lower bound on the
+    distance from x to the cone.  Unknown, without witness, when neither
+    verified.  Tiers: ``decomposition`` (In) and ``spectrahedron-search``
+    with maps, ``conic-feasibility`` without.  The first tier that
+    certifies answers:
 
     - the vertex tier: ``x - v`` within ``tol`` of PSD (of zero without
       maps) for v = 0 or a generator g_k gives In with coefficients e_k
       (0 for v = 0) and 0 iterations, without a solve;
     - one solve of :func:`_w_form`, stopped at the first iterate whose
-      decomposition or separator re-verifies.  ``gap`` and ``iterations``
-      are that iterate's, and an Out's W and ``bound`` are a checked
-      separator and a valid distance bound, not the optimal ones.
+      decomposition or separator re-verifies.  The verdict's ``gap`` and
+      ``iterations`` are that iterate's, and an Out's W and margin are a
+      checked separator and its pairing, not the optimal ones.
       ``converged`` is True when the solve stopped on a re-verified
       certificate or on its gap target.
     """
@@ -375,7 +348,17 @@ def conic_feasibility(x, generators, maps=(identity,), tol: float = 1e-8):
     return _feasibility(S[0], S[1:], maps, tol)
 
 
-def _feasibility(x, gens, maps, tol):
+def _verdict(status, witness, margin, maps, sol=None) -> MembershipVerdict:
+    """A verdict of :func:`conic_feasibility`, with the diagnostics of the
+    solver iterate ``sol`` if there is one."""
+    tier = ("decomposition" if status == IN else "spectrahedron-search") \
+        if maps else "conic-feasibility"
+    diagnostics = () if sol is None else (sol.gap, sol.iterations,
+                                          sol.converged)
+    return MembershipVerdict(status, witness, margin, tier, *diagnostics)
+
+
+def _feasibility(x, gens, maps, tol) -> MembershipVerdict:
     if maps and maps[0] is not identity:
         raise ValueError("a nonempty list of maps begins with the identity")
     gens = _stack(gens, x.shape[0])
@@ -386,7 +369,7 @@ def _feasibility(x, gens, maps, tol):
                   lambda it: _certificate(x, gens, maps, tol, it))
     if sol.certificate is not None:
         return sol.certificate
-    return Infeasible(0.0, None, sol.gap, sol.iterations, sol.converged)
+    return _verdict(UNKNOWN, None, 0.0, maps, sol)
 
 
 def _vertex(x, gens, maps, tol):
@@ -404,13 +387,14 @@ def _vertex(x, gens, maps, tol):
         return None
     coefficients = np.eye(len(gens) + 1)[k, 1:]
     psd_part, residual = _psd_part(R[k]) if maps else (None, float(miss[k]))
-    return ConicCertificate(coefficients, psd_part, residual, mapped_parts=[
-        np.zeros_like(x) for _ in maps[1:]])
+    cert = ConicCertificate(coefficients, psd_part, residual,
+                            [np.zeros_like(x) for _ in maps[1:]])
+    return _verdict(IN, cert, -residual, maps)
 
 
 def _certificate(x, gens, maps, tol, sol):
-    """The In decomposition or else the Out separator that one iterate of
-    :func:`_w_form` gives, if it re-verifies; None when neither does.
+    """The In verdict, or else the Out verdict, that one iterate of
+    :func:`_w_form` gives if it re-verifies; None when neither does.
 
     In: the weights ``max(y_k, 0)`` and the PSD parts of the Q_L leave x
     within ``tol`` of PSD (of zero without maps).  Out: W, scaled to the
@@ -427,8 +411,8 @@ def _certificate(x, gens, maps, tol, sol):
     psd_part, residual = _psd_part(R) if maps \
         else (None, float(np.linalg.norm(R)))
     if residual <= tol:
-        return ConicCertificate(lam, psd_part, residual, sol.gap, parts,
-                                sol.iterations, sol.converged)
+        return _verdict(IN, ConicCertificate(lam, psd_part, residual, parts),
+                        -residual, maps, sol)
 
     # The program asks tr W = 1 with maps, tr X_0 + tr X_1 = 1 without.
     if maps:
@@ -440,35 +424,8 @@ def _certificate(x, gens, maps, tol, sol):
     separates = pairing < 0.0 and bool(np.all(_op(gens, W) >= -tol)) and all(
         np.linalg.eigvalsh(L(W))[0] >= -tol for L in maps)
     if separates:
-        return Infeasible(-pairing / float(np.linalg.norm(W)), W, sol.gap,
-                          sol.iterations, sol.converged)
+        return _verdict(OUT, W, pairing, maps, sol)
     return None
-
-
-def conic_membership(x, generators, maps=(identity,),
-                     tol: float = 1e-8) -> MembershipVerdict:
-    """:func:`conic_feasibility` as a verdict: In with the certificate and
-    margin minus its residual, Out with the separator W and margin
-    ``<W, x>``, Unknown when neither verified.  An In from the vertex tier
-    has 0 iterations; otherwise the verdict is the first solver iterate
-    that re-verified, so an Out margin is that of a checked separator, not
-    the least pairing the program could reach.  Tiers: ``decomposition``
-    (In) and ``spectrahedron-search`` with maps, ``conic-feasibility``
-    without."""
-    S = ensure_herm([x, *generators])
-    return _conic_membership(S[0], S[1:], maps, tol)
-
-
-def _conic_membership(x, gens, maps, tol) -> MembershipVerdict:
-    res = _feasibility(x, gens, maps, tol)
-    if isinstance(res, ConicCertificate):
-        tier = "decomposition" if maps else "conic-feasibility"
-        return MembershipVerdict(IN, res, -res.residual, tier)
-    tier = "spectrahedron-search" if maps else "conic-feasibility"
-    if res.witness is None:
-        return MembershipVerdict(UNKNOWN, margin=0.0, tier=tier)
-    return MembershipVerdict(OUT, witness=res.witness,
-                             margin=_inner(res.witness, x), tier=tier)
 
 
 def min_over_spectrahedron(x, halfspaces=(), tol: float = 1e-9):

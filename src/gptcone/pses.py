@@ -11,8 +11,8 @@ import numpy as np
 
 from .dual import (
     ConicCertificate,
-    _conic_membership,
     _dual_membership,
+    _feasibility,
     _gram_check,
     identity,
 )
@@ -159,10 +159,11 @@ def cr_membership(x, params: PsesParams,
     ``x = sum_k lam_k N_k + P`` with ``lam >= 0`` and P PSD.  A negative
     endpoint pairing gives Out with that endpoint as witness; PSD x
     clearing the pairings is In with ``lam = 0, P = x``.  Otherwise
-    :func:`conic_membership` over ``PSD + cone(N_k)`` decides: an x with
+    :func:`conic_feasibility` over ``PSD + cone(N_k)`` decides: an x with
     ``x - N_k`` PSD, such as the endpoint N_k itself, is In by its vertex
     tier without a solve, and any other x gets the verdict of the first
-    solver iterate that re-verifies.  An Out margin ``<W, x>`` there is
+    solver iterate that re-verifies, with that solve's ``gap``,
+    ``iterations`` and ``converged``.  An Out margin ``<W, x>`` there is
     that of a checked separator W, not the least pairing over the dual.
     """
     return _cr_membership(ensure_herm(x, dim=params.dims.total), params, tol)
@@ -178,7 +179,7 @@ def _cr_membership(x, params, tol):
         return MembershipVerdict(
             IN, witness=ConicCertificate(np.zeros(len(gens)), x, 0.0),
             margin=min(lam, v.margin), tier="psd")
-    return _conic_membership(x, gens, (identity,), tol)
+    return _feasibility(x, gens, (identity,), tol)
 
 
 @dataclass
@@ -240,14 +241,14 @@ def hierarchy_audit(r_list, family_set, dims: BipartiteDims) -> AuditReport:
 
     For consecutive r1 > r2 the endpoint ``N(r1)`` lies outside
     ``PSD + cone(r2 endpoints)``.  A step is strict when
-    :func:`conic_membership` answers Out with a separator W that passes
+    :func:`conic_feasibility` answers Out with a separator W that passes
     direct checks: W PSD, ``<W, N> >= -1e-9`` for every r2 endpoint N and
     ``<W, N(r1)> < -1e-9``.  W and the checked values are recorded.  W
     comes from the first solver iterate whose separator re-verified, so
-    ``separator_pairing`` and ``infeasibility_bound`` (``-<W, N(r1)>``
-    over ``||W||_HS``, a lower bound on the distance from N(r1) to the
-    inner cone) are checked values, not the optimum.  A passing chain
-    certifies (by the general theory, existence only) an
+    ``separator_pairing`` and ``infeasibility_bound`` (minus the Out
+    margin ``<W, N(r1)>`` over ``||W||_HS``, a lower bound on the distance
+    from N(r1) to the inner cone) are checked values, not the optimum.
+    A passing chain certifies (by the general theory, existence only) an
     n-independent family of self-dual modifications.
     """
     r_list = list(r_list)
@@ -265,7 +266,7 @@ def hierarchy_audit(r_list, family_set, dims: BipartiteDims) -> AuditReport:
         p2 = PsesParams(family_set=family_set, r=r2, dims=dims)
         gens = npm_endpoint_generators(p2)
         n_outer = npm_element(r1, family_set[0])
-        v = _conic_membership(n_outer, gens, (identity,), 1e-7)
+        v = _feasibility(n_outer, gens, (identity,), 1e-7)
         lam_w = float(np.linalg.eigvalsh(n_outer)[0])
         detail = {}
         strict = v.status == OUT
@@ -428,7 +429,7 @@ def self_duality_verifier(candidate_generators, outer: PsesParams,
                       for g in cands)
     endpoint_fail = next(
         (k for k, N in enumerate(npm_endpoint_generators(outer))
-         if not _conic_membership(N, cands, (identity,), 1e-6)), None)
+         if not _feasibility(N, cands, (identity,), 1e-6)), None)
     report.add("sandwich", sandwich_ok and endpoint_fail is None,
                candidates_inside_outer=sandwich_ok,
                failed_endpoint=endpoint_fail)

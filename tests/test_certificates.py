@@ -25,10 +25,8 @@ from gptcone.cones import (
 from gptcone.discrimination import helstrom, min_error_over_cone
 from gptcone.dual import (
     ConicCertificate,
-    Infeasible,
     _w_form,
     conic_feasibility,
-    conic_membership,
     identity,
     min_over_spectrahedron,
 )
@@ -100,20 +98,21 @@ def test_conic_feasibility_certificates(seed, d, m, maps, inside):
         x = random_herm(d, rng)
     res = conic_feasibility(x, gens, maps, tol=TOL)
     assert res.converged is True
-    if isinstance(res, ConicCertificate):
-        _check_certificate(res, x, gens, maps)
+    if res.status == IN:
+        _check_certificate(res.witness, x, gens, maps)
         return
-    assert isinstance(res, Infeasible) and res.witness is not None
+    assert res.status == OUT and res.witness is not None
     assert not (inside and m)
     W = res.witness
     _check_separator(W, x, gens, maps)
-    assert res.bound == pytest.approx(-trace_inner(W, x) / np.linalg.norm(W))
+    bound = -res.margin / np.linalg.norm(W)
+    assert bound == pytest.approx(-trace_inner(W, x) / np.linalg.norm(W))
     # The bound is a lower bound on the distance to any cone point: 0, and
     # with PSD in the cone also the PSD part of x.
     vals = np.linalg.eigvalsh(x)
-    assert res.bound <= np.linalg.norm(vals) + 1e-9
+    assert bound <= np.linalg.norm(vals) + 1e-9
     if maps:
-        assert res.bound <= np.linalg.norm(np.minimum(vals, 0.0)) + 1e-9
+        assert bound <= np.linalg.norm(np.minimum(vals, 0.0)) + 1e-9
 
 
 def test_conic_solves_report_their_diagnostics():
@@ -121,9 +120,9 @@ def test_conic_solves_report_their_diagnostics():
     gens = _generators(3, 2, rng)
     for maps in ((), (identity,)):
         inside = sum(gens) + (random_psd(3, rng) if maps else 0.0)
-        for x, kind in ((inside, ConicCertificate), (-np.eye(3), Infeasible)):
+        for x, status in ((inside, IN), (-np.eye(3), OUT)):
             res = conic_feasibility(x, gens, maps)
-            assert isinstance(res, kind)
+            assert res.status == status
             assert res.iterations > 0 and res.converged is True
 
 
@@ -139,16 +138,16 @@ def test_conic_membership_verdicts_are_scale_invariant(seed, n_maps, shift):
     gens = _generators(4, 2, rng)
     maps = (identity, lambda X: partial_transpose(X, dims))[:n_maps]
     x = random_herm(4, rng) + shift * np.eye(4)
-    res = conic_feasibility(x, gens, maps)
-    if isinstance(res, ConicCertificate):
-        assume(isinstance(conic_feasibility(x - 1e-3 * np.eye(4), gens, maps),
-                          ConicCertificate))
+    v = conic_feasibility(x, gens, maps)
+    if v.status == IN:
+        assume(conic_feasibility(x - 1e-3 * np.eye(4), gens,
+                                 maps).status == IN)
     else:
-        assume(res.bound >= 1e-3)
-    v = conic_membership(x, gens, maps)
+        assume(v.status == OUT
+               and -v.margin / np.linalg.norm(v.witness) >= 1e-3)
     assert v.status in (IN, OUT)
     for scale in (1e-2, 1e2):
-        w = conic_membership(scale * x, gens, maps)
+        w = conic_feasibility(scale * x, gens, maps)
         assert (w.status, w.tier) == (v.status, v.tier)
 
 
@@ -183,17 +182,17 @@ def test_early_verdicts_agree_with_the_optimum(seed, n_maps, shift, inside):
     assert opt.converged
     t = opt.y[0]
     assume(abs(t) >= 1e-3 or (inside and not maps))
-    v = conic_membership(x, gens, maps)
+    v = conic_feasibility(x, gens, maps)
     assert v.status == (IN if t > 0 or inside and not maps else OUT)
-    res = conic_feasibility(x, gens, maps)
-    assert res.converged is True and res.iterations <= opt.iterations
+    assert v.converged is True and v.iterations <= opt.iterations
     if v.status == IN:
-        _check_certificate(res, x, gens, maps)
+        _check_certificate(v.witness, x, gens, maps)
     else:
-        _check_separator(res.witness, x, gens, maps)
+        _check_separator(v.witness, x, gens, maps)
         # Not the optimal bound, but at most the distance to a cone point
         # within -t of x in operator norm (x - t I with maps).
-        assert res.bound <= -t * np.linalg.norm(np.eye(4)) + 1e-9
+        assert -v.margin / np.linalg.norm(v.witness) \
+            <= -t * np.linalg.norm(np.eye(4)) + 1e-9
 
 
 @pytest.mark.parametrize("n_maps", [0, 1, 2])
@@ -206,10 +205,11 @@ def test_vertex_tier_decides_generators_without_a_solve(n_maps):
         xs = [g, g + 0.1 * random_psd(4, rng)] if maps else [g]
         for x in xs:
             res = conic_feasibility(x, gens, maps)
-            assert isinstance(res, ConicCertificate)
+            assert res.status == IN
+            assert isinstance(res.witness, ConicCertificate)
             assert res.iterations == 0 and res.converged is True
-            assert np.array_equal(res.coefficients, np.eye(3)[k])
-            _check_certificate(res, x, gens, maps)
+            assert np.array_equal(res.witness.coefficients, np.eye(3)[k])
+            _check_certificate(res.witness, x, gens, maps)
         assert conic_feasibility(g - 1e-3 * np.eye(4), gens,
                                  maps).iterations > 0
 
@@ -265,7 +265,7 @@ def test_cr_membership_witnesses(seed, m, r_frac, shift):
     assert v.status in (IN, OUT)
     if v.status == IN:
         assert min(trace_inner(x, g) for g in gens) >= -1e-9
-        assert v.witness.converged is True
+        assert v.converged is True
         _check_certificate(v.witness, x, gens, (identity,))
     elif v.tier == "npm-endpoint":
         assert trace_inner(v.witness, x) < 0
@@ -322,8 +322,8 @@ def test_decomposable_description_certificates(seed, dA_dB, m, shift):
     x = random_herm(d, rng) + shift * np.eye(d)
     maps = (identity, lambda X: partial_transpose(X, dims))
     res = conic_feasibility(x, gens, maps, tol=TOL)
-    if isinstance(res, ConicCertificate):
-        _check_certificate(res, x, gens, maps)
+    if res.status == IN:
+        _check_certificate(res.witness, x, gens, maps)
     else:
         _check_separator(res.witness, x, gens, maps)
 

@@ -169,6 +169,21 @@ def test_build_pses_needs_exactly_one_parameter(capsys):
     assert cli.run(["build-pses", "--r", "0.1", "--eps", "0.5"]) == 1
 
 
+@pytest.mark.parametrize("families", ["0", "-1", "5"])
+def test_build_pses_rejects_family_counts_out_of_range(families, capsys):
+    # The 2x2 Bell basis gives at most 4 families.
+    assert cli.run(["build-pses", "--r", "0.1",
+                    "--families", families]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ")
+
+
+def test_build_pses_three_families(capsys):
+    assert cli.run(["build-pses", "--r", "0.1", "--families", "3"]) == 0
+    rep = _stdout_report(capsys)
+    assert rep["pass"] and rep["families"] == 3
+
+
 def test_build_pses_eps_form(capsys):
     eps = 2.0 * np.sqrt(0.2 / 1.2)
     assert cli.run(["build-pses", "--eps", str(eps)]) == 0

@@ -27,7 +27,7 @@ from gptcone.cones import (
     ses_model,
     validate_measurement,
 )
-from gptcone.dual import conic_membership, identity
+from gptcone.dual import conic_feasibility, identity
 from gptcone.herm import BipartiteDims, ValidationError, partial_transpose, trace_inner
 from gptcone.pses import PsesParams, generalized_bell, npm_element, swap_pair
 from gptcone.sampling import random_herm, random_separable_state, random_state
@@ -258,11 +258,37 @@ def test_cone_rep_rejects_unknown_tags_and_missing_params(kwargs):
         ConeRep(**kwargs)
 
 
+def test_cr_cone_needs_pses_params_of_its_dims():
+    # Anything but a PsesParams, or one for another system, is rejected
+    # up front rather than failing inside the oracle.
+    fam = generalized_bell(2)
+    params = PsesParams(swap_pair(fam), 0.1, fam.dims)
+    for dims, pses in ((fam.dims, 1), (BipartiteDims(3, 3), params)):
+        with pytest.raises(ValidationError, match="PsesParams"):
+            ConeRep(dim=dims.total, oracle=CR, dims=dims,
+                    params={"pses": pses})
+    cone = ConeRep(dim=4, oracle=CR, dims=fam.dims, params={"pses": params})
+    assert membership(cone, np.eye(4)).status == IN
+
+
+def test_hull_without_a_description_is_in_only_by_decomposition():
+    # The shrunk Bloch cone has no conic description: x is In when it
+    # decomposes over the generators, and Unknown otherwise.
+    g = np.diag([1.0, 0.0])
+    cone = ConeRep(dim=2, oracle=SHRUNK_BLOCH, params={"p": 0.5},
+                   generators=[g])
+    v = membership(cone, 3.0 * g)
+    assert (v.status, v.tier) == (IN, "conic-feasibility")
+    assert np.allclose(v.witness.coefficients, [3.0], atol=1e-8)
+    v = membership(cone, np.array([[3.0, 0.1], [0.1, 0.0]]))
+    assert (v.status, v.tier) == (UNKNOWN, "affine-psd")
+
+
 def test_generator_cone_out_carries_the_separator():
     # cone(diagonal projectors) is the diagonal orthant: x is outside it.
     gens = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
     x = np.array([[1.0, 1.0], [1.0, 1.0]])
-    v = conic_membership(x, gens, ())
+    v = conic_feasibility(x, gens, ())
     assert v.status == OUT and v.tier == "conic-feasibility"
     assert trace_inner(v.witness, x) < 0
     assert all(trace_inner(v.witness, g) >= -1e-8 for g in gens)
@@ -431,8 +457,8 @@ def _reference_block_positive(x, dims, tol):
         return OUT, "product-search", val, np.outer(ab, ab.conj())
     if not exact:
         return UNKNOWN, "product-search", val, None
-    w = conic_membership(x, [], (identity, partial(partial_transpose,
-                                                   dims=dims)), 1e-8)
+    w = conic_feasibility(x, [], (identity, partial(partial_transpose,
+                                                    dims=dims)), 1e-8)
     return w.status, w.tier, w.margin, w.witness
 
 

@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from gptcone.cones import CLASSICAL_ORTHANT, make_named_cone
 from gptcone.discrimination import min_error_over_cone
+from gptcone import dual
 from gptcone.dual import (
     ConicCertificate,
-    Infeasible,
     _solve,
     conic_feasibility,
     dual_identity_check,
@@ -18,7 +18,7 @@ from gptcone.dual import (
 )
 from gptcone.herm import ValidationError, trace_inner
 from gptcone.sampling import random_herm, random_psd, random_state
-from gptcone.verdict import IN, OUT
+from gptcone.verdict import IN, OUT, UNKNOWN
 
 
 def _diag_gens():
@@ -38,24 +38,36 @@ def test_conic_feasibility_recovers_combination():
     gens = _diag_gens()
     x = 0.3 * gens[0] + 1.7 * gens[1]
     res = conic_feasibility(x, gens, ())
-    assert isinstance(res, ConicCertificate)
-    assert np.allclose(res.coefficients, [0.3, 1.7], atol=1e-6)
+    assert res.status == IN and isinstance(res.witness, ConicCertificate)
+    assert np.allclose(res.witness.coefficients, [0.3, 1.7], atol=1e-6)
 
 
 def test_conic_feasibility_with_psd_block():
     gens = [np.diag([1.0, -1.0]).astype(complex)]
     x = np.diag([2.0, 0.0]).astype(complex)  # = gen + diag(1,1)
     res = conic_feasibility(x, gens, (identity,))
-    assert isinstance(res, ConicCertificate)
-    rem = x - res.coefficients[0] * gens[0]
+    assert res.status == IN and isinstance(res.witness, ConicCertificate)
+    rem = x - res.witness.coefficients[0] * gens[0]
     assert np.linalg.eigvalsh(rem)[0] >= -1e-7
 
 
 def test_conic_feasibility_infeasible_bound():
     gens = _diag_gens()
     res = conic_feasibility(-np.eye(2), gens, (identity,))
-    assert isinstance(res, Infeasible)
-    assert res.bound > 0
+    assert res.status == OUT
+    assert -res.margin / np.linalg.norm(res.witness) > 0
+
+
+def test_conic_feasibility_reports_an_undecided_search(monkeypatch):
+    # One iteration neither decomposes x nor separates it: the verdict is
+    # Unknown, with the diagnostics of the solve that gave up.
+    monkeypatch.setattr(dual, "_MAX_ITER", 1)
+    rng = np.random.default_rng(1)
+    x = random_herm(3, rng)
+    gens = [random_herm(3, rng) for _ in range(2)]
+    v = conic_feasibility(x, gens, ())
+    assert v.status == UNKNOWN and v.witness is None
+    assert v.iterations == 1 and v.converged is False
 
 
 def test_gram_predual_check():

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from gptcone import dual
 from gptcone.cones import PSD, make_named_cone, membership
-from gptcone.dual import conic_membership
+from gptcone.dual import conic_feasibility
 from gptcone.herm import (
     BipartiteDims,
     ValidationError,
@@ -53,7 +53,7 @@ def test_non_finite_matrices_are_rejected(x):
     psd = make_named_cone(PSD, dim=2)
     for call in (ensure_herm, lambda x: ensure_herm(x, repair=True),
                  lambda x: membership(psd, x),
-                 lambda x: conic_membership(x, [np.eye(2)])):
+                 lambda x: conic_feasibility(x, [np.eye(2)])):
         with pytest.raises(ValidationError, match="non-finite"):
             call(x)
 

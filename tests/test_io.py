@@ -112,3 +112,9 @@ def test_cone_from_json_rejects_unknown_tags_and_missing_params():
     with pytest.raises(ValidationError):
         cone_from_json({"tag": "SHRUNK_BLOCH", "dim": 2,
                         "params": {"p": "0.5"}})
+
+
+def test_cr_cone_file_is_rejected():
+    # CR needs a PsesParams, which no JSON value is.
+    with pytest.raises(ValidationError, match="PsesParams"):
+        cone_from_json({"tag": "CR", "dims": [2, 2], "params": {"pses": 1}})

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gptcone.dual import ConicCertificate, Infeasible, conic_feasibility, identity
+from gptcone.dual import ConicCertificate, conic_feasibility, identity
 from gptcone.herm import (
     BipartiteDims,
     ValidationError,
@@ -298,8 +298,8 @@ def test_hierarchy_witness_is_conic_infeasible(bell_family):
         PsesParams(family_set=swap_pair(bell_family), r=0.1,
                    dims=bell_family.dims))
     witness = npm_element(0.2, bell_family)
-    assert isinstance(conic_feasibility(witness, gens, (identity,),
-                                        tol=1e-7), Infeasible)
+    assert conic_feasibility(witness, gens, (identity,),
+                             tol=1e-7).status == OUT
 
 
 def test_meop_family_validation_rejects_bad_sets(bell_family):
