@@ -19,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from .dual import _dual_membership, _feasibility, identity
+from .dual import _CONIC_TOL, _dual_membership, _feasibility, identity
 from .herm import (
     BipartiteDims,
     ValidationError,
@@ -62,6 +62,8 @@ class ConeRep:
                                   f"not match dimension {self.dim}")
         if self.oracle not in _NAMED:
             raise ValidationError(f"unknown cone tag {self.oracle!r}")
+        if not isinstance(self.params, dict):
+            raise ValidationError("params must be a dict")
         _, _, valid, needs, _ = _NAMED[self.oracle]
         try:
             ok = valid is None or valid(self)
@@ -159,22 +161,21 @@ def min_product_expectation(X, dims: BipartiteDims, restarts: int = 64):
     return best
 
 
-def gurvits_ball_contains(X, tol: float = 1e-9) -> bool:
-    """Sufficient separability condition ``||I - X * d/Tr X||_2 <= 1``."""
-    return _gurvits(ensure_herm(X), tol)
+def gurvits_ball_contains(X) -> bool:
+    """Sufficient separability condition ``||I - X d/Tr X||_2 <= 1 + 1e-9``."""
+    return _gurvits(ensure_herm(X))
 
 
-def _gurvits(X, tol):
+def _gurvits(X):
     d = X.shape[0]
     t = float(np.trace(X).real)
-    if t <= tol:
+    if t <= DEFAULT_TOL:
         return False
     scaled = X * (d / t)
-    return float(np.linalg.norm(np.eye(d) - scaled)) <= 1.0 + tol
+    return float(np.linalg.norm(np.eye(d) - scaled)) <= 1.0 + DEFAULT_TOL
 
 
-def block_positivity(x, dims: BipartiteDims,
-                     tol: float = DEFAULT_TOL) -> MembershipVerdict:
+def block_positivity(x, dims: BipartiteDims) -> MembershipVerdict:
     """:func:`membership` of ``x`` in SEP_DUAL, the block-positive cone.
 
     PSD x is In; a product vector from :func:`min_product_expectation`
@@ -185,22 +186,22 @@ def block_positivity(x, dims: BipartiteDims,
     or a separator W with W, W^Gamma PSD.  Above 6 the search makes 64
     descents, and a nonnegative minimum is Unknown.
     """
-    return membership(make_named_cone(SEP_DUAL, dims=dims), x, tol)
+    return membership(make_named_cone(SEP_DUAL, dims=dims), x)
 
 
-def _block_positivity(x, dims, tol, lam):
+def _block_positivity(x, dims, lam):
     """:func:`block_positivity` of checked x with least eigenvalue lam."""
-    if lam >= -tol:
+    if lam >= -DEFAULT_TOL:
         return MembershipVerdict(IN, margin=float(lam), tier="psd")
     exact = dims.total <= 6
     val, a, b = min_product_expectation(x, dims, restarts=1 if exact else 64)
-    if val < -tol:
+    if val < -DEFAULT_TOL:
         ab = np.kron(a, b)
         return MembershipVerdict(OUT, witness=np.outer(ab, ab.conj()),
                                  margin=val, tier="product-search")
     if exact:  # SEP_DUAL's conic description decides
         program = conic_program(make_named_cone(SEP_DUAL, dims=dims))
-        return _feasibility(x, *program, max(tol, 1e-8))
+        return _feasibility(x, *program, _CONIC_TOL)
     return MembershipVerdict(UNKNOWN, margin=val, tier="product-search")
 
 
@@ -208,28 +209,28 @@ def _units(d):
     return [np.diag(e) for e in np.eye(d, dtype=complex)]
 
 
-# The named oracles: ``oracle(x, cone, tol)`` decides ``x in K``
-# for the cone's tag, with x already validated against the cone.
+# The named oracles: ``oracle(x, cone)`` decides ``x in K`` to
+# DEFAULT_TOL for the cone's tag, with x already validated against the cone.
 
-def _psd(x, cone, tol, tier="eigenvalue"):
+def _psd(x, cone, tier="eigenvalue"):
     # The eigenvalues decide; only an Out witness needs an eigenvector.
     lam = float(np.linalg.eigvalsh(x)[0])
-    if lam >= -tol:
+    if lam >= -DEFAULT_TOL:
         return MembershipVerdict(IN, margin=lam, tier=tier)
     v = np.linalg.eigh(x)[1][:, 0]
     return MembershipVerdict(OUT, witness=np.outer(v, v.conj()), margin=lam,
                              tier=tier)
 
 
-def _sep(x, cone, tol):
-    if _gurvits(x, tol):
+def _sep(x, cone):
+    if _gurvits(x):
         return MembershipVerdict(IN, margin=0.0, tier="gurvits")
     dims = cone.dims
-    ppt = _psd(partial_transpose(x, dims), cone, tol, "ppt")
+    ppt = _psd(partial_transpose(x, dims), cone, "ppt")
     if ppt.status == OUT:
         ppt.witness = partial_transpose(ppt.witness, dims)
         return ppt
-    v = _psd(x, cone, tol)
+    v = _psd(x, cone)
     if v.status == OUT:
         return v
     if dims.total > 6:
@@ -240,14 +241,14 @@ def _sep(x, cone, tol):
                              tier="ppt-exact")
 
 
-def _block_positive(x, cone, tol):
-    return _block_positivity(x, cone.dims, tol, np.linalg.eigvalsh(x)[0])
+def _block_positive(x, cone):
+    return _block_positivity(x, cone.dims, np.linalg.eigvalsh(x)[0])
 
 
-def _diagonal(x, cone, tol):
+def _diagonal(x, cone):
     diag = x.diagonal().real
     k = int(np.argmin(diag))
-    if diag[k] >= -tol:
+    if diag[k] >= -DEFAULT_TOL:
         return MembershipVerdict(IN, margin=float(diag[k]), tier="diagonal")
     w = np.zeros_like(x)
     w[k, k] = 1.0
@@ -255,17 +256,17 @@ def _diagonal(x, cone, tol):
                              tier="diagonal")
 
 
-def _orthant(x, cone, tol):
+def _orthant(x, cone):
     off = -x
     np.fill_diagonal(off, 0.0)
     worst = float(np.max(np.abs(off)))
-    if worst > tol:
+    if worst > DEFAULT_TOL:
         return MembershipVerdict(OUT, witness=off, margin=-worst,
                                  tier="diagonal")
-    return _diagonal(x, cone, tol)
+    return _diagonal(x, cone)
 
 
-def _shrunk_bloch(x, cone, tol, dual=False):
+def _shrunk_bloch(x, cone, dual=False):
     # The cone is T(PSD) for the self-adjoint T(y) = p y + (1-p)/2 tr(y) I,
     # so x is in it when T^-1(x) is PSD and in its dual when T(x) is.  The
     # same map applied to the bottom eigenprojector is an Out witness.
@@ -275,34 +276,33 @@ def _shrunk_bloch(x, cone, tol, dual=False):
         t = (1 - p) / 2.0 * float(np.trace(y).real) * np.eye(cone.dim)
         return p * y + t if dual else (y - t) / p
 
-    v = _psd(shrink(x), cone, tol,
-             "shrunk-bloch-dual" if dual else "affine-psd")
+    v = _psd(shrink(x), cone, "shrunk-bloch-dual" if dual else "affine-psd")
     if v.status == OUT:
         v.witness = shrink(v.witness)
     return v
 
 
-def _cs_neg(x, cone, tol):
+def _cs_neg(x, cone):
     s = cone.params["s"]
     lam = np.linalg.eigvalsh(x)[0]
     excess = max(-float(lam), 0.0) - s * float(np.trace(x).real)
-    if excess > tol:
+    if excess > DEFAULT_TOL:
         v = np.linalg.eigh(x)[1][:, 0]
         witness = np.outer(v, v.conj()) + s * np.eye(cone.dim)
         return MembershipVerdict(OUT, witness=witness, margin=-excess,
                                  tier="nege")
-    bp = _block_positivity(x, cone.dims, tol, lam)
+    bp = _block_positivity(x, cone.dims, lam)
     if bp.status == OUT:
         return bp
     tier = "nege+" + bp.tier if bp.status == IN else "nege"
     return MembershipVerdict(bp.status, margin=bp.margin, tier=tier)
 
 
-def _cr(x, cone, tol):
-    return _cr_membership(x, cone.params["pses"], tol)
+def _cr(x, cone):
+    return _cr_membership(x, cone.params["pses"], DEFAULT_TOL)
 
 
-def _no_dual(x, cone, tol):
+def _no_dual(x, cone):
     return MembershipVerdict(UNKNOWN, tier="no-description")
 
 
@@ -346,7 +346,7 @@ def conic_program(cone: ConeRep):
 _RANK = {OUT: 0, UNKNOWN: 1, IN: 2}  # the worst verdict first
 
 
-def _evaluate(cone: ConeRep, x, tol: float, dual: bool) -> MembershipVerdict:
+def _evaluate(cone: ConeRep, x, dual: bool) -> MembershipVerdict:
     """Checked ``x`` in ``cone``, or in its dual when ``dual`` is set.
 
     The hull ``K + cone(G)`` is In when K says In, Out when K's Out
@@ -354,42 +354,39 @@ def _evaluate(cone: ConeRep, x, tol: float, dual: bool) -> MembershipVerdict:
     K's program and G (without a program, In only when x decomposes over G).
     The intersection ``K* intersect G*`` takes the worst of its parts.
     """
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
     gens = cone.generators
-    v = _NAMED[cone.oracle][dual](x, cone, tol)
+    v = _NAMED[cone.oracle][dual](x, cone)
 
     if dual:
-        parts = [v, _dual_membership(gens, x, tol)] if gens else [v]
+        parts = [v, _dual_membership(gens, x, DEFAULT_TOL)] if gens else [v]
         return min(parts, key=lambda part: (_RANK[part.status], part.margin))
 
     if v.status == IN or v.status == OUT and all(
-            _inner(v.witness, g) >= -tol for g in gens):
+            _inner(v.witness, g) >= -DEFAULT_TOL for g in gens):
         return v
-    tol = max(tol, 1e-8)
     program = conic_program(cone)
     if program is not None:
-        return _feasibility(x, *program, tol)
+        return _feasibility(x, *program, _CONIC_TOL)
     if gens:  # cone(G)'s separator certifies nothing for K + cone(G)
-        w = _feasibility(x, gens, (), tol)
+        w = _feasibility(x, gens, (), _CONIC_TOL)
         if w.status == IN:
             return w
     return MembershipVerdict(UNKNOWN, margin=v.margin, tier=v.tier)
 
 
-def membership(cone: ConeRep, x, tol: float = DEFAULT_TOL) -> MembershipVerdict:
-    """Tiered membership oracle for ``x in cone``."""
-    return _evaluate(cone, ensure_herm(x, dim=cone.dim), tol, dual=False)
+def membership(cone: ConeRep, x) -> MembershipVerdict:
+    """Tiered membership oracle for ``x in cone``, to :data:`DEFAULT_TOL`
+    (to 1e-8 where a conic solve decides)."""
+    return _evaluate(cone, ensure_herm(x, dim=cone.dim), dual=False)
 
 
-def dual_cone_membership(cone: ConeRep, x,
-                         tol: float = DEFAULT_TOL) -> MembershipVerdict:
-    """Membership of ``x`` in the *dual* of ``cone``.
+def dual_cone_membership(cone: ConeRep, x) -> MembershipVerdict:
+    """Membership of ``x`` in the *dual* of ``cone``, to :data:`DEFAULT_TOL`.
 
     Used to validate effects: the effect space of a model lives in the
     dual of its state cone.
     """
-    return _evaluate(cone, ensure_herm(x, dim=cone.dim), tol, dual=True)
+    return _evaluate(cone, ensure_herm(x, dim=cone.dim), dual=True)
 
 
 def validate_measurement(model: GptModel, effects) -> Measurement:
@@ -403,7 +400,7 @@ def validate_measurement(model: GptModel, effects) -> Measurement:
         raise MeasurementValidationError(
             f"effects sum to the unit only within {dev:.3e}")
     for k, e in enumerate(effects):
-        verdict = _evaluate(model.cone, e, DEFAULT_TOL, dual=True)
+        verdict = _evaluate(model.cone, e, dual=True)
         if verdict.status == OUT:
             raise MeasurementValidationError(
                 f"effect {k} is outside the dual cone (margin {verdict.margin:.3e})",

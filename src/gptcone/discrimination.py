@@ -10,10 +10,14 @@ from .dual import _min_over_effects
 from .herm import BipartiteDims, ValidationError, _inner, ensure_herm, partial_transpose
 
 
+def _effects(measurement) -> list:
+    """The ``.effects`` of a Measurement or a Dovm, or a list of effects."""
+    return list(getattr(measurement, "effects", measurement))
+
+
 def err_of_measurement(rho1, rho2, measurement) -> float:
     """Sum of the two error probabilities ``Tr rho1 M2 + Tr rho2 M1``."""
-    effects = measurement.effects if isinstance(measurement, Measurement) \
-        else list(measurement)
+    effects = _effects(measurement)
     if len(effects) != 2:
         raise ValidationError("error functional needs a 2-outcome measurement")
     rho1, rho2, m1, m2 = ensure_herm([rho1, rho2, *effects])
@@ -65,8 +69,7 @@ def min_error_over_cone(rho1, rho2,
 
 def perfectly_distinguishable(states, measurement, tol: float = 1e-9) -> bool:
     """True iff the outcome Gram matrix is the identity to ``tol``."""
-    effects = measurement.effects if isinstance(measurement, Measurement) \
-        else list(measurement)
+    effects = _effects(measurement)
     if len(states) != len(effects):
         raise ValidationError("state and effect counts differ")
     S, n = ensure_herm([*states, *effects]), len(states)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import DEFAULT_TOL, _block_positivity
+from .cones import _block_positivity
 from .herm import BipartiteDims, ValidationError, _inner, ensure_herm
 from .verdict import IN, OUT, MembershipVerdict
 
@@ -43,7 +43,7 @@ class Dovm:
             raise ValidationError(f"effects sum to I only within {dev:.3e}")
         if self.block_positivity_evidence is None:
             self.block_positivity_evidence = tuple(_block_positivity(
-                m, self.dims, DEFAULT_TOL, np.linalg.eigvalsh(m)[0])
+                m, self.dims, np.linalg.eigvalsh(m)[0])
                 for m in (self.m1, self.m2))
         for k, v in enumerate(self.block_positivity_evidence):
             if v.status == OUT:

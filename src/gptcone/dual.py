@@ -47,6 +47,7 @@ _TARGET = 1e-10
 _ACCEPT = 1e-8
 _MAX_ITER = 100
 _STALL_ITER = 5
+_CONIC_TOL = 1e-8  # of conic_feasibility and of membership's conic solves
 
 
 @dataclass
@@ -234,8 +235,8 @@ def _solve(b, c, A, blocks, certify=None) -> _Solution:
                      converged=bool(best_err <= _ACCEPT))
 
 
-def dual_membership(generators, x, tol: float = 1e-9) -> MembershipVerdict:
-    """Is ``<x, g> >= -tol`` for every generator?
+def dual_membership(generators, x) -> MembershipVerdict:
+    """Is ``<x, g> >= -1e-9`` for every generator?
 
     Decides membership in the dual of the conic hull of ``generators``.
     An Out verdict carries the violating generator as witness.
@@ -243,7 +244,7 @@ def dual_membership(generators, x, tol: float = 1e-9) -> MembershipVerdict:
     if not len(generators):
         raise ValueError("dual_membership needs at least one generator")
     S = ensure_herm([x, *generators])
-    return _dual_membership(S[1:], S[0], tol)
+    return _dual_membership(S[1:], S[0], 1e-9)
 
 
 def _dual_membership(gens, x, tol) -> MembershipVerdict:
@@ -255,8 +256,8 @@ def _dual_membership(gens, x, tol) -> MembershipVerdict:
     return MembershipVerdict(OUT, witness=gens[k], margin=float(vals[k]))
 
 
-def gram_predual_check(generators, tol: float = 1e-9):
-    """Pairwise-Gram nonnegativity of a generating set.
+def gram_predual_check(generators):
+    """Pairwise-Gram nonnegativity of a generating set, to 1e-9.
 
     If all ``<g_i, g_j> >= 0`` then the generated cone D satisfies
     D subset D*, so C := D* contains its own dual C* = closure of D.
@@ -264,7 +265,7 @@ def gram_predual_check(generators, tol: float = 1e-9):
     """
     if not len(generators):
         raise ValueError("gram_predual_check needs at least one generator")
-    return _gram_check(ensure_herm(list(generators)), tol)
+    return _gram_check(ensure_herm(list(generators)), 1e-9)
 
 
 def _gram_check(gens, tol):
@@ -316,8 +317,8 @@ def _w_form(x, halfspaces, maps, certify=None) -> _Solution:
     return _solve(np.eye(1, n)[0], np.zeros(K), A, blocks, certify)
 
 
-def conic_feasibility(x, generators, maps=(identity,), tol: float = 1e-8):
-    """Decide ``x in cone(generators) + sum_L L(PSD)``, certified.
+def conic_feasibility(x, generators, maps=(identity,)):
+    """Decide ``x in cone(generators) + sum_L L(PSD)``, certified to 1e-8.
 
     ``(generators, maps)`` is a conic description: ``maps`` lists the
     self-adjoint linear maps whose images of PSD the cone contains, ``()``
@@ -325,16 +326,16 @@ def conic_feasibility(x, generators, maps=(identity,), tol: float = 1e-8):
     for PSD + PSD^Gamma; a nonempty list begins with :func:`identity`.
 
     In: the witness is a :class:`ConicCertificate` whose x less the
-    generators and mapped parts is within ``tol`` of PSD (of zero without
+    generators and mapped parts is within 1e-8 of PSD (of zero without
     maps), the margin minus its residual.  Out: the witness is a separator
-    W with ``<W, g_k> >= -tol`` and each ``L(W)`` PSD to ``-tol``, the
+    W with ``<W, g_k> >= -1e-8`` and each ``L(W)`` PSD to ``-1e-8``, the
     margin ``<W, x> < 0``, and ``-<W, x> / ||W||_HS`` a lower bound on the
     distance from x to the cone.  Unknown, without witness, when neither
     verified.  Tiers: ``decomposition`` (In) and ``spectrahedron-search``
     with maps, ``conic-feasibility`` without.  The first tier that
     certifies answers:
 
-    - the vertex tier: ``x - v`` within ``tol`` of PSD (of zero without
+    - the vertex tier: ``x - v`` within 1e-8 of PSD (of zero without
       maps) for v = 0 or a generator g_k gives In with coefficients e_k
       (0 for v = 0) and 0 iterations, without a solve;
     - one solve of :func:`_w_form`, stopped at the first iterate whose
@@ -345,7 +346,7 @@ def conic_feasibility(x, generators, maps=(identity,), tol: float = 1e-8):
       certificate or on its gap target.
     """
     S = ensure_herm([x, *generators])
-    return _feasibility(S[0], S[1:], maps, tol)
+    return _feasibility(S[0], S[1:], maps, _CONIC_TOL)
 
 
 def _verdict(status, witness, margin, maps, sol=None) -> MembershipVerdict:
@@ -428,7 +429,7 @@ def _certificate(x, gens, maps, tol, sol):
     return None
 
 
-def min_over_spectrahedron(x, halfspaces=(), tol: float = 1e-9):
+def min_over_spectrahedron(x, halfspaces=()):
     """Minimum of ``<x, y>`` over trace-one PSD ``y`` meeting
     ``<y, h> >= 0`` for every halfspace ``h``; returns ``(value, y)``.
 
@@ -436,12 +437,11 @@ def min_over_spectrahedron(x, halfspaces=(), tol: float = 1e-9):
     gap.  A negative value is a witness that ``x`` is outside the dual of
     ``PSD intersect halfspaces``, i.e. outside ``PSD + cone(halfspaces)``.
     Raises :class:`ValidationError` when the solve does not reach a gap of
-    ``tol`` (for instance when no trace-one PSD ``y`` meets the
-    halfspaces).
+    1e-9 (for instance when no trace-one PSD ``y`` meets the halfspaces).
     """
     S = ensure_herm([x, *halfspaces])
     sol = _w_form(S[0], S[1:], (identity,))
-    if not sol.converged or abs(sol.gap) > tol:
+    if not sol.converged or abs(sol.gap) > 1e-9:
         raise ValidationError("spectrahedron solve did not converge "
                               f"(duality gap {sol.gap:.3e})")
     y = _herm(sol.X[0])

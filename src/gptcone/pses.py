@@ -10,7 +10,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dual import (
-    ConicCertificate,
     _dual_membership,
     _feasibility,
     _gram_check,
@@ -23,7 +22,7 @@ from .herm import (
     ensure_herm,
     partial_trace,
 )
-from .verdict import IN, OUT, MembershipVerdict
+from .verdict import OUT, MembershipVerdict
 
 
 @dataclass
@@ -149,24 +148,23 @@ def r_of_eps(eps: float) -> float:
     return eps * eps / (2.0 * (4.0 - eps * eps))
 
 
-def cr_membership(x, params: PsesParams,
-                  tol: float = 1e-9) -> MembershipVerdict:
-    """Membership in the deformed cone ``(C_r^(0)* + NPM_r)*``.
+def cr_membership(x, params: PsesParams) -> MembershipVerdict:
+    """Membership in the deformed cone ``(C_r^(0)* + NPM_r)*``, to 1e-9.
 
     The dual of SES + NPM_r is ``PSD intersect {<., N_k> >= 0}``, whose
     own dual is ``PSD + cone(N_k)``.  So x is In exactly when it pairs
     nonnegatively with every deformation endpoint N_k and decomposes as
     ``x = sum_k lam_k N_k + P`` with ``lam >= 0`` and P PSD.  A negative
-    endpoint pairing gives Out with that endpoint as witness; PSD x
-    clearing the pairings is In with ``lam = 0, P = x``.  Otherwise
-    :func:`conic_feasibility` over ``PSD + cone(N_k)`` decides: an x with
-    ``x - N_k`` PSD, such as the endpoint N_k itself, is In by its vertex
-    tier without a solve, and any other x gets the verdict of the first
-    solver iterate that re-verifies, with that solve's ``gap``,
-    ``iterations`` and ``converged``.  An Out margin ``<W, x>`` there is
-    that of a checked separator W, not the least pairing over the dual.
+    endpoint pairing gives Out with that endpoint as witness.  Otherwise
+    :func:`conic_feasibility` over ``PSD + cone(N_k)`` decides: a PSD x,
+    or an x with ``x - N_k`` PSD such as the endpoint N_k itself, is In by
+    its vertex tier without a solve (tier ``decomposition``, 0 iterations),
+    and any other x gets the verdict of the first solver iterate that
+    re-verifies, with that solve's ``gap``, ``iterations`` and
+    ``converged``.  An Out margin ``<W, x>`` there is that of a checked
+    separator W, not the least pairing over the dual.
     """
-    return _cr_membership(ensure_herm(x, dim=params.dims.total), params, tol)
+    return _cr_membership(ensure_herm(x, dim=params.dims.total), params, 1e-9)
 
 
 def _cr_membership(x, params, tol):
@@ -174,11 +172,6 @@ def _cr_membership(x, params, tol):
     v = _dual_membership(gens, x, tol)
     if v.status == OUT:
         return replace(v, tier="npm-endpoint")
-    lam = float(np.linalg.eigvalsh(x)[0])
-    if lam >= 0.0:
-        return MembershipVerdict(
-            IN, witness=ConicCertificate(np.zeros(len(gens)), x, 0.0),
-            margin=min(lam, v.margin), tier="psd")
     return _feasibility(x, gens, (identity,), tol)
 
 

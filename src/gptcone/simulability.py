@@ -20,12 +20,13 @@ class SimulabilityCertificate:
     detail: str = ""
 
 
-def domain_contains(measurement: Dovm, rho, tol: float = 1e-9) -> bool:
-    """Whether a PSD state gives valid probabilities on both effects."""
+def domain_contains(measurement: Dovm, rho) -> bool:
+    """Whether a PSD state gives valid probabilities on both effects, to
+    1e-8.  A state with an eigenvalue below -1e-8 raises."""
     rho, *effects = ensure_herm([rho, *measurement.effects])
-    if np.linalg.eigvalsh(rho)[0] < -tol:
+    if np.linalg.eigvalsh(rho)[0] < -1e-8:
         raise ValidationError("domain membership is defined for PSD states")
-    return all(_inner(rho, m) >= -tol for m in effects)
+    return all(_inner(rho, m) >= -1e-8 for m in effects)
 
 
 def n_copy_overlap(rho1, rho2, n: int) -> float:
@@ -58,7 +59,7 @@ def non_simulability_certificate(measurement: Dovm,
     else:
         rho1, rho2 = ensure_herm(list(states))
     for rho in (rho1, rho2):
-        if not domain_contains(measurement, rho, 1e-8):
+        if not domain_contains(measurement, rho):
             return SimulabilityCertificate(
                 status="Inconclusive",
                 detail="candidate state fell outside the measurement domain")

@@ -96,7 +96,7 @@ def test_conic_feasibility_certificates(seed, d, m, maps, inside):
             x = x + random_psd(d, rng)
     else:
         x = random_herm(d, rng)
-    res = conic_feasibility(x, gens, maps, tol=TOL)
+    res = conic_feasibility(x, gens, maps)
     assert res.converged is True
     if res.status == IN:
         _check_certificate(res.witness, x, gens, maps)
@@ -239,7 +239,7 @@ def test_min_over_spectrahedron_argmin_is_feasible(seed, d, m):
     rng = np.random.default_rng(seed)
     x = random_herm(d, rng)
     hs = _generators(d, m, rng)
-    val, y = min_over_spectrahedron(x, hs, tol=TOL)
+    val, y = min_over_spectrahedron(x, hs)
     assert np.trace(y).real == pytest.approx(1.0, abs=1e-9)
     assert np.linalg.eigvalsh(y)[0] >= -1e-12
     assert all(trace_inner(y, h) >= -1e-9 for h in hs)
@@ -321,7 +321,7 @@ def test_decomposable_description_certificates(seed, dA_dB, m, shift):
     gens = _generators(d, m, rng)
     x = random_herm(d, rng) + shift * np.eye(d)
     maps = (identity, lambda X: partial_transpose(X, dims))
-    res = conic_feasibility(x, gens, maps, tol=TOL)
+    res = conic_feasibility(x, gens, maps)
     if res.status == IN:
         _check_certificate(res.witness, x, gens, maps)
     else:

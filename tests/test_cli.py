@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,17 @@ def _write_fixture_measurement(tmp_path):
 
 def _stdout_report(capsys):
     return json.loads(capsys.readouterr().out)
+
+
+def test_cli_module_runs_as_a_script():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "gptcone.cli", "verify-appendix", "--seed", "0"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["pass"] is True
 
 
 def test_classify_fixture(tmp_path, capsys):

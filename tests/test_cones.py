@@ -31,6 +31,7 @@ from gptcone.dual import conic_feasibility, identity
 from gptcone.herm import BipartiteDims, ValidationError, partial_transpose, trace_inner
 from gptcone.pses import PsesParams, generalized_bell, npm_element, swap_pair
 from gptcone.sampling import random_herm, random_separable_state, random_state
+from gptcone.simulability import domain_contains
 from gptcone.verdict import IN, OUT, UNKNOWN
 
 
@@ -219,8 +220,37 @@ def test_dual_cone_membership_validates_like_membership():
     for check in (membership, dual_cone_membership):
         with pytest.raises(ValidationError):
             check(cone, np.eye(2))
-        with pytest.raises(ValidationError):
-            check(cone, np.eye(3), tol=0.0)
+
+
+def _psd_membership(eps, dovm):
+    return membership(make_named_cone(PSD, dim=2), np.diag([1.0, -eps])).status
+
+
+def _domain(eps, dovm):
+    # Least eigenvalue -eps; both effects of the appendix DOVM pair
+    # nonnegatively with it.
+    try:
+        domain_contains(dovm, np.diag([0.5, 0.25, 0.25 + eps, -eps]))
+    except ValidationError:
+        return "raises"
+    return "accepts"
+
+
+def _conic(eps, dovm):
+    g = np.array([[1.0, 0.5], [0.5, -0.2]])
+    return conic_feasibility(g - eps * np.eye(2), [g]).status
+
+
+@pytest.mark.parametrize("decide,eps,expected", [
+    (_psd_membership, 5e-10, IN), (_psd_membership, 2e-9, OUT),
+    (_domain, 5e-9, "accepts"), (_domain, 2e-8, "raises"),
+    (_conic, 2e-9, IN), (_conic, 2e-8, OUT),
+], ids=["membership-in", "membership-out", "domain-accepts", "domain-raises",
+        "conic-in", "conic-out"])
+def test_fixed_tolerances_at_their_boundary(decide, eps, expected, e_dovm):
+    # membership decides to 1e-9, domain_contains to 1e-8 and
+    # conic_feasibility to 1e-8 (its vertex tier: ||(-eps I)_-|| = eps√2).
+    assert decide(eps, e_dovm) == expected
 
 
 def test_hull_contains_its_own_generators():
@@ -252,6 +282,8 @@ def test_hull_contains_its_own_generators():
     {"dim": 4, "oracle": CS_NEG, "dims": BipartiteDims(2, 2)},
     {"dim": 4, "oracle": CS_NEG, "params": {"s": 0.1}},
     {"dim": 4, "oracle": CR, "dims": BipartiteDims(2, 2)},
+    {"dim": 2, "oracle": SHRUNK_BLOCH, "params": 1},
+    {"dim": 2, "oracle": SHRUNK_BLOCH, "params": [1]},
 ])
 def test_cone_rep_rejects_unknown_tags_and_missing_params(kwargs):
     with pytest.raises(ValidationError):
@@ -381,11 +413,6 @@ def test_block_positivity_rejects_invalid_input(x, dims):
         block_positivity(x, dims)
 
 
-def test_block_positivity_rejects_a_nonpositive_tol():
-    with pytest.raises(ValidationError):
-        block_positivity(np.eye(4), BipartiteDims(2, 2), tol=-1.0)
-
-
 @pytest.fixture
 def ensure_herm_calls(monkeypatch):
     """Counts ``ensure_herm`` calls, patched in every gptcone module that
@@ -458,7 +485,7 @@ def _reference_block_positive(x, dims, tol):
     if not exact:
         return UNKNOWN, "product-search", val, None
     w = conic_feasibility(x, [], (identity, partial(partial_transpose,
-                                                    dims=dims)), 1e-8)
+                                                    dims=dims)))
     return w.status, w.tier, w.margin, w.witness
 
 

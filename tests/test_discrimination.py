@@ -215,6 +215,13 @@ def test_perfectly_distinguishable(e_pair, entropy_quartet):
                                          [p1, np.eye(4) - p1])
 
 
+def test_a_dovm_is_a_measurement(e_dovm, entropy_quartet):
+    rho1, rho2, _, _ = entropy_quartet
+    assert err_of_measurement(rho1, rho2, e_dovm) == pytest.approx(0.0,
+                                                                   abs=1e-12)
+    assert perfectly_distinguishable([rho1, rho2], e_dovm)
+
+
 def test_arai_criterion():
     up, dn = np.diag([1.0, 0]).astype(complex), np.diag([0, 1.0]).astype(complex)
     # Same local pairs on both sides: lhs = 2 > 1 -> criterion fails.

@@ -298,8 +298,7 @@ def test_hierarchy_witness_is_conic_infeasible(bell_family):
         PsesParams(family_set=swap_pair(bell_family), r=0.1,
                    dims=bell_family.dims))
     witness = npm_element(0.2, bell_family)
-    assert conic_feasibility(witness, gens, (identity,),
-                             tol=1e-7).status == OUT
+    assert conic_feasibility(witness, gens, (identity,)).status == OUT
 
 
 def test_meop_family_validation_rejects_bad_sets(bell_family):

@@ -58,7 +58,7 @@ def test_separable_cone_orbit_invariance(dims22):
                 bell]
     for kind in (LOCAL_UNITARY, LOCAL_WITH_TRANSPOSE, SWAP_FACTORS):
         rep = orbit_invariance_check(cone, TransformSpec(kind, dims22),
-                                     elements, samples=10)
+                                     elements)
         assert rep["invariant"]
         assert rep["checked"] > 0
 
@@ -67,7 +67,7 @@ def test_psd_global_orbit_invariance(dims22):
     cone = ConeRep(dim=4, oracle=PSD, dims=dims22)
     elements = [np.diag([0.5, 0.3, 0.2, 0.0]).astype(complex)]
     rep = orbit_invariance_check(cone, TransformSpec(GLOBAL_UNITARY, dims22),
-                                 elements, samples=10)
+                                 elements)
     assert rep["invariant"]
 
 
