@@ -7,7 +7,6 @@ tests."""
 
 from .cones import (
     CLASSICAL_ORTHANT,
-    CR,
     CS_NEG,
     PSD,
     SEP,

@@ -3,13 +3,16 @@
 A :class:`ConeRep` with the named cone K of its tag and generators G
 denotes the hull ``K + cone(G)``, whose dual is ``K* intersect G*``; the
 tag defaults to PSD, so a ConeRep without one is ``PSD + cone(G)``, the
-form of the deformed structures SES + NPM_r.  Pure cone(G) and the cone
-G* cut out by halfspaces are decided in :mod:`gptcone.dual`.  Each named
-cone and its dual are written once, in one table (PSD is self-dual, SEP
-and SEP_DUAL are each other's duals).  Membership returns In or Out with
-the deciding tier and, for Out, a witness W with ``<W, x> < 0``; it
-returns Unknown honestly when no tier is decisive (separability is not
-decidable at tolerance in general).
+form of the deformed structures SES + NPM_r (past its endpoint-pairing
+screen, :func:`gptcone.pses.cr_membership` asks the same conic question).
+Pure cone(G) and the cone G* cut out by halfspaces are decided in
+:mod:`gptcone.dual`.  Each named cone and its dual are written once, in
+one table (PSD is self-dual, SEP and SEP_DUAL are each other's duals).
+Membership returns In or Out with the deciding tier and, for Out, a
+witness W with ``<W, x> < 0``; it returns Unknown honestly when no tier
+is decisive (separability is not decidable at tolerance in general).
+The named oracles decide to :data:`DEFAULT_TOL`, 1e-9, and a conic solve
+to the library's one conic tolerance, 1e-8.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from .dual import _CONIC_TOL, _dual_membership, _feasibility, identity
+from .dual import _dual_membership, _feasibility, identity
 from .herm import (
     BipartiteDims,
     ValidationError,
@@ -28,7 +31,6 @@ from .herm import (
     ensure_herm,
     partial_transpose,
 )
-from .pses import PsesParams, _cr_membership
 from .verdict import IN, OUT, UNKNOWN, MembershipVerdict
 
 PSD = "PSD"
@@ -37,7 +39,6 @@ SEP_DUAL = "SEP_DUAL"
 CLASSICAL_ORTHANT = "CLASSICAL_ORTHANT"
 SHRUNK_BLOCH = "SHRUNK_BLOCH"
 CS_NEG = "CS_NEG"
-CR = "CR"
 
 DEFAULT_TOL = 1e-9
 
@@ -201,7 +202,7 @@ def _block_positivity(x, dims, lam):
                                  margin=val, tier="product-search")
     if exact:  # SEP_DUAL's conic description decides
         program = conic_program(make_named_cone(SEP_DUAL, dims=dims))
-        return _feasibility(x, *program, _CONIC_TOL)
+        return _feasibility(x, *program)
     return MembershipVerdict(UNKNOWN, margin=val, tier="product-search")
 
 
@@ -298,10 +299,6 @@ def _cs_neg(x, cone):
     return MembershipVerdict(bp.status, margin=bp.margin, tier=tier)
 
 
-def _cr(x, cone):
-    return _cr_membership(x, cone.params["pses"], DEFAULT_TOL)
-
-
 def _no_dual(x, cone):
     return MembershipVerdict(UNKNOWN, tier="no-description")
 
@@ -327,11 +324,6 @@ _NAMED = {
     CS_NEG: (_cs_neg, _no_dual,
              lambda c: _bipartite(c) and c.params.get("s", -1) >= 0,
              "bipartite dims and s >= 0", None),
-    CR: (_cr, _no_dual,
-         lambda c: isinstance(c.params.get("pses"), PsesParams)
-         and c.params["pses"].dims == c.dims,
-         "a PsesParams with the cone's bipartite dims as params['pses']",
-         None),
 }
 
 
@@ -366,9 +358,9 @@ def _evaluate(cone: ConeRep, x, dual: bool) -> MembershipVerdict:
         return v
     program = conic_program(cone)
     if program is not None:
-        return _feasibility(x, *program, _CONIC_TOL)
+        return _feasibility(x, *program)
     if gens:  # cone(G)'s separator certifies nothing for K + cone(G)
-        w = _feasibility(x, gens, (), _CONIC_TOL)
+        w = _feasibility(x, gens, ())
         if w.status == IN:
             return w
     return MembershipVerdict(UNKNOWN, margin=v.margin, tier=v.tier)

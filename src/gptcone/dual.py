@@ -23,17 +23,16 @@ from .verdict import IN, OUT, UNKNOWN, MembershipVerdict
 
 @dataclass
 class ConicCertificate:
-    """``x = sum_k coefficients[k] g_k + psd_part + sum_j L_j(P_j)`` up to
-    ``residual``, L_j the maps after the identity, P_j ``mapped_parts[j]``.
-
-    The coefficients are nonnegative, the parts PSD (``psd_part`` is None
-    without maps) and ``residual`` is the Hilbert-Schmidt norm of what the
-    decomposition misses.  It is the witness of an In verdict; the
-    diagnostics of the solve it was read from are on that verdict.
+    """``x - sum_k coefficients[k] g_k - sum_j L_j(P_j)`` is within
+    ``residual`` of PSD (of zero without maps), L_j the maps after the
+    identity, P_j ``mapped_parts[j]``: the coefficients are nonnegative,
+    the parts PSD, and ``residual`` is the norm of that remainder's
+    negative eigenvalues (of the remainder without maps).  It is the
+    witness of an In verdict; the diagnostics of the solve it was read
+    from are on that verdict.
     """
 
     coefficients: np.ndarray
-    psd_part: np.ndarray | None
     residual: float
     mapped_parts: list = field(default_factory=list)
 
@@ -47,7 +46,7 @@ _TARGET = 1e-10
 _ACCEPT = 1e-8
 _MAX_ITER = 100
 _STALL_ITER = 5
-_CONIC_TOL = 1e-8  # of conic_feasibility and of membership's conic solves
+_CONIC_TOL = 1e-8  # of every conic decision, In or Out
 
 
 @dataclass
@@ -265,14 +264,14 @@ def gram_predual_check(generators):
     """
     if not len(generators):
         raise ValueError("gram_predual_check needs at least one generator")
-    return _gram_check(ensure_herm(list(generators)), 1e-9)
+    return _gram_check(ensure_herm(list(generators)))
 
 
-def _gram_check(gens, tol):
+def _gram_check(gens):
     gram = _op(_stack(gens, len(gens[0])), gens)
     i, j = np.unravel_index(np.argmin(gram), gram.shape)
     worst = float(gram[i, j])
-    return worst >= -tol, ((int(i), int(j)), worst)
+    return worst >= -1e-9, ((int(i), int(j)), worst)
 
 
 def identity(X):
@@ -281,10 +280,17 @@ def identity(X):
 
 
 def _psd_part(R):
-    """The PSD part of Hermitian R and the norm of the part it drops."""
+    """The PSD part of Hermitian R."""
     vals, vecs = np.linalg.eigh(R)
-    return ((vecs * np.maximum(vals, 0.0)) @ vecs.conj().T,
-            float(np.linalg.norm(np.minimum(vals, 0.0))))
+    return (vecs * np.maximum(vals, 0.0)) @ vecs.conj().T
+
+
+def _miss(R, maps):
+    """Distance of R (or of each matrix of a stack) from PSD by the norm
+    of its negative eigenvalues with maps, from zero without."""
+    if maps:
+        return np.linalg.norm(np.minimum(np.linalg.eigvalsh(R), 0.0), axis=-1)
+    return np.linalg.norm(R, axis=(-2, -1))
 
 
 def _w_form(x, halfspaces, maps, certify=None) -> _Solution:
@@ -325,11 +331,13 @@ def conic_feasibility(x, generators, maps=(identity,)):
     for cone(G), ``(identity,)`` for PSD + cone(G), ``(identity, Gamma)``
     for PSD + PSD^Gamma; a nonempty list begins with :func:`identity`.
 
-    In: the witness is a :class:`ConicCertificate` whose x less the
-    generators and mapped parts is within 1e-8 of PSD (of zero without
-    maps), the margin minus its residual.  Out: the witness is a separator
-    W with ``<W, g_k> >= -1e-8`` and each ``L(W)`` PSD to ``-1e-8``, the
-    margin ``<W, x> < 0``, and ``-<W, x> / ||W||_HS`` a lower bound on the
+    1e-8 is the one tolerance of every conic decision in the library.
+    In: the witness is a :class:`ConicCertificate` whose ``residual``, the
+    distance of x less its weighted generators and mapped parts from PSD
+    (from zero without maps), is within it, the margin minus that
+    residual.  Out: the witness is a separator W with
+    ``<W, g_k> >= -1e-8`` and each ``L(W)`` PSD to ``-1e-8``, the margin
+    ``<W, x> < 0``, and ``-<W, x> / ||W||_HS`` a lower bound on the
     distance from x to the cone.  Unknown, without witness, when neither
     verified.  Tiers: ``decomposition`` (In) and ``spectrahedron-search``
     with maps, ``conic-feasibility`` without.  The first tier that
@@ -346,7 +354,7 @@ def conic_feasibility(x, generators, maps=(identity,)):
       certificate or on its gap target.
     """
     S = ensure_herm([x, *generators])
-    return _feasibility(S[0], S[1:], maps, _CONIC_TOL)
+    return _feasibility(S[0], S[1:], maps)
 
 
 def _verdict(status, witness, margin, maps, sol=None) -> MembershipVerdict:
@@ -359,60 +367,51 @@ def _verdict(status, witness, margin, maps, sol=None) -> MembershipVerdict:
     return MembershipVerdict(status, witness, margin, tier, *diagnostics)
 
 
-def _feasibility(x, gens, maps, tol) -> MembershipVerdict:
+def _feasibility(x, gens, maps) -> MembershipVerdict:
     if maps and maps[0] is not identity:
         raise ValueError("a nonempty list of maps begins with the identity")
     gens = _stack(gens, x.shape[0])
-    vertex = _vertex(x, gens, maps, tol)
+    vertex = _vertex(x, gens, maps)
     if vertex is not None:
         return vertex
-    sol = _w_form(x, gens, maps,
-                  lambda it: _certificate(x, gens, maps, tol, it))
+    sol = _w_form(x, gens, maps, lambda it: _certificate(x, gens, maps, it))
     if sol.certificate is not None:
         return sol.certificate
     return _verdict(UNKNOWN, None, 0.0, maps, sol)
 
 
-def _vertex(x, gens, maps, tol):
+def _vertex(x, gens, maps):
     """The vertex tier: In with coefficients e_k when ``x - g_k`` is
-    within ``tol`` of PSD (of zero without maps), or with coefficients 0
+    within 1e-8 of PSD (of zero without maps), or with coefficients 0
     when x itself is; the closest of these, by one stacked eigvalsh.  None
     when no vertex is that close."""
-    R = x - np.concatenate([np.zeros_like(x)[None], gens])
-    if maps:
-        miss = np.linalg.norm(np.minimum(np.linalg.eigvalsh(R), 0.0), axis=1)
-    else:
-        miss = np.linalg.norm(R, axis=(1, 2))
+    miss = _miss(x - np.concatenate([np.zeros_like(x)[None], gens]), maps)
     k = int(np.argmin(miss))
-    if miss[k] > tol:
+    if miss[k] > _CONIC_TOL:
         return None
-    coefficients = np.eye(len(gens) + 1)[k, 1:]
-    psd_part, residual = _psd_part(R[k]) if maps else (None, float(miss[k]))
-    cert = ConicCertificate(coefficients, psd_part, residual,
+    cert = ConicCertificate(np.eye(len(gens) + 1)[k, 1:], float(miss[k]),
                             [np.zeros_like(x) for _ in maps[1:]])
-    return _verdict(IN, cert, -residual, maps)
+    return _verdict(IN, cert, -cert.residual, maps)
 
 
-def _certificate(x, gens, maps, tol, sol):
+def _certificate(x, gens, maps, sol):
     """The In verdict, or else the Out verdict, that one iterate of
     :func:`_w_form` gives if it re-verifies; None when neither does.
 
     In: the weights ``max(y_k, 0)`` and the PSD parts of the Q_L leave x
-    within ``tol`` of PSD (of zero without maps).  Out: W, scaled to the
-    program's normalisation, has ``<W, g_k> >= -tol``, each ``L(W)`` PSD
-    to ``-tol`` and ``<W, x> < 0``.
+    within 1e-8 of PSD (of zero without maps).  Out: W, scaled to the
+    program's normalisation, has ``<W, g_k> >= -1e-8``, each ``L(W)`` PSD
+    to ``-1e-8`` and ``<W, x> < 0``.
     """
     m = len(gens)
     lam = np.maximum(sol.y[1:m + 1], 0.0)
     E = _basis(len(x))
-    parts = [_psd_part(-_adj(E, z))[0]
-             for z in sol.y[m + 1:].reshape(-1, len(E))]
+    parts = [_psd_part(-_adj(E, z)) for z in sol.y[m + 1:].reshape(-1, len(E))]
     R = x - _adj(gens, lam) - sum((L(P) for L, P in zip(maps[1:], parts)),
                                   np.zeros_like(x))
-    psd_part, residual = _psd_part(R) if maps \
-        else (None, float(np.linalg.norm(R)))
-    if residual <= tol:
-        return _verdict(IN, ConicCertificate(lam, psd_part, residual, parts),
+    residual = float(_miss(R, maps))
+    if residual <= _CONIC_TOL:
+        return _verdict(IN, ConicCertificate(lam, residual, parts),
                         -residual, maps, sol)
 
     # The program asks tr W = 1 with maps, tr X_0 + tr X_1 = 1 without.
@@ -422,8 +421,9 @@ def _certificate(x, gens, maps, tol, sol):
         W, scale = sol.X[0] - sol.X[1], np.trace(sol.X[0] + sol.X[1]).real
     W = _herm(W) / scale
     pairing = _inner(W, x)
-    separates = pairing < 0.0 and bool(np.all(_op(gens, W) >= -tol)) and all(
-        np.linalg.eigvalsh(L(W))[0] >= -tol for L in maps)
+    separates = pairing < 0.0 and bool(
+        np.all(_op(gens, W) >= -_CONIC_TOL)) and all(
+        np.linalg.eigvalsh(L(W))[0] >= -_CONIC_TOL for L in maps)
     if separates:
         return _verdict(OUT, W, pairing, maps, sol)
     return None

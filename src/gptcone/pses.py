@@ -38,7 +38,8 @@ class MeopFamily:
             raise ValidationError("maximally entangled families need dA == dB")
         if len(self.projectors) != self.dims.total:
             raise ValidationError("family must span the composite space")
-        self.projectors = list(ensure_herm(list(self.projectors)))
+        self.projectors = list(ensure_herm(list(self.projectors),
+                                           dim=self.dims.total))
 
     def validate(self):
         m = self.dims.dA
@@ -59,7 +60,8 @@ class MeopFamily:
 
 @dataclass
 class PsesParams:
-    """A subset of MEOP families together with the deformation size r."""
+    """A subset of MEOP families on ``dims`` together with the finite
+    deformation size ``r >= 0``."""
 
     family_set: list
     r: float
@@ -68,8 +70,10 @@ class PsesParams:
     def __post_init__(self):
         if not self.family_set:
             raise ValidationError("family_set must be nonempty")
-        if self.r < 0:
-            raise ValidationError("r must be nonnegative")
+        if not 0.0 <= self.r < np.inf:  # also rejects NaN
+            raise ValidationError("r must be finite and nonnegative")
+        if any(fam.dims != self.dims for fam in self.family_set):
+            raise ValidationError("every family must have the params' dims")
 
 
 def generalized_bell(m: int) -> MeopFamily:
@@ -149,30 +153,30 @@ def r_of_eps(eps: float) -> float:
 
 
 def cr_membership(x, params: PsesParams) -> MembershipVerdict:
-    """Membership in the deformed cone ``(C_r^(0)* + NPM_r)*``, to 1e-9.
+    """Membership in the deformed cone ``(C_r^(0)* + NPM_r)*``.
 
     The dual of SES + NPM_r is ``PSD intersect {<., N_k> >= 0}``, whose
     own dual is ``PSD + cone(N_k)``.  So x is In exactly when it pairs
     nonnegatively with every deformation endpoint N_k and decomposes as
-    ``x = sum_k lam_k N_k + P`` with ``lam >= 0`` and P PSD.  A negative
-    endpoint pairing gives Out with that endpoint as witness.  Otherwise
-    :func:`conic_feasibility` over ``PSD + cone(N_k)`` decides: a PSD x,
-    or an x with ``x - N_k`` PSD such as the endpoint N_k itself, is In by
-    its vertex tier without a solve (tier ``decomposition``, 0 iterations),
-    and any other x gets the verdict of the first solver iterate that
-    re-verifies, with that solve's ``gap``, ``iterations`` and
-    ``converged``.  An Out margin ``<W, x>`` there is that of a checked
-    separator W, not the least pairing over the dual.
+    ``x = sum_k lam_k N_k + P`` with ``lam >= 0`` and P PSD.  An endpoint
+    pairing below -1e-9 gives Out with that endpoint as witness.
+    Otherwise :func:`conic_feasibility` over ``PSD + cone(N_k)`` decides,
+    to 1e-8: a PSD x, or an x with ``x - N_k`` PSD such as the endpoint
+    N_k itself, is In by its vertex tier without a solve (tier
+    ``decomposition``, 0 iterations), and any other x gets the verdict of
+    the first solver iterate that re-verifies, with that solve's ``gap``,
+    ``iterations`` and ``converged``.  An Out margin ``<W, x>`` there is
+    that of a checked separator W, not the least pairing over the dual.
     """
-    return _cr_membership(ensure_herm(x, dim=params.dims.total), params, 1e-9)
+    return _cr_membership(ensure_herm(x, dim=params.dims.total), params)
 
 
-def _cr_membership(x, params, tol):
+def _cr_membership(x, params):
     gens = npm_endpoint_generators(params)
-    v = _dual_membership(gens, x, tol)
+    v = _dual_membership(gens, x, 1e-9)
     if v.status == OUT:
         return replace(v, tier="npm-endpoint")
-    return _feasibility(x, gens, (identity,), tol)
+    return _feasibility(x, gens, (identity,))
 
 
 @dataclass
@@ -223,7 +227,7 @@ def predual_audit(params: PsesParams, product_samples: int = 10_000,
                r_within_bound=params.r <= bound1 + 1e-12,
                samples=product_samples)
 
-    ok, (pair, value) = _gram_check(gens, 1e-9)
+    ok, (pair, value) = _gram_check(gens)
     report.add("endpoint_gram", ok, min_pair=list(pair), min_value=value,
                r0=r0(params.dims), r_within_r0=params.r <= r0(params.dims) + 1e-12)
     return report
@@ -234,13 +238,14 @@ def hierarchy_audit(r_list, family_set, dims: BipartiteDims) -> AuditReport:
 
     For consecutive r1 > r2 the endpoint ``N(r1)`` lies outside
     ``PSD + cone(r2 endpoints)``.  A step is strict when
-    :func:`conic_feasibility` answers Out with a separator W that passes
-    direct checks: W PSD, ``<W, N> >= -1e-9`` for every r2 endpoint N and
-    ``<W, N(r1)> < -1e-9``.  W and the checked values are recorded.  W
-    comes from the first solver iterate whose separator re-verified, so
-    ``separator_pairing`` and ``infeasibility_bound`` (minus the Out
-    margin ``<W, N(r1)>`` over ``||W||_HS``, a lower bound on the distance
-    from N(r1) to the inner cone) are checked values, not the optimum.
+    :func:`conic_feasibility`, at its 1e-8, answers Out with a separator W
+    that passes direct checks: W PSD, ``<W, N> >= -1e-9`` for every r2
+    endpoint N and ``<W, N(r1)> < -1e-9``.  W and the checked values are
+    recorded.  W comes from the first solver iterate whose separator
+    re-verified, so ``separator_pairing`` and ``infeasibility_bound``
+    (minus the Out margin ``<W, N(r1)>`` over ``||W||_HS``, a lower bound
+    on the distance from N(r1) to the inner cone) are checked values, not
+    the optimum.
     A passing chain certifies (by the general theory, existence only) an
     n-independent family of self-dual modifications.
     """
@@ -259,7 +264,7 @@ def hierarchy_audit(r_list, family_set, dims: BipartiteDims) -> AuditReport:
         p2 = PsesParams(family_set=family_set, r=r2, dims=dims)
         gens = npm_endpoint_generators(p2)
         n_outer = npm_element(r1, family_set[0])
-        v = _feasibility(n_outer, gens, (identity,), 1e-7)
+        v = _feasibility(n_outer, gens, (identity,))
         lam_w = float(np.linalg.eigvalsh(n_outer)[0])
         detail = {}
         strict = v.status == OUT
@@ -401,28 +406,29 @@ def self_duality_verifier(candidate_generators, outer: PsesParams,
 
     The candidate cone is read as ``cone(candidates) + PSD`` (a finite
     modification of the standard structure).  (a) ``candidate_gram``:
-    pairwise Gram nonnegativity (candidates inside their own dual);
-    (b) ``sandwich``: candidates pass the deformed-cone membership check
-    and the deformation endpoints are conic-feasible over the candidate
-    cone.  The dual side needs no check of its own: every element of the
+    pairwise Gram nonnegativity to 1e-9 (candidates inside their own
+    dual); (b) ``sandwich``: no candidate is Out of the deformed cone by
+    :func:`cr_membership`, and the deformation endpoints are
+    conic-feasible over the candidate cone, to 1e-8 like every conic
+    solve.  The dual side needs no check of its own: every element of the
     dual is PSD, so it lies in the candidate cone already.  ``samples``
-    is ignored.  Verification predicate only; it never
-    constructs the modified cone.
+    is ignored.  Verification predicate only; it never constructs the
+    modified cone.
     """
     if not len(candidate_generators):
         raise ValidationError("candidate set must be nonempty")
     cands = ensure_herm(list(candidate_generators))
     report = AuditReport()
 
-    ok, (pair, value) = _gram_check(cands, 1e-8)
+    ok, (pair, value) = _gram_check(cands)
     report.add("candidate_gram", ok, min_pair=list(pair), min_value=value)
 
     sandwich_ok = all(np.linalg.norm(g) < 1e-12
-                      or _cr_membership(g, outer, 1e-8).status != OUT
+                      or _cr_membership(g, outer).status != OUT
                       for g in cands)
     endpoint_fail = next(
         (k for k, N in enumerate(npm_endpoint_generators(outer))
-         if not _feasibility(N, cands, (identity,), 1e-6)), None)
+         if not _feasibility(N, cands, (identity,))), None)
     report.add("sandwich", sandwich_ok and endpoint_fail is None,
                candidates_inside_outer=sandwich_ok,
                failed_endpoint=endpoint_fail)

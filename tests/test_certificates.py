@@ -62,19 +62,19 @@ def _generators(d, m, rng):
 
 
 def _check_certificate(res, x, gens, maps):
-    """x = sum_k c_k g_k + psd_part + sum_L L(part_L), each part PSD."""
+    """x - sum_k c_k g_k - sum_L L(part_L), each part PSD, is within the
+    residual of PSD (of zero without maps)."""
     assert np.all(res.coefficients >= 0)
     assert len(res.mapped_parts) == max(len(maps) - 1, 0)
     rest = x - sum((c * g for c, g in zip(res.coefficients, gens)),
                    np.zeros_like(x))
-    if maps:
-        assert np.linalg.eigvalsh(res.psd_part)[0] >= -1e-12
-        rest = rest - res.psd_part
     for L, part in zip(maps[1:], res.mapped_parts):
         assert np.linalg.eigvalsh(part)[0] >= -1e-12
         rest = rest - L(part)
-    assert np.linalg.norm(rest) <= TOL
-    assert res.residual == pytest.approx(np.linalg.norm(rest), abs=1e-12)
+    miss = np.linalg.norm(np.minimum(np.linalg.eigvalsh(rest), 0.0)) \
+        if maps else np.linalg.norm(rest)
+    assert miss <= TOL
+    assert res.residual == pytest.approx(miss, abs=1e-12)
 
 
 def _check_separator(W, x, gens, maps, tol=TOL):

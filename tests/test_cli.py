@@ -184,6 +184,13 @@ def test_build_pses_needs_exactly_one_parameter(capsys):
     assert cli.run(["build-pses", "--r", "0.1", "--eps", "0.5"]) == 1
 
 
+@pytest.mark.parametrize("r", ["nan", "inf"])
+def test_build_pses_rejects_an_r_that_is_not_finite(r, capsys):
+    assert cli.run(["build-pses", "--r", r]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ")
+
+
 @pytest.mark.parametrize("families", ["0", "-1", "5"])
 def test_build_pses_rejects_family_counts_out_of_range(families, capsys):
     # The 2x2 Bell basis gives at most 4 families.

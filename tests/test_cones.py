@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from gptcone import herm
 from gptcone.cones import (
     CLASSICAL_ORTHANT,
-    CR,
     CS_NEG,
     PSD,
     SEP,
@@ -29,7 +28,14 @@ from gptcone.cones import (
 )
 from gptcone.dual import conic_feasibility, identity
 from gptcone.herm import BipartiteDims, ValidationError, partial_transpose, trace_inner
-from gptcone.pses import PsesParams, generalized_bell, npm_element, swap_pair
+from gptcone.pses import (
+    PsesParams,
+    cr_membership,
+    generalized_bell,
+    npm_element,
+    npm_endpoint_generators,
+    swap_pair,
+)
 from gptcone.sampling import random_herm, random_separable_state, random_state
 from gptcone.simulability import domain_contains
 from gptcone.verdict import IN, OUT, UNKNOWN
@@ -253,6 +259,22 @@ def test_fixed_tolerances_at_their_boundary(decide, eps, expected, e_dovm):
     assert decide(eps, e_dovm) == expected
 
 
+@pytest.mark.parametrize("eps", [1.5e-9, 2e-9, 3e-9])
+def test_one_conic_question_has_one_answer(eps):
+    # x = N(0.1) - eps I pairs nonnegatively with every endpoint, and x less
+    # the endpoint N(0.1) misses PSD by 2 eps, above 1e-9 but below the
+    # conic tolerance 1e-8: every spelling of x in PSD + cone(endpoints)
+    # answers In at that one tolerance.
+    fam = generalized_bell(2)
+    params = PsesParams(swap_pair(fam), 0.1, fam.dims)
+    gens = npm_endpoint_generators(params)
+    x = npm_element(0.1, fam) - eps * np.eye(4)
+    statuses = {cr_membership(x, params).status,
+                conic_feasibility(x, gens, (identity,)).status,
+                membership(ConeRep(dim=4, generators=gens), x).status}
+    assert statuses == {IN}
+
+
 def test_hull_contains_its_own_generators():
     # The orthant oracle rejects g, but the cone is orthant + cone(g).
     g = np.array([[1.0, 0.5], [0.5, 1.0]])
@@ -281,26 +303,13 @@ def test_hull_contains_its_own_generators():
     {"dim": 2, "oracle": SHRUNK_BLOCH},
     {"dim": 4, "oracle": CS_NEG, "dims": BipartiteDims(2, 2)},
     {"dim": 4, "oracle": CS_NEG, "params": {"s": 0.1}},
-    {"dim": 4, "oracle": CR, "dims": BipartiteDims(2, 2)},
+    {"dim": 4, "oracle": "CR", "dims": BipartiteDims(2, 2)},
     {"dim": 2, "oracle": SHRUNK_BLOCH, "params": 1},
     {"dim": 2, "oracle": SHRUNK_BLOCH, "params": [1]},
 ])
 def test_cone_rep_rejects_unknown_tags_and_missing_params(kwargs):
     with pytest.raises(ValidationError):
         ConeRep(**kwargs)
-
-
-def test_cr_cone_needs_pses_params_of_its_dims():
-    # Anything but a PsesParams, or one for another system, is rejected
-    # up front rather than failing inside the oracle.
-    fam = generalized_bell(2)
-    params = PsesParams(swap_pair(fam), 0.1, fam.dims)
-    for dims, pses in ((fam.dims, 1), (BipartiteDims(3, 3), params)):
-        with pytest.raises(ValidationError, match="PsesParams"):
-            ConeRep(dim=dims.total, oracle=CR, dims=dims,
-                    params={"pses": pses})
-    cone = ConeRep(dim=4, oracle=CR, dims=fam.dims, params={"pses": params})
-    assert membership(cone, np.eye(4)).status == IN
 
 
 def test_hull_without_a_description_is_in_only_by_decomposition():
@@ -436,18 +445,13 @@ def _named_cone(tag, m):
     if tag == SHRUNK_BLOCH:
         return make_named_cone(tag, params={"p": 0.5}, dim=2)
     dims = BipartiteDims(m, m)
-    params = {}
-    if tag == CS_NEG:
-        params = {"s": 0.1}
-    elif tag == CR:
-        fam = generalized_bell(m)
-        params = {"pses": PsesParams(swap_pair(fam), 0.1, dims)}
+    params = {"s": 0.1} if tag == CS_NEG else {}
     return make_named_cone(tag, params=params, dims=dims, dim=dims.total)
 
 
 @pytest.mark.parametrize("tag,m", [
     pytest.param(tag, m, id=f"{tag}-{m}x{m}")
-    for tag in (PSD, SEP, SEP_DUAL, CLASSICAL_ORTHANT, CS_NEG, CR)
+    for tag in (PSD, SEP, SEP_DUAL, CLASSICAL_ORTHANT, CS_NEG)
     for m in (2, 3)] + [pytest.param(SHRUNK_BLOCH, 1, id=SHRUNK_BLOCH)])
 def test_each_query_validates_its_input_once(tag, m, ensure_herm_calls):
     cone = _named_cone(tag, m)
@@ -456,13 +460,25 @@ def test_each_query_validates_its_input_once(tag, m, ensure_herm_calls):
     if cone.dims is not None:
         inputs.append(random_separable_state(cone.dims, seed=3))
         inputs.append(partial_transpose(random_state(d, 4, rank=2), cone.dims))
-    if tag == CR:
-        inputs.append(npm_element(0.1, cone.params["pses"].family_set[0]))
     for x in inputs:
         for check in (membership, dual_cone_membership):
             ensure_herm_calls.clear()
             check(cone, x)
             assert len(ensure_herm_calls) == 1, (check.__name__, x)
+
+
+@pytest.mark.parametrize("m", [pytest.param(m, id=f"{m}x{m}") for m in (2, 3)])
+def test_cr_membership_validates_its_input_once(m, ensure_herm_calls):
+    fam = generalized_bell(m)
+    params = PsesParams(swap_pair(fam), 0.1, fam.dims)
+    d = fam.dims.total
+    for x in (random_state(d, 1), random_herm(d, 2) + 0.5 * np.eye(d),
+              random_separable_state(fam.dims, seed=3),
+              partial_transpose(random_state(d, 4, rank=2), fam.dims),
+              npm_element(0.1, fam)):
+        ensure_herm_calls.clear()
+        cr_membership(x, params)
+        assert len(ensure_herm_calls) == 1, x
 
 
 def _reference_psd(x, tol, tier="eigenvalue"):

@@ -4,7 +4,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from gptcone.cones import (
     CLASSICAL_ORTHANT,
-    CR,
     CS_NEG,
     PSD,
     SEP_DUAL,
@@ -174,17 +173,14 @@ def test_orthant_plus_a_generator_errs_no_more_than_the_orthant():
         assert np.allclose(sum(meas.effects), np.eye(3), atol=1e-8)
 
 
-@pytest.mark.parametrize("tag", [SEP_DUAL, CS_NEG, SHRUNK_BLOCH, CR])
+@pytest.mark.parametrize("tag", [SEP_DUAL, CS_NEG, SHRUNK_BLOCH])
 def test_effect_cones_without_a_conic_program_are_rejected(tag):
     # SEP_DUAL has a program up to dA dB = 6 (decomposability).
     dims = BipartiteDims(3, 3) if tag == SEP_DUAL else BipartiteDims(2, 2)
     if tag == SHRUNK_BLOCH:
         cone = make_named_cone(tag, params={"p": 0.5}, dim=2)
     else:
-        pses = PsesParams(family_set=swap_pair(generalized_bell(2)), r=0.1,
-                          dims=dims)
-        cone = make_named_cone(tag, params={"s": 0.1, "pses": pses},
-                               dims=dims)
+        cone = make_named_cone(tag, params={"s": 0.1}, dims=dims)
     rng = np.random.default_rng(8)
     a, b = random_state(cone.dim, rng), random_state(cone.dim, rng)
     with pytest.raises(ValidationError, match=tag):

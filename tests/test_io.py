@@ -115,6 +115,6 @@ def test_cone_from_json_rejects_unknown_tags_and_missing_params():
 
 
 def test_cr_cone_file_is_rejected():
-    # CR needs a PsesParams, which no JSON value is.
-    with pytest.raises(ValidationError, match="PsesParams"):
+    # CR is not a tag: the deformed cone is a cone file without one.
+    with pytest.raises(ValidationError, match="unknown cone tag"):
         cone_from_json({"tag": "CR", "dims": [2, 2], "params": {"pses": 1}})

@@ -129,11 +129,10 @@ def test_cr_membership_own_generator_is_in(m):
     cert = v.witness
     assert isinstance(cert, ConicCertificate)
     assert np.all(cert.coefficients >= 0)
-    assert np.linalg.eigvalsh(cert.psd_part)[0] >= -1e-12
     gens = npm_endpoint_generators(params)
-    recomposed = sum(c * g for c, g in zip(cert.coefficients, gens)) \
-        + cert.psd_part
-    assert np.linalg.norm(recomposed - x) <= 1e-9
+    rest = x - sum(c * g for c, g in zip(cert.coefficients, gens))
+    miss = np.linalg.norm(np.minimum(np.linalg.eigvalsh(rest), 0.0))
+    assert miss <= 1e-9 and cert.residual == pytest.approx(miss, abs=1e-12)
 
 
 def test_predual_audit_passes_at_small_r(params01):
@@ -310,3 +309,23 @@ def test_meop_family_validation_rejects_bad_sets(bell_family):
     broken = [prod] + [P.copy() for P in bell_family.projectors[1:]]
     with pytest.raises(ValidationError):
         MeopFamily(dims=bell_family.dims, projectors=broken).validate()
+    # Four 9x9 projectors are not a 2x2 family.
+    with pytest.raises(ValidationError, match="size 4"):
+        MeopFamily(dims=bell_family.dims,
+                   projectors=generalized_bell(3).projectors[:4])
+
+
+@pytest.mark.parametrize("r", [-0.1, np.nan, np.inf])
+def test_pses_params_reject_r_that_is_not_finite_and_nonnegative(
+        bell_family, r):
+    with pytest.raises(ValidationError, match="finite and nonnegative"):
+        PsesParams(family_set=swap_pair(bell_family), r=r,
+                   dims=bell_family.dims)
+
+
+def test_pses_params_reject_families_of_other_dims(bell_family):
+    fam3 = generalized_bell(3)
+    for families, dims in ((swap_pair(bell_family), fam3.dims),
+                           ([bell_family, fam3], bell_family.dims)):
+        with pytest.raises(ValidationError, match="dims"):
+            PsesParams(family_set=families, r=0.1, dims=dims)
