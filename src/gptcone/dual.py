@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .herm import ValidationError, _inner, ensure_herm
+from .herm import ValidationError, _herm, _inner, ensure_herm
 from .verdict import IN, OUT, UNKNOWN, MembershipVerdict
 
 
@@ -26,10 +26,11 @@ class ConicCertificate:
     """``x - sum_k coefficients[k] g_k - sum_j L_j(P_j)`` is within
     ``residual`` of PSD (of zero without maps), L_j the maps after the
     identity, P_j ``mapped_parts[j]``: the coefficients are nonnegative,
-    the parts PSD, and ``residual`` is the norm of that remainder's
-    negative eigenvalues (of the remainder without maps).  It is the
-    witness of an In verdict; the diagnostics of the solve it was read
-    from are on that verdict.
+    the parts PSD (a solver iterate's positive LP slacks and positive
+    definite slack blocks), and ``residual`` is the norm of that
+    remainder's negative eigenvalues (of the remainder without maps).  It
+    is the witness of an In verdict; the diagnostics of the solve it was
+    read from are on that verdict.
     """
 
     coefficients: np.ndarray
@@ -51,21 +52,20 @@ _CONIC_TOL = 1e-8  # of every conic decision, In or Out
 
 @dataclass
 class _Solution:
-    """Best or certified iterate of :func:`_solve`.  The dual slacks are
-    implied: ``z = c - A^T y`` and ``Z_j = C_j - A_j^*(y)``.
+    """Best or certified iterate of :func:`_solve` with its own dual
+    slacks: ``z > 0`` and every ``Z_j`` positive definite, equal to
+    ``c - A^T y`` and ``C_j - A_j^*(y)`` up to the dual residual.
     ``certificate`` is what the certify callback returned, if anything."""
 
     u: np.ndarray
     X: np.ndarray
     y: np.ndarray
+    z: np.ndarray
+    Z: np.ndarray
     gap: float
     iterations: int
     converged: bool
     certificate: object = None
-
-
-def _herm(A):
-    return (A + np.swapaxes(A, -1, -2).conj()) / 2.0
 
 
 def _stack(mats, d: int) -> np.ndarray:
@@ -173,11 +173,10 @@ def _solve(b, c, A, blocks, certify=None) -> _Solution:
         err = max(norm(rp) / b_scale,
                   np.sqrt(norm(rd) ** 2 + norm(Rd) ** 2) / c_scale,
                   abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj)))
+        sol = _Solution(u, X, y, z, Z, float(pobj - dobj), it + 1, True)
         if err < best_err:
-            best = (u.copy(), X.copy(), y.copy(), pobj - dobj)
-            best_err, best_it = err, it
+            best, best_err, best_it = sol, err, it
         if certify is not None:
-            sol = _Solution(u, X, y, float(pobj - dobj), it + 1, True)
             sol.certificate = certify(sol)
             if sol.certificate is not None:
                 return sol
@@ -229,9 +228,8 @@ def _solve(b, c, A, blocks, certify=None) -> _Solution:
         u, z, y = u + ap * du, z + ad * dz, y + ad * dy
         X, Z = X + ap * dX, Z + ad * dZ
         tau = 0.9 + 0.09 * min(ap, ad)
-    u, X, y, gap = best
-    return _Solution(u=u, X=X, y=y, gap=float(gap), iterations=it + 1,
-                     converged=bool(best_err <= _ACCEPT))
+    best.iterations, best.converged = it + 1, bool(best_err <= _ACCEPT)
+    return best
 
 
 def dual_membership(generators, x) -> MembershipVerdict:
@@ -279,12 +277,6 @@ def identity(X):
     return X
 
 
-def _psd_part(R):
-    """The PSD part of Hermitian R."""
-    vals, vecs = np.linalg.eigh(R)
-    return (vecs * np.maximum(vals, 0.0)) @ vecs.conj().T
-
-
 def _miss(R, maps):
     """Distance of R (or of each matrix of a stack) from PSD by the norm
     of its negative eigenvalues with maps, from zero without."""
@@ -304,7 +296,9 @@ def _w_form(x, halfspaces, maps, certify=None) -> _Solution:
     ``tr X_0 + tr X_1 = 1``, the second carrying the halfspace rows
     negated.  The dual is then ``max t`` with ``x - sum_k y_k h_k``
     between ``t I`` and ``-t I``.  Either way ``solution.y`` is t, y, then
-    minus each Q_L.  ``certify`` is passed on to :func:`_solve`.
+    minus each Q_L; the LP slacks ``solution.z`` are y and the slack
+    blocks ``solution.Z[1:len(maps)]`` the Q_L, up to the dual residual.
+    ``certify`` is passed on to :func:`_solve`.
     """
     d, K = x.shape[0], len(halfspaces)
     E = _basis(d)
@@ -347,9 +341,10 @@ def conic_feasibility(x, generators, maps=(identity,)):
       maps) for v = 0 or a generator g_k gives In with coefficients e_k
       (0 for v = 0) and 0 iterations, without a solve;
     - one solve of :func:`_w_form`, stopped at the first iterate whose
-      decomposition or separator re-verifies.  The verdict's ``gap`` and
-      ``iterations`` are that iterate's, and an Out's W and margin are a
-      checked separator and its pairing, not the optimal ones.
+      decomposition (its own dual slacks as weights and mapped parts) or
+      separator re-verifies.  The verdict's ``gap`` and ``iterations``
+      are that iterate's, and an Out's W and margin are a checked
+      separator and its pairing, not the optimal ones.
       ``converged`` is True when the solve stopped on a re-verified
       certificate or on its gap target.
     """
@@ -398,15 +393,13 @@ def _certificate(x, gens, maps, sol):
     """The In verdict, or else the Out verdict, that one iterate of
     :func:`_w_form` gives if it re-verifies; None when neither does.
 
-    In: the weights ``max(y_k, 0)`` and the PSD parts of the Q_L leave x
-    within 1e-8 of PSD (of zero without maps).  Out: W, scaled to the
-    program's normalisation, has ``<W, g_k> >= -1e-8``, each ``L(W)`` PSD
-    to ``-1e-8`` and ``<W, x> < 0``.
+    In: the iterate's LP slacks ``z`` as weights and its slack blocks
+    ``Z[1:len(maps)]`` as the parts Q_L, positive (definite) by the step
+    rule, leave x within 1e-8 of PSD (of zero without maps).  Out: W,
+    scaled to the program's normalisation, has ``<W, g_k> >= -1e-8``,
+    each ``L(W)`` PSD to ``-1e-8`` and ``<W, x> < 0``.
     """
-    m = len(gens)
-    lam = np.maximum(sol.y[1:m + 1], 0.0)
-    E = _basis(len(x))
-    parts = [_psd_part(-_adj(E, z)) for z in sol.y[m + 1:].reshape(-1, len(E))]
+    lam, parts = sol.z, list(sol.Z[1:len(maps)])
     R = x - _adj(gens, lam) - sum((L(P) for L, P in zip(maps[1:], parts)),
                                   np.zeros_like(x))
     residual = float(_miss(R, maps))
@@ -503,6 +496,7 @@ def _max_over_mixed_marginals(rho, m: int):
     if not sol.converged:
         raise ValidationError("marginal-constrained program did not converge "
                               f"(duality gap {sol.gap:.3e})")
+    # y's implied slack, not sol.Z: the bound must hold for this very y.
     slack = np.linalg.eigvalsh(_herm(-rho - _adj(A_s, sol.y)))[0]
     return float(-b @ sol.y + max(0.0, -slack)), _herm(sol.X[0])
 

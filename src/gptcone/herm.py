@@ -38,14 +38,15 @@ class BipartiteDims:
         return self.dA * self.dB
 
 
-def ensure_herm(A, repair: bool = False, dim: int | None = None) -> np.ndarray:
+def ensure_herm(A, dim: int | None = None) -> np.ndarray:
     """Validate Hermiticity of ``A`` and return it as a complex array.
 
     ``A`` is one square matrix, or a list or tuple of square matrices of
     one size (``dim`` when given), returned as an ``(n, d, d)`` stack.
-    With ``repair=True`` the matrix is symmetrized instead of rejected.
-    Repair is opt-in on purpose: silently symmetrizing hides fixture bugs.
-    A NaN or infinite entry is rejected either way.
+    A matrix off Hermitian by more than ``HERM_TOL``, or with a NaN or
+    infinite entry, is rejected, never symmetrized: that would hide
+    fixture bugs.  Matrices computed from checked input are symmetrized
+    by :func:`_herm` instead.
     """
     stack = isinstance(A, (list, tuple))
     try:
@@ -62,10 +63,13 @@ def ensure_herm(A, repair: bool = False, dim: int | None = None) -> np.ndarray:
     if not dev <= HERM_TOL:  # also when an entry is NaN or infinite
         if not np.all(np.isfinite(A)):
             raise ValidationError("matrix has non-finite entries")
-        if repair:
-            return (A + AH) / 2.0
         raise ValidationError(f"matrix is not Hermitian (deviation {dev:.3e})")
     return A
+
+
+def _herm(A):
+    """The Hermitian part of A (of each matrix of a stack)."""
+    return (A + np.swapaxes(A, -1, -2).conj()) / 2.0
 
 
 def _inner(X, Y) -> float:

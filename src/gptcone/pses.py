@@ -111,8 +111,8 @@ def swap_pair(family: MeopFamily) -> list:
 
 def npm_element(lam: float, family: MeopFamily) -> np.ndarray:
     """``N(lambda) = -lam E_1 + (1 + lam) E_2 + (1/2) sum_{k>=3} E_k``."""
-    if lam < 0:
-        raise ValidationError("lambda must be nonnegative")
+    if not 0.0 <= lam < np.inf:  # also rejects NaN
+        raise ValidationError("lambda must be finite and nonnegative")
     E = family.projectors
     rest = sum(E[2:]) if len(E) > 2 else np.zeros_like(E[0])
     return -lam * E[0] + (1.0 + lam) * E[1] + 0.5 * rest
@@ -140,8 +140,8 @@ def r0(dims: BipartiteDims) -> float:
 
 def eps_of_r(r: float) -> float:
     """Distance scale ``2 sqrt(2r/(2r+1))`` of the deformed structure."""
-    if r < 0:
-        raise ValidationError("r must be nonnegative")
+    if not 0.0 <= r < np.inf:  # also rejects NaN
+        raise ValidationError("r must be finite and nonnegative")
     return 2.0 * np.sqrt(2.0 * r / (2.0 * r + 1.0))
 
 
@@ -252,8 +252,8 @@ def hierarchy_audit(r_list, family_set, dims: BipartiteDims) -> AuditReport:
     r_list = list(r_list)
     if not r_list:
         raise ValidationError("hierarchy audit needs at least one r value")
-    if any(r <= 0 for r in r_list):
-        raise ValidationError("hierarchy audit needs positive r values")
+    if not all(0.0 < r < np.inf for r in r_list):  # also rejects NaN
+        raise ValidationError("hierarchy audit needs finite positive r values")
     if any(r1 <= r2 for r1, r2 in zip(r_list, r_list[1:])):
         raise ValidationError("r values must be strictly decreasing")
     report = AuditReport()
@@ -417,7 +417,7 @@ def self_duality_verifier(candidate_generators, outer: PsesParams,
     """
     if not len(candidate_generators):
         raise ValidationError("candidate set must be nonempty")
-    cands = ensure_herm(list(candidate_generators))
+    cands = ensure_herm(list(candidate_generators), dim=outer.dims.total)
     report = AuditReport()
 
     ok, (pair, value) = _gram_check(cands)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import ConeRep, _evaluate
-from .herm import BipartiteDims, ValidationError, _inner, ensure_herm
+from .herm import BipartiteDims, ValidationError, _herm, _inner, ensure_herm
 from .sampling import haar_unitary
 from .verdict import IN, OUT
 
@@ -80,7 +80,7 @@ def orbit_invariance_check(cone: ConeRep, spec: TransformSpec,
             continue
         for _ in range(20):
             act = spec.sample(rng)
-            image = ensure_herm(act(X), repair=True)
+            image = _herm(act(X))
             after = _evaluate(cone, image, dual=False)
             if after.status not in (IN, OUT):
                 skipped += 1
@@ -122,8 +122,8 @@ def gu_falsifier(x, dims: BipartiteDims):
     e0 = np.zeros(dims.total, dtype=complex)
     e0[0] = 1.0
     U = _complete_basis(e0) @ _complete_basis(v).conj().T
-    gx, product_image = ensure_herm([U @ x @ U.conj().T, U @ rho @ U.conj().T],
-                                    repair=True)
+    gx, product_image = _herm(np.array([U @ x @ U.conj().T,
+                                        U @ rho @ U.conj().T]))
     if np.max(np.abs(product_image - np.outer(e0, e0.conj()))) > 1e-9:
         raise ValidationError("orbit construction failed to reach the product state")
     value = _inner(product_image, gx)
@@ -190,7 +190,7 @@ def two_symmetry_counterexample(samples: int = 200, tol: float = 1e-10,
     worst = 0.0
     for _ in range(samples):
         f = _form_three_map(dims, rng)
-        a, b = ensure_herm([f(rho1), f(rho2)], repair=True)
+        a, b = _herm(np.array([f(rho1), f(rho2)]))
         worst = max(worst, abs(_inner(a, b) - g_rho))
     if worst > tol:
         raise ValidationError("a sampled symmetry failed overlap invariance")

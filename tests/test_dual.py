@@ -98,6 +98,12 @@ def test_min_over_spectrahedron_respects_halfspaces():
     assert val >= -1e-6
 
 
+def test_min_over_spectrahedron_raises_on_an_empty_spectrahedron():
+    # <y, -I> >= 0 leaves no trace-one PSD y.
+    with pytest.raises(ValidationError, match="did not converge"):
+        min_over_spectrahedron(np.diag([1.0, 2.0]), [-np.eye(2)])
+
+
 def test_dual_identity_on_random_pairs():
     rng = np.random.default_rng(1)
     for k in range(3):

@@ -35,12 +35,6 @@ def test_ensure_herm_rejects_non_hermitian():
         ensure_herm(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_ensure_herm_repair_symmetrizes():
-    A = np.array([[1.0, 1.0 + 1e-13j], [1.0 - 2e-13j, 2.0]])
-    H = ensure_herm(A, repair=True)
-    assert np.allclose(H, H.conj().T)
-
-
 # Rejected, not warned about: inf - inf in the Hermiticity test is NaN.
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("x", [np.diag([np.nan, 1.0]),
@@ -51,8 +45,7 @@ def test_ensure_herm_repair_symmetrizes():
 def test_non_finite_matrices_are_rejected(x):
     # A NaN pairing would give an Out whose witness cannot be checked.
     psd = make_named_cone(PSD, dim=2)
-    for call in (ensure_herm, lambda x: ensure_herm(x, repair=True),
-                 lambda x: membership(psd, x),
+    for call in (ensure_herm, lambda x: membership(psd, x),
                  lambda x: conic_feasibility(x, [np.eye(2)])):
         with pytest.raises(ValidationError, match="non-finite"):
             call(x)

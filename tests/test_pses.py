@@ -323,6 +323,23 @@ def test_pses_params_reject_r_that_is_not_finite_and_nonnegative(
                    dims=bell_family.dims)
 
 
+@pytest.mark.parametrize("r", [np.nan, np.inf])
+def test_r_and_lambda_that_are_not_finite_are_rejected(bell_family, r):
+    with pytest.raises(ValidationError, match="finite"):
+        npm_element(r, bell_family)
+    with pytest.raises(ValidationError, match="finite"):
+        eps_of_r(r)
+    for r_list in ([r, 0.1], [0.2, r]):
+        with pytest.raises(ValidationError, match="finite"):
+            hierarchy_audit(r_list, swap_pair(bell_family), bell_family.dims)
+
+
+def test_self_duality_verifier_rejects_candidates_of_another_size(params01):
+    # Four 9x9 candidates do not live on the 2x2 system.
+    with pytest.raises(ValidationError, match="size 4"):
+        self_duality_verifier(generalized_bell(3).projectors[:4], params01)
+
+
 def test_pses_params_reject_families_of_other_dims(bell_family):
     fam3 = generalized_bell(3)
     for families, dims in ((swap_pair(bell_family), fam3.dims),

@@ -68,6 +68,21 @@ def test_certificate_on_fixture(e_dovm):
     assert np.max(np.abs(gram - np.eye(2))) <= 1e-8
 
 
+def test_certificate_inconclusive_on_unfit_state_pairs(e_dovm, e_pair):
+    e1, _ = e_pair
+    vecs = np.linalg.eigh(e1)[1]
+    bottom = np.outer(vecs[:, 0], vecs[:, 0].conj())
+    cert = non_simulability_certificate(e_dovm, states=(bottom, bottom))
+    assert cert.status == "Inconclusive"
+    assert "outside the measurement domain" in cert.detail
+
+    # |00> and |11> give e1 the value 1, so both lie in the domain.
+    p00, p11 = np.diag([1.0, 0, 0, 0]), np.diag([0, 0, 0, 1.0])
+    cert = non_simulability_certificate(e_dovm, states=(p00, p11))
+    assert cert.status == "Inconclusive"
+    assert cert.detail == "witness pair is orthogonal"
+
+
 def test_certificate_povm_inconclusive(dims22):
     p = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
     povm = Dovm(m1=p, m2=np.eye(4) - p, dims=dims22)

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from gptcone.cones import PSD, SEP, ConeRep
+from gptcone.cones import (
+    CLASSICAL_ORTHANT,
+    PSD,
+    SEP,
+    ConeRep,
+    make_named_cone,
+    membership,
+)
 from gptcone.herm import BipartiteDims, ValidationError, trace_inner
 from gptcone.pses import generalized_bell, npm_element
 from gptcone.sampling import random_separable_state
@@ -15,6 +22,7 @@ from gptcone.symmetry import (
     orbit_invariance_check,
     two_symmetry_counterexample,
 )
+from gptcone.verdict import IN, OUT, UNKNOWN
 
 
 def test_transform_spec_validation():
@@ -69,6 +77,28 @@ def test_psd_global_orbit_invariance(dims22):
     rep = orbit_invariance_check(cone, TransformSpec(GLOBAL_UNITARY, dims22),
                                  elements)
     assert rep["invariant"]
+
+
+def test_orthant_global_orbit_invariance_fails(dims22):
+    # A global unitary rotates diag(1, 0, 0, 0) off the diagonal.
+    cone = make_named_cone(CLASSICAL_ORTHANT, dim=4)
+    rep = orbit_invariance_check(cone, TransformSpec(GLOBAL_UNITARY, dims22),
+                                 [np.diag([1.0, 0, 0, 0])])
+    assert not rep["invariant"]
+    assert (rep["violation"]["before"], rep["violation"]["after"]) == (IN, OUT)
+    assert rep["checked"] == 1
+
+
+def test_orbit_invariance_skips_unknown_elements():
+    dims = BipartiteDims(3, 3)
+    cone = ConeRep(dim=9, oracle=SEP, dims=dims)
+    rho = random_separable_state(dims, seed=0)
+    v = membership(cone, rho)
+    assert (v.status, v.tier) == (UNKNOWN, "ppt")
+    rep = orbit_invariance_check(cone, TransformSpec(LOCAL_UNITARY, dims),
+                                 [rho])
+    assert rep["invariant"]
+    assert (rep["skipped"], rep["checked"]) == (1, 0)
 
 
 def test_gu_falsifier_on_partial_transpose(bell_state, dims22):
