@@ -25,7 +25,6 @@ from .cones import (
     min_product_expectation,
     sep_model,
     ses_model,
-    validate_measurement,
 )
 from .discrimination import (
     arai_criterion,

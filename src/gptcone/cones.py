@@ -46,9 +46,10 @@ DEFAULT_TOL = 1e-9
 @dataclass
 class ConeRep:
     """The cone ``K + cone(generators)`` of dim x dim Hermitian matrices,
-    K named by the tag ``oracle``, which defaults to PSD."""
+    K named by the tag ``oracle``, which defaults to PSD; ``dim`` defaults
+    to ``dims.total``, else to the generators' size."""
 
-    dim: int
+    dim: int | None = None
     generators: list = field(default_factory=list)
     oracle: str | None = None
     params: dict = field(default_factory=dict)
@@ -56,8 +57,13 @@ class ConeRep:
 
     def __post_init__(self):
         self.oracle = self.oracle or PSD
+        if self.dim is None and self.dims is not None:
+            self.dim = self.dims.total
         if self.generators:
             self.generators = list(ensure_herm(self.generators, dim=self.dim))
+            self.dim = len(self.generators[0])
+        if self.dim is None:
+            raise ValidationError("dimension required")
         if self.dims is not None and self.dims.total != self.dim:
             raise ValidationError(f"dims {self.dims.dA}x{self.dims.dB} do "
                                   f"not match dimension {self.dim}")
@@ -80,29 +86,14 @@ class GptModel:
 
     cone: ConeRep
     unit: np.ndarray
-    dims: BipartiteDims | None = None
 
     def __post_init__(self):
         self.unit = ensure_herm(self.unit, dim=self.cone.dim)
-        if self.dims is None:
-            self.dims = self.cone.dims
-        if self.cone.oracle == PSD:
-            if np.linalg.eigvalsh(self.unit)[0] <= 0:
-                raise ValidationError("order unit must be positive definite")
+        if self.cone.oracle == PSD and np.linalg.eigvalsh(self.unit)[0] <= 0:
+            raise ValidationError("order unit must be positive definite")
         for g in self.cone.generators:
             if np.linalg.norm(g) > 1e-12 and _inner(self.unit, g) <= 0:
                 raise ValidationError("order unit not interior to the dual cone")
-
-
-@dataclass
-class Measurement:
-    """A validated family of effects summing to the order unit."""
-
-    effects: list
-    model: GptModel | None = None
-
-    def __len__(self):
-        return len(self.effects)
 
 
 class MeasurementValidationError(ValidationError):
@@ -114,14 +105,45 @@ class MeasurementValidationError(ValidationError):
         self.verdict = verdict
 
 
+@dataclass
+class Measurement:
+    """Effects, checked when built with a model: nonempty, summing to its
+    unit within 1e-10, none Out of its cone's dual (else
+    :class:`MeasurementValidationError`, for an Out with ``index`` and
+    ``verdict``).  Without a model they are taken as given."""
+
+    effects: list
+    model: GptModel | None = None
+
+    def __post_init__(self):
+        model = self.model
+        if model is None:
+            return
+        if not len(self.effects):
+            raise MeasurementValidationError("empty effect list")
+        self.effects = list(ensure_herm(list(self.effects),
+                                        dim=model.cone.dim))
+        dev = float(np.max(np.abs(sum(self.effects) - model.unit)))
+        if dev > 1e-10:
+            raise MeasurementValidationError(
+                f"effects sum to the unit only within {dev:.3e}")
+        for k, e in enumerate(self.effects):
+            verdict = _evaluate(model.cone, e, dual=True)
+            if verdict.status == OUT:
+                raise MeasurementValidationError(
+                    f"effect {k} is outside the dual cone "
+                    f"(margin {verdict.margin:.3e})", index=k, verdict=verdict)
+
+    def __len__(self):
+        return len(self.effects)
+
+
 def make_named_cone(tag: str, params: dict | None = None,
                     dims: BipartiteDims | None = None, dim: int | None = None,
                     generators=None) -> ConeRep:
     """Build an oracle-backed ConeRep for one of the named cones."""
-    if dim is None and dims is None:
-        raise ValidationError("dimension required")
-    return ConeRep(dim=dim or dims.total, generators=list(generators or []),
-                   oracle=tag, params=dict(params or {}), dims=dims)
+    return ConeRep(dim=dim, generators=list(generators or []), oracle=tag,
+                   params=dict(params or {}), dims=dims)
 
 
 def min_product_expectation(X, dims: BipartiteDims, restarts: int = 64):
@@ -341,17 +363,20 @@ _RANK = {OUT: 0, UNKNOWN: 1, IN: 2}  # the worst verdict first
 def _evaluate(cone: ConeRep, x, dual: bool) -> MembershipVerdict:
     """Checked ``x`` in ``cone``, or in its dual when ``dual`` is set.
 
-    The hull ``K + cone(G)`` is In when K says In, Out when K's Out
-    witness clears every generator, else decided by one conic solve over
+    Without generators K's oracle answers alone.  The hull
+    ``K + cone(G)`` is In when K says In, Out when K's Out witness clears
+    every generator, else decided by one conic solve over
     K's program and G (without a program, In only when x decomposes over G).
     The intersection ``K* intersect G*`` takes the worst of its parts.
     """
     gens = cone.generators
     v = _NAMED[cone.oracle][dual](x, cone)
+    if not gens:
+        return v
 
     if dual:
-        parts = [v, _dual_membership(gens, x, DEFAULT_TOL)] if gens else [v]
-        return min(parts, key=lambda part: (_RANK[part.status], part.margin))
+        return min([v, _dual_membership(gens, x)],
+                   key=lambda part: (_RANK[part.status], part.margin))
 
     if v.status == IN or v.status == OUT and all(
             _inner(v.witness, g) >= -DEFAULT_TOL for g in gens):
@@ -359,10 +384,9 @@ def _evaluate(cone: ConeRep, x, dual: bool) -> MembershipVerdict:
     program = conic_program(cone)
     if program is not None:
         return _feasibility(x, *program)
-    if gens:  # cone(G)'s separator certifies nothing for K + cone(G)
-        w = _feasibility(x, gens, ())
-        if w.status == IN:
-            return w
+    w = _feasibility(x, gens, ())  # cone(G)'s separator certifies nothing
+    if w.status == IN:
+        return w
     return MembershipVerdict(UNKNOWN, margin=v.margin, tier=v.tier)
 
 
@@ -381,34 +405,15 @@ def dual_cone_membership(cone: ConeRep, x) -> MembershipVerdict:
     return _evaluate(cone, ensure_herm(x, dim=cone.dim), dual=True)
 
 
-def validate_measurement(model: GptModel, effects) -> Measurement:
-    """Check sum-to-unit and dual-cone membership of every effect."""
-    if not effects:
-        raise MeasurementValidationError("empty effect list")
-    effects = list(ensure_herm(list(effects), dim=model.cone.dim))
-    total = sum(effects)
-    dev = float(np.max(np.abs(total - model.unit)))
-    if dev > 1e-10:
-        raise MeasurementValidationError(
-            f"effects sum to the unit only within {dev:.3e}")
-    for k, e in enumerate(effects):
-        verdict = _evaluate(model.cone, e, dual=True)
-        if verdict.status == OUT:
-            raise MeasurementValidationError(
-                f"effect {k} is outside the dual cone (margin {verdict.margin:.3e})",
-                index=k, verdict=verdict)
-    return Measurement(effects=effects, model=model)
-
-
 def ses_model(dims: BipartiteDims) -> GptModel:
     """Standard quantum theory on the composite space (PSD cone, unit I)."""
-    cone = make_named_cone(PSD, dim=dims.total, dims=dims)
-    return GptModel(cone=cone, unit=np.eye(dims.total, dtype=complex), dims=dims)
+    cone = make_named_cone(PSD, dims=dims)
+    return GptModel(cone=cone, unit=np.eye(dims.total, dtype=complex))
 
 
 def sep_model(dims: BipartiteDims) -> GptModel:
     cone = make_named_cone(SEP, dims=dims)
-    return GptModel(cone=cone, unit=np.eye(dims.total, dtype=complex), dims=dims)
+    return GptModel(cone=cone, unit=np.eye(dims.total, dtype=complex))
 
 
 def capacity_demo(model: GptModel):
@@ -419,5 +424,5 @@ def capacity_demo(model: GptModel):
     measurement discriminating them perfectly.  The states are the
     diagonal matrix units ``|ij><ij|``, whose Gram matrix is the identity.
     """
-    states = _units(model.dims.total)  # |ij><ij| is the unit at i * dB + j
+    states = _units(model.cone.dim)  # |ij><ij| is the unit at i * dB + j
     return states, Measurement(effects=list(states), model=model)

@@ -64,8 +64,9 @@ class DovmClass:
     spectrum_summary: tuple
 
 
-def classify(dovm: Dovm) -> DovmClass:
-    """Classify a DOVM by the extreme eigenvalues of its effects.
+def classify(dovm) -> DovmClass:
+    """Classify a two-outcome :class:`Dovm` or
+    :class:`~gptcone.cones.Measurement` by its effects' extreme eigenvalues.
 
     POVM: both effects PSD.  Otherwise examine the effect with a negative
     eigenvalue: BQ if its top eigenvalue reaches 1, AQ if it lies strictly
@@ -73,7 +74,7 @@ def classify(dovm: Dovm) -> DovmClass:
     1.  Boundary ``lambda_max in [1-TOL, 1+TOL]`` resolves to BQ (the BQ
     condition is the closed one).
     """
-    spectra = [np.linalg.eigvalsh(m) for m in (dovm.m1, dovm.m2)]
+    spectra = [np.linalg.eigvalsh(m) for m in dovm.effects]
     summary = tuple((float(s[0]), float(s[-1])) for s in spectra)
     neg = [k for k, s in enumerate(spectra) if s[0] < -TOL]
     if not neg:
@@ -110,7 +111,7 @@ def bq_witness_states(dovm: Dovm):
     rho_b = np.outer(phi2, phi2.conj())
     # phi1 is annihilated by the deciding effect's complement ordering:
     # Tr rho_a M_k = 1, Tr rho_b M_k = 0.  Order outputs so that
-    # Tr rho_i M_j = delta_ij with M_1 = dovm.m1.
+    # Tr rho_i M_j = delta_ij with M_1 the first effect.
     if k == 0:
         rho1, rho2 = rho_a, rho_b
     else:
@@ -223,9 +224,6 @@ def random_dovm(dims: BipartiteDims, seed=None,
                 continue
             ev1 = MembershipVerdict(IN, witness=W, tier="partial-transpose")
         m2 = np.eye(d) - m1
-        # The draw once seeded Dovm's screen; it stays so that the stream
-        # of samples is unchanged.
-        rng.integers(2**31)
         return Dovm(m1=m1, m2=m2, dims=dims,
                     block_positivity_evidence=(ev1, _psd_evidence(m2)))
     raise ValidationError("sampler failed to produce a valid DOVM")

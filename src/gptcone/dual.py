@@ -241,14 +241,14 @@ def dual_membership(generators, x) -> MembershipVerdict:
     if not len(generators):
         raise ValueError("dual_membership needs at least one generator")
     S = ensure_herm([x, *generators])
-    return _dual_membership(S[1:], S[0], 1e-9)
+    return _dual_membership(S[1:], S[0])
 
 
-def _dual_membership(gens, x, tol) -> MembershipVerdict:
+def _dual_membership(gens, x) -> MembershipVerdict:
     gens = _stack(gens, len(x))
     vals = _op(gens, x)
     k = int(np.argmin(vals))
-    if vals[k] >= -tol:
+    if vals[k] >= -1e-9:
         return MembershipVerdict(IN, margin=float(vals[k]))
     return MembershipVerdict(OUT, witness=gens[k], margin=float(vals[k]))
 

@@ -3,10 +3,10 @@
 Matrix files: ``{"dim": d, "re": d x d array, "im": d x d array}``.
 Cone files: ``{"tag":..., "params":..., "dim": d, "dims": [dA, dB],
 "generators": [matrix...]}``; the tag defaults to ``PSD`` and a missing
-``dim`` is read off the generators or ``dims``; a field of the wrong
-JSON type is rejected with :class:`ValidationError`.  A cone cut out by
-halfspaces has no cone file, so a non-empty ``dual_generators`` field is
-rejected.
+``dim`` is inferred by :class:`~gptcone.cones.ConeRep`; a field of the
+wrong JSON type is rejected with :class:`ValidationError`.  A cone cut
+out by halfspaces has no cone file, so a non-empty ``dual_generators``
+field is rejected.
 """
 
 from __future__ import annotations
@@ -88,14 +88,7 @@ def cone_from_json(obj: dict):
         raise ValidationError("cone field 'generators' must be a list")
     gens = [matrix_from_json(g) for g in gens]
     dim = obj.get("dim")
-    if dim is None:
-        if gens:
-            dim = gens[0].shape[0]
-        elif dims:
-            dim = dims.total
-        else:
-            raise ValidationError("cone object has no dimension information")
-    elif type(dim) is not int or dim < 1:
+    if dim is not None and (type(dim) is not int or dim < 1):
         raise ValidationError("cone field 'dim' must be a positive integer")
     return ConeRep(dim=dim, generators=gens, oracle=tag, params=params or {},
                    dims=dims)

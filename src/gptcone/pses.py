@@ -28,7 +28,8 @@ from .verdict import OUT, MembershipVerdict
 @dataclass
 class MeopFamily:
     """An orthonormal family of maximally entangled rank-1 projectors
-    spanning the composite space (dA = dB = m, count = m^2)."""
+    spanning the composite space (dA = dB = m, count = m^2), checked when
+    built to 1e-10: trace-orthonormal, resolving I, marginals I/m."""
 
     dims: BipartiteDims
     projectors: list
@@ -38,24 +39,19 @@ class MeopFamily:
             raise ValidationError("maximally entangled families need dA == dB")
         if len(self.projectors) != self.dims.total:
             raise ValidationError("family must span the composite space")
-        self.projectors = list(ensure_herm(list(self.projectors),
-                                           dim=self.dims.total))
-
-    def validate(self):
-        m = self.dims.dA
-        flat = np.array(self.projectors).reshape(len(self.projectors), -1)
-        gram = np.real(flat.conj() @ flat.T)
-        if np.max(np.abs(gram - np.eye(len(self.projectors)))) > 1e-10:
+        stack = ensure_herm(list(self.projectors), dim=self.dims.total)
+        self.projectors = list(stack)
+        m, D = self.dims.dA, self.dims.total
+        flat = stack.reshape(D, -1)
+        if np.max(np.abs(np.real(flat.conj() @ flat.T) - np.eye(D))) > 1e-10:
             raise ValidationError("projectors are not trace-orthonormal")
-        total = sum(self.projectors)
-        if np.max(np.abs(total - np.eye(self.dims.total))) > 1e-10:
+        if np.max(np.abs(sum(self.projectors) - np.eye(D))) > 1e-10:
             raise ValidationError("projectors do not resolve the identity")
         for P in self.projectors:
             for keep in ("A", "B"):
                 red = partial_trace(P, self.dims, keep)
                 if np.max(np.abs(red - np.eye(m) / m)) > 1e-10:
                     raise ValidationError("projector is not maximally entangled")
-        return self
 
 
 @dataclass
@@ -92,7 +88,7 @@ def generalized_bell(m: int) -> MeopFamily:
             U = np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
             v = np.kron(np.eye(m, dtype=complex), U) @ phi
             projectors.append(np.outer(v, v.conj()))
-    return MeopFamily(dims=dims, projectors=projectors).validate()
+    return MeopFamily(dims=dims, projectors=projectors)
 
 
 def swap_family(family: MeopFamily) -> MeopFamily:
@@ -173,7 +169,7 @@ def cr_membership(x, params: PsesParams) -> MembershipVerdict:
 
 def _cr_membership(x, params):
     gens = npm_endpoint_generators(params)
-    v = _dual_membership(gens, x, 1e-9)
+    v = _dual_membership(gens, x)
     if v.status == OUT:
         return replace(v, tier="npm-endpoint")
     return _feasibility(x, gens, (identity,))
@@ -320,7 +316,7 @@ def distance_upper_bound(params: PsesParams, sigma, restarts: int = 32):
 
     if max(a, (1.0 - a) / (D - 1.0)) > a + 1e-8:
         raise ValidationError("fidelity certificate exceeded the target level")
-    if not _dual_membership(npm_endpoint_generators(params), rho0, 1e-8):
+    if not _dual_membership(npm_endpoint_generators(params), rho0):
         raise ValidationError("rho0 failed a dual-side endpoint pairing")
     dist = float(np.sum(np.abs(np.linalg.eigvalsh(rho0 - sigma))))
     if dist > eps_of_r(params.r) + 1e-8:
@@ -364,7 +360,7 @@ def dist_example(r: float, family: MeopFamily, tol: float = 1e-10):
         raise ValidationError("discrimination table deviated from identity")
     params = PsesParams(family_set=swap_pair(family), r=r, dims=dims)
     gens = npm_endpoint_generators(params)
-    if not all(_dual_membership(gens, rho, tol) for rho in (rho1, rho2)):
+    if not all(_dual_membership(gens, rho) for rho in (rho1, rho2)):
         raise ValidationError("state failed a dual-side pairing")
     overlap = float(abs(np.vdot(phi1, phi2)) ** 2)
     return (M1, M2), (rho1, rho2), overlap

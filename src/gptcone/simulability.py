@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cones import Measurement
 from .dovm import BQ, TOL, Dovm, bq_witness_states, classify
-from .herm import BipartiteDims, ValidationError, _inner, ensure_herm
-from .verdict import UNKNOWN, MembershipVerdict
+from .herm import ValidationError, _inner, ensure_herm
 
 
 @dataclass
@@ -20,7 +20,7 @@ class SimulabilityCertificate:
     detail: str = ""
 
 
-def domain_contains(measurement: Dovm, rho) -> bool:
+def domain_contains(measurement: Dovm | Measurement, rho) -> bool:
     """Whether a PSD state gives valid probabilities on both effects, to
     1e-8.  A state with an eigenvalue below -1e-8 raises."""
     rho, *effects = ensure_herm([rho, *measurement.effects])
@@ -37,7 +37,7 @@ def n_copy_overlap(rho1, rho2, n: int) -> float:
     return float(_inner(*ensure_herm([rho1, rho2])) ** n)
 
 
-def non_simulability_certificate(measurement: Dovm,
+def non_simulability_certificate(measurement: Dovm | Measurement,
                                  states=None) -> SimulabilityCertificate:
     """Witness that no copy-and-measure protocol reproduces the statistics.
 
@@ -87,8 +87,10 @@ def shrunk_bloch_example(p: float, samples: int = 1000) -> dict:
     states ``rho_i = p P_i + (1-p) I/2`` are distinguished exactly while
     overlapping by ``p(1-p) + (1-p)^2/2 > 0``.
 
-    Validity on the domain is checked exactly: ``Tr (p rho + (1-p) I/2) M``
-    is least at rho = M's bottom eigenprojector, where it equals
+    ``{M, I - M}`` is a :class:`~gptcone.cones.Measurement` without a
+    model, not a DOVM: M has a negative eigenvalue.  Validity on the
+    domain is checked exactly: ``Tr (p rho + (1-p) I/2) M`` is least at
+    rho = M's bottom eigenprojector, where it equals
     ``p lambda_min(M) + (1-p)/2 Tr M``.  ``samples`` is ignored.
     """
     if not 0.0 < p < 1.0:
@@ -97,13 +99,7 @@ def shrunk_bloch_example(p: float, samples: int = 1000) -> dict:
     P2 = np.diag([0.0, 1.0]).astype(complex)
     eye = np.eye(2, dtype=complex)
     m1 = -((1.0 - p) / (2.0 * p)) * P1 + ((1.0 + p) / (2.0 * p)) * P2
-    # The effects are valid against the shrunk domain (checked below), not
-    # block-positive on a tensor split, so the tensor-split screening is
-    # bypassed with precomputed evidence.
-    evidence = (MembershipVerdict(UNKNOWN, tier="shrunk-domain"),
-                MembershipVerdict(UNKNOWN, tier="shrunk-domain"))
-    meas = Dovm(m1=m1, m2=eye - m1, dims=BipartiteDims(1, 2),
-                block_positivity_evidence=evidence)
+    meas = Measurement([m1, eye - m1])
 
     worst = min(p * np.linalg.eigvalsh(m)[0]
                 + (1.0 - p) / 2.0 * np.trace(m).real for m in meas.effects)

@@ -14,6 +14,8 @@ from gptcone.cones import (
     SEP_DUAL,
     SHRUNK_BLOCH,
     ConeRep,
+    GptModel,
+    Measurement,
     MeasurementValidationError,
     block_positivity,
     capacity_demo,
@@ -24,7 +26,6 @@ from gptcone.cones import (
     min_product_expectation,
     sep_model,
     ses_model,
-    validate_measurement,
 )
 from gptcone.dual import conic_feasibility, identity
 from gptcone.herm import BipartiteDims, ValidationError, partial_transpose, trace_inner
@@ -164,7 +165,7 @@ def test_validate_measurement_povm_on_ses(dims22):
     model = ses_model(dims22)
     p = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
     effects = [p, np.eye(4) - p]
-    meas = validate_measurement(model, effects)
+    meas = Measurement(effects, model)
     assert len(meas) == 2
 
 
@@ -172,7 +173,7 @@ def test_validate_measurement_rejects_nonpositive(dims22, e_pair):
     model = ses_model(dims22)
     e1, e2 = e_pair
     with pytest.raises(MeasurementValidationError) as exc:
-        validate_measurement(model, [e1, e2])
+        Measurement([e1, e2], model)
     assert exc.value.index == 0
 
 
@@ -180,14 +181,50 @@ def test_appendix_measurement_valid_on_sep_model(dims22, e_pair):
     # The beyond-quantum pair is a measurement for the separable model,
     # whose effect cone is the block-positive dual.
     model = sep_model(dims22)
-    meas = validate_measurement(model, list(e_pair))
+    meas = Measurement(list(e_pair), model)
     assert len(meas) == 2
 
 
 def test_validate_measurement_sum_check(dims22):
     model = ses_model(dims22)
     with pytest.raises(ValidationError):
-        validate_measurement(model, [np.eye(4), 0.5 * np.eye(4)])
+        Measurement([np.eye(4), 0.5 * np.eye(4)], model)
+
+
+def test_measurement_with_a_model_checks_itself(dims22):
+    model = ses_model(dims22)
+    with pytest.raises(MeasurementValidationError, match="empty"):
+        Measurement([], model)
+    p = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    with pytest.raises(MeasurementValidationError) as exc:
+        Measurement([np.eye(4) + p, -p], model)
+    assert exc.value.index == 1 and exc.value.verdict.status == OUT
+    # Without a model the effects are taken as given.
+    assert len(Measurement([np.eye(4) + p, -p])) == 2
+
+
+def test_gpt_model_rejects_a_unit_outside_the_dual_interior():
+    with pytest.raises(ValidationError, match="positive definite"):
+        GptModel(make_named_cone(PSD, dim=2), np.diag([1.0, -1.0]))
+    with pytest.raises(ValidationError, match="interior"):
+        GptModel(ConeRep(dim=2, generators=[-np.eye(2)]), np.eye(2))
+
+
+def test_cone_rep_infers_its_dimension():
+    assert ConeRep(dims=BipartiteDims(2, 3)).dim == 6
+    assert ConeRep(generators=[np.eye(3)]).dim == 3
+    assert make_named_cone(SEP, dims=BipartiteDims(2, 2)).dim == 4
+    with pytest.raises(ValidationError, match="dimension required"):
+        ConeRep()
+    with pytest.raises(ValidationError, match="dimension required"):
+        make_named_cone(PSD)
+    with pytest.raises(ValidationError, match="size 4"):
+        ConeRep(dims=BipartiteDims(2, 2), generators=[np.eye(3)])
+
+
+def test_min_product_expectation_rejects_non_finite_matrices(dims22):
+    with pytest.raises(ValidationError, match="non-finite"):
+        min_product_expectation(np.full((4, 4), np.nan), dims22)
 
 
 def test_capacity_demo_sizes():

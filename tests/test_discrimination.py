@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from gptcone import dual
 from gptcone.cones import (
     CLASSICAL_ORTHANT,
     CS_NEG,
@@ -135,6 +136,14 @@ def test_min_error_over_cone_dist_example_3x3():
     assert np.array_equal(m1, m1.conj().T) and np.array_equal(m2, m2.conj().T)
     assert err_of_measurement(rho1, rho2, meas) == pytest.approx(cval,
                                                                  abs=1e-8)
+
+
+def test_min_error_over_cone_reports_a_solve_that_does_not_converge(
+        monkeypatch):
+    monkeypatch.setattr(dual, "_MAX_ITER", 1)
+    rho1, rho2 = np.diag([1.0, 0.0]), np.full((2, 2), 0.5)
+    with pytest.raises(ValidationError, match="did not converge"):
+        min_error_over_cone(rho1, rho2, make_named_cone(PSD, dim=2))
 
 
 def test_min_error_restricted_cone_at_least_helstrom():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gptcone.cones import gurvits_ball_contains
+from gptcone.cones import Measurement, gurvits_ball_contains
 from gptcone.dovm import (
     AQ,
     BQ,
@@ -112,6 +112,23 @@ def test_bq_witness_boundary_spectrum():
                      [trace_inner(rho2, dovm.m1), trace_inner(rho2, dovm.m2)]])
     assert np.max(np.abs(gram - np.eye(2))) <= 1e-9
     assert overlap > 0
+
+
+def test_bq_witness_states_when_the_second_effect_decides(dims22):
+    bq = random_dovm(dims22, seed=7, target=BQ)
+    dovm = Dovm(m1=bq.m2, m2=bq.m1, dims=dims22)
+    assert classify(dovm).deciding_effect == 1
+    rho1, rho2, overlap = bq_witness_states(dovm)
+    gram = np.array([[trace_inner(r, m) for m in dovm.effects]
+                     for r in (rho1, rho2)])
+    assert np.max(np.abs(gram - np.eye(2))) <= 1e-9
+    assert overlap > 0
+
+
+def test_classify_accepts_a_measurement(e_pair):
+    assert classify(Measurement(list(e_pair))).tag == BQ
+    p = np.diag([1.0, 1.0, 0.0, 0.0])
+    assert classify(Measurement([p, np.eye(4) - p])).tag == POVM
 
 
 def test_bq_witness_rejects_non_bq():

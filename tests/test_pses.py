@@ -48,7 +48,6 @@ def params01(bell_family):
 def test_generalized_bell_invariants(m):
     fam = generalized_bell(m)
     assert len(fam.projectors) == m * m
-    fam.validate()
     for P in fam.projectors:
         red = partial_trace(P, fam.dims, "A")
         assert np.max(np.abs(red - np.eye(m) / m)) <= 1e-12
@@ -66,7 +65,7 @@ def test_swap_family_involution(bell_family):
 
 
 def test_swap_preserves_invariants(bell_family):
-    swap_family(bell_family).validate()
+    swap_family(bell_family)
 
 
 def test_deformation_pair_sums_to_identity(bell_family):
@@ -308,11 +307,23 @@ def test_meop_family_validation_rejects_bad_sets(bell_family):
     prod[0, 0] = 1.0
     broken = [prod] + [P.copy() for P in bell_family.projectors[1:]]
     with pytest.raises(ValidationError):
-        MeopFamily(dims=bell_family.dims, projectors=broken).validate()
+        MeopFamily(dims=bell_family.dims, projectors=broken)
     # Four 9x9 projectors are not a 2x2 family.
     with pytest.raises(ValidationError, match="size 4"):
         MeopFamily(dims=bell_family.dims,
                    projectors=generalized_bell(3).projectors[:4])
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda P: [np.diag(e) for e in np.eye(4)], "maximally entangled"),
+    (lambda P: [(P[0] + P[1]) / 2, (P[0] + P[1]) / 2, *P[2:]],
+     "trace-orthonormal"),
+    (lambda P: [-P[0], *P[1:]], "resolve the identity"),
+])
+def test_a_non_meop_set_raises_at_construction(bell_family, change, message):
+    with pytest.raises(ValidationError, match=message):
+        MeopFamily(dims=bell_family.dims,
+                   projectors=change(list(bell_family.projectors)))
 
 
 @pytest.mark.parametrize("r", [-0.1, np.nan, np.inf])
