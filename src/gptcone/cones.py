@@ -94,6 +94,9 @@ class GptModel:
         for g in self.cone.generators:
             if np.linalg.norm(g) > 1e-12 and _inner(self.unit, g) <= 0:
                 raise ValidationError("order unit not interior to the dual cone")
+        verdict = _evaluate(self.cone, self.unit, dual=True)
+        if verdict.status == OUT:
+            raise ValidationError("order unit outside the dual cone")
 
 
 class MeasurementValidationError(ValidationError):
@@ -127,12 +130,15 @@ class Measurement:
         if dev > 1e-10:
             raise MeasurementValidationError(
                 f"effects sum to the unit only within {dev:.3e}")
-        for k, e in enumerate(self.effects):
-            verdict = _evaluate(model.cone, e, dual=True)
+        for k, verdict in enumerate(self._dual_verdicts()):
             if verdict.status == OUT:
                 raise MeasurementValidationError(
                     f"effect {k} is outside the dual cone "
                     f"(margin {verdict.margin:.3e})", index=k, verdict=verdict)
+
+    def _dual_verdicts(self):
+        """The verdict of each effect in the dual of the model's cone."""
+        return (_evaluate(self.model.cone, e, dual=True) for e in self.effects)
 
     def __len__(self):
         return len(self.effects)
@@ -198,8 +204,9 @@ def _gurvits(X):
     return float(np.linalg.norm(np.eye(d) - scaled)) <= 1.0 + DEFAULT_TOL
 
 
-def block_positivity(x, dims: BipartiteDims) -> MembershipVerdict:
-    """:func:`membership` of ``x`` in SEP_DUAL, the block-positive cone.
+def _block_positivity(x, dims, lam):
+    """Membership of checked x, with least eigenvalue lam, in SEP_DUAL,
+    the block-positive cone.
 
     PSD x is In; a product vector from :func:`min_product_expectation`
     with a negative expectation gives Out with its projector as witness.
@@ -209,11 +216,6 @@ def block_positivity(x, dims: BipartiteDims) -> MembershipVerdict:
     or a separator W with W, W^Gamma PSD.  Above 6 the search makes 64
     descents, and a nonnegative minimum is Unknown.
     """
-    return membership(make_named_cone(SEP_DUAL, dims=dims), x)
-
-
-def _block_positivity(x, dims, lam):
-    """:func:`block_positivity` of checked x with least eigenvalue lam."""
     if lam >= -DEFAULT_TOL:
         return MembershipVerdict(IN, margin=float(lam), tier="psd")
     exact = dims.total <= 6

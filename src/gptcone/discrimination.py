@@ -11,7 +11,7 @@ from .herm import BipartiteDims, ValidationError, _inner, ensure_herm, partial_t
 
 
 def _effects(measurement) -> list:
-    """The ``.effects`` of a Measurement or a Dovm, or a list of effects."""
+    """The ``.effects`` of a Measurement, or a list of effects."""
     return list(getattr(measurement, "effects", measurement))
 
 

@@ -7,9 +7,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import _block_positivity
+from .cones import GptModel, Measurement, sep_model
 from .herm import BipartiteDims, ValidationError, _inner, ensure_herm
-from .verdict import IN, OUT, MembershipVerdict
+from .verdict import IN, MembershipVerdict
 
 BQ = "BQ"
 AQ = "AQ"
@@ -19,40 +19,33 @@ TOL = 1e-9  # spectral tolerance of the class boundaries
 
 
 @dataclass
-class Dovm:
-    """A two-outcome measurement whose effects are block-positive.
+class Dovm(Measurement):
+    """A DOVM: the two-outcome :class:`~gptcone.cones.Measurement` of
+    ``sep_model(dims)``, whose effects lie in SEP*, the block-positive cone.
 
-    Construction checks ``m1 + m2 = I``; block positivity is screened by
-    :func:`~gptcone.cones.block_positivity` and the evidence is stored,
-    with Out verdicts rejected.  At dA dB <= 6 the screen is exact; above
-    it an Unknown tier is accepted as honest evidence.  A caller whose
-    construction already certifies the effects passes that certificate
-    as ``block_positivity_evidence`` instead.
+    Each effect's dual-cone verdict is kept as ``block_positivity_evidence``
+    and an Out is rejected; it is exact at dA dB <= 6, and above it an
+    Unknown is honest evidence.  A caller whose construction certifies the
+    effects passes that certificate instead, which is checked the same way.
     """
 
+    # Built from m1, m2 and dims, so the constructor keeps its signature.
+    effects: list = field(init=False, repr=False)
+    model: GptModel = field(init=False, repr=False)
     m1: np.ndarray
     m2: np.ndarray
     dims: BipartiteDims
     block_positivity_evidence: tuple = field(default=None, repr=False)
 
     def __post_init__(self):
-        d = self.dims.total
-        self.m1, self.m2 = ensure_herm([self.m1, self.m2], dim=d)
-        dev = float(np.max(np.abs(self.m1 + self.m2 - np.eye(d))))
-        if dev > 1e-10:
-            raise ValidationError(f"effects sum to I only within {dev:.3e}")
-        if self.block_positivity_evidence is None:
-            self.block_positivity_evidence = tuple(_block_positivity(
-                m, self.dims, np.linalg.eigvalsh(m)[0])
-                for m in (self.m1, self.m2))
-        for k, v in enumerate(self.block_positivity_evidence):
-            if v.status == OUT:
-                raise ValidationError(
-                    f"effect {k + 1} is not block-positive (margin {v.margin:.3e})")
+        self.effects, self.model = [self.m1, self.m2], sep_model(self.dims)
+        super().__post_init__()
+        self.m1, self.m2 = self.effects
 
-    @property
-    def effects(self):
-        return [self.m1, self.m2]
+    def _dual_verdicts(self):
+        if self.block_positivity_evidence is None:
+            self.block_positivity_evidence = tuple(super()._dual_verdicts())
+        return self.block_positivity_evidence
 
 
 @dataclass
@@ -64,9 +57,9 @@ class DovmClass:
     spectrum_summary: tuple
 
 
-def classify(dovm) -> DovmClass:
-    """Classify a two-outcome :class:`Dovm` or
-    :class:`~gptcone.cones.Measurement` by its effects' extreme eigenvalues.
+def classify(dovm: Measurement) -> DovmClass:
+    """Classify a two-outcome :class:`~gptcone.cones.Measurement`, such as
+    a :class:`Dovm`, by its effects' extreme eigenvalues.
 
     POVM: both effects PSD.  Otherwise examine the effect with a negative
     eigenvalue: BQ if its top eigenvalue reaches 1, AQ if it lies strictly
@@ -74,6 +67,8 @@ def classify(dovm) -> DovmClass:
     1.  Boundary ``lambda_max in [1-TOL, 1+TOL]`` resolves to BQ (the BQ
     condition is the closed one).
     """
+    if len(dovm.effects) != 2:
+        raise ValidationError(f"classify needs two effects, got {len(dovm.effects)}")
     spectra = [np.linalg.eigvalsh(m) for m in dovm.effects]
     summary = tuple((float(s[0]), float(s[-1])) for s in spectra)
     neg = [k for k, s in enumerate(spectra) if s[0] < -TOL]
@@ -88,7 +83,7 @@ def classify(dovm) -> DovmClass:
     return DovmClass(NAQ, k, summary)
 
 
-def bq_witness_states(dovm: Dovm):
+def bq_witness_states(dovm: Measurement):
     """Non-orthogonal pure state pair perfectly discriminated by a BQ DOVM.
 
     Built on the extreme eigenvectors of the deciding effect:
@@ -120,7 +115,7 @@ def bq_witness_states(dovm: Dovm):
     return rho1, rho2, overlap
 
 
-def aq_advantage_states(dovm: Dovm):
+def aq_advantage_states(dovm: Measurement):
     """Separable state pair on which a BQ/AQ DOVM beats the quantum optimum.
 
     ``rho1 = I/d`` and ``rho2 = I/d + (E_1 - E_d)/(sqrt(2) d)`` built from
@@ -140,7 +135,7 @@ def aq_advantage_states(dovm: Dovm):
     vals, vecs = np.linalg.eigh(dovm.effects[k])
     if vals[-1] - vals[0] <= 1.0 + TOL:
         raise ValidationError("deciding effect has spectral width <= 1")
-    d = dovm.dims.total
+    d = len(dovm.effects[0])
     E1 = np.outer(vecs[:, 0], vecs[:, 0].conj())
     Ed = np.outer(vecs[:, -1], vecs[:, -1].conj())
     rho1 = np.eye(d, dtype=complex) / d

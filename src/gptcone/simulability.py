@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import Measurement
-from .dovm import BQ, TOL, Dovm, bq_witness_states, classify
+from .dovm import BQ, TOL, bq_witness_states, classify
 from .herm import ValidationError, _inner, ensure_herm
 
 
@@ -20,7 +20,7 @@ class SimulabilityCertificate:
     detail: str = ""
 
 
-def domain_contains(measurement: Dovm | Measurement, rho) -> bool:
+def domain_contains(measurement: Measurement, rho) -> bool:
     """Whether a PSD state gives valid probabilities on both effects, to
     1e-8.  A state with an eigenvalue below -1e-8 raises."""
     rho, *effects = ensure_herm([rho, *measurement.effects])
@@ -37,7 +37,7 @@ def n_copy_overlap(rho1, rho2, n: int) -> float:
     return float(_inner(*ensure_herm([rho1, rho2])) ** n)
 
 
-def non_simulability_certificate(measurement: Dovm | Measurement,
+def non_simulability_certificate(measurement: Measurement,
                                  states=None) -> SimulabilityCertificate:
     """Witness that no copy-and-measure protocol reproduces the statistics.
 

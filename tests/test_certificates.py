@@ -17,7 +17,6 @@ from gptcone.cones import (
     SEP_DUAL,
     SHRUNK_BLOCH,
     ConeRep,
-    block_positivity,
     dual_cone_membership,
     make_named_cone,
     membership,
@@ -341,7 +340,7 @@ def test_block_positivity_certifies_decomposable_inputs(dA, dB):
     assert len(xs) >= 5
     decomposable = (identity, lambda X: partial_transpose(X, dims))
     for x in xs:
-        v = block_positivity(x, dims)
+        v = membership(make_named_cone(SEP_DUAL, dims=dims), x)
         assert v.status == IN and v.tier == "decomposition"
         _check_certificate(v.witness, x, [], decomposable)
 

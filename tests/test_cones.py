@@ -17,7 +17,6 @@ from gptcone.cones import (
     GptModel,
     Measurement,
     MeasurementValidationError,
-    block_positivity,
     capacity_demo,
     dual_cone_membership,
     gurvits_ball_contains,
@@ -208,6 +207,12 @@ def test_gpt_model_rejects_a_unit_outside_the_dual_interior():
         GptModel(make_named_cone(PSD, dim=2), np.diag([1.0, -1.0]))
     with pytest.raises(ValidationError, match="interior"):
         GptModel(ConeRep(dim=2, generators=[-np.eye(2)]), np.eye(2))
+    # Every other tag checks its unit against its dual cone.
+    with pytest.raises(ValidationError, match="outside the dual cone"):
+        GptModel(make_named_cone(SEP, dims=BipartiteDims(2, 2)),
+                 np.diag([1.0, 1.0, 1.0, -1.0]))
+    with pytest.raises(ValidationError, match="outside the dual cone"):
+        GptModel(make_named_cone(CLASSICAL_ORTHANT, dim=2), np.diag([1.0, -1.0]))
 
 
 def test_cone_rep_infers_its_dimension():
@@ -456,7 +461,7 @@ def test_named_oracle_verdicts_are_scale_invariant(tag, dims, params, seed,
 ], ids=["non-hermitian", "wrong-size", "nan"])
 def test_block_positivity_rejects_invalid_input(x, dims):
     with pytest.raises(ValidationError):
-        block_positivity(x, dims)
+        membership(make_named_cone(SEP_DUAL, dims=dims), x)
 
 
 @pytest.fixture

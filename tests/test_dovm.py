@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gptcone.cones import Measurement, gurvits_ball_contains
+from gptcone.cones import (
+    SEP,
+    Measurement,
+    MeasurementValidationError,
+    gurvits_ball_contains,
+    sep_model,
+)
 from gptcone.dovm import (
     AQ,
     BQ,
@@ -18,7 +24,7 @@ from gptcone.dovm import (
 )
 from gptcone.herm import BipartiteDims, ValidationError, partial_transpose, trace_inner
 from gptcone.sampling import haar_unitary
-from gptcone.verdict import IN, UNKNOWN, MembershipVerdict
+from gptcone.verdict import IN, OUT, UNKNOWN, MembershipVerdict
 
 
 def _commuting_dovm(diag):
@@ -82,14 +88,56 @@ def test_classify_invariant_under_swap_and_unitary(e_pair, dims22):
 
 
 def test_dovm_rejects_bad_sum(dims22):
-    with pytest.raises(ValidationError):
+    with pytest.raises(MeasurementValidationError, match="sum to the unit"):
         Dovm(m1=np.eye(4), m2=np.eye(4), dims=dims22)
 
 
-def test_dovm_rejects_non_blockpositive(dims22, bell_state):
+def test_dovm_rejects_non_blockpositive(dims22, bell_state, e_pair):
     bad = bell_state - 0.5 * np.eye(4)
-    with pytest.raises(ValidationError):
+    with pytest.raises(MeasurementValidationError,
+                       match="effect 0 is outside the dual cone") as exc:
         Dovm(m1=bad, m2=np.eye(4) - bad, dims=dims22)
+    assert exc.value.index == 0 and exc.value.verdict.status == OUT
+    # Given evidence with an Out is rejected the same way.
+    ev = (MembershipVerdict(IN, tier="given"),
+          MembershipVerdict(OUT, margin=-1.0, tier="given"))
+    with pytest.raises(MeasurementValidationError) as exc:
+        Dovm(m1=e_pair[0], m2=e_pair[1], dims=dims22, block_positivity_evidence=ev)
+    assert exc.value.index == 1 and exc.value.verdict is ev[1]
+
+
+def test_a_dovm_is_a_measurement_of_the_sep_model(e_dovm, e_pair, dims22):
+    assert isinstance(e_dovm, Measurement)
+    assert e_dovm.model.cone.oracle == SEP
+    assert e_dovm.dims == e_dovm.model.cone.dims == dims22
+    assert e_dovm.m1 is e_dovm.effects[0] and e_dovm.m2 is e_dovm.effects[1]
+    np.testing.assert_allclose(e_dovm.m1, e_pair[0], atol=0)
+    assert [v.status for v in e_dovm.block_positivity_evidence] == [IN, IN]
+
+
+@pytest.mark.parametrize("build", [
+    lambda e1, e2: Dovm(e1, e2, BipartiteDims(2, 2)),
+    lambda e1, e2: Measurement([e1, e2], sep_model(BipartiteDims(2, 2))),
+    lambda e1, e2: Measurement([e1, e2]),
+], ids=["dovm", "sep-measurement", "model-free"])
+def test_dovm_functions_take_any_two_outcome_measurement(build, e_dovm, e_pair):
+    meas = build(*e_pair)
+    assert classify(meas) == classify(e_dovm)
+    for witness in (bq_witness_states, aq_advantage_states):
+        *states, value = witness(meas)
+        *expected, expected_value = witness(e_dovm)
+        np.testing.assert_allclose(states, expected, atol=1e-12)
+        assert value == pytest.approx(expected_value, abs=1e-12)
+
+
+def test_classify_needs_exactly_two_effects(e_pair):
+    e1, e2 = e_pair
+    three = Measurement([e1, e2 / 2, e2 / 2])
+    for f in (classify, bq_witness_states, aq_advantage_states):
+        with pytest.raises(ValidationError, match="two effects"):
+            f(three)
+    with pytest.raises(ValidationError, match="two effects"):
+        classify(Measurement([np.eye(4)]))
 
 
 def test_bq_witness_states_fixture(e_dovm, e_pair):
