@@ -141,19 +141,17 @@ def cmd_discriminate(args) -> int:
 
 
 def _family_set(m: int, count: int):
-    if count < 1:
-        raise UsageError("--families must be at least 1")
+    """Family k is the Bell family with projectors 0 and k exchanged."""
+    if not 1 <= count <= m * m:
+        raise UsageError("--families must be at least 1" if count < 1 else
+                         "too many families requested for this local dim")
     base = pses.generalized_bell(m)
-    fams = [base, pses.swap_family(base)]
-    k = 1
-    while len(fams) < count:
-        k += 1
-        if k >= len(base.projectors):
-            raise UsageError("too many families requested for this local dim")
+    fams = []
+    for k in range(count):
         proj = list(base.projectors)
         proj[0], proj[k] = proj[k], proj[0]
         fams.append(pses.MeopFamily(dims=base.dims, projectors=proj))
-    return fams[:count]
+    return fams
 
 
 def cmd_build_pses(args) -> int:

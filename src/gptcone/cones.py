@@ -3,16 +3,16 @@
 A :class:`ConeRep` with the named cone K of its tag and generators G
 denotes the hull ``K + cone(G)``, whose dual is ``K* intersect G*``; the
 tag defaults to PSD, so a ConeRep without one is ``PSD + cone(G)``, the
-form of the deformed structures SES + NPM_r (past its endpoint-pairing
-screen, :func:`gptcone.pses.cr_membership` asks the same conic question).
-Pure cone(G) and the cone G* cut out by halfspaces are decided in
-:mod:`gptcone.dual`.  Each named cone and its dual are written once, in
-one table (PSD is self-dual, SEP and SEP_DUAL are each other's duals).
-Membership returns In or Out with the deciding tier and, for Out, a
-witness W with ``<W, x> < 0``; it returns Unknown honestly when no tier
-is decisive (separability is not decidable at tolerance in general).
-The named oracles decide to :data:`DEFAULT_TOL`, 1e-9, and a conic solve
-to the library's one conic tolerance, 1e-8.
+form of :attr:`gptcone.pses.PsesParams.cone`, the deformed structures
+SES + NPM_r.  Pure cone(G) and the cone G* cut out by halfspaces are
+decided in :mod:`gptcone.dual`.  Each named cone and its dual are written
+once, in one table (PSD is self-dual, SEP and SEP_DUAL are each other's
+duals).  Membership returns In or Out with the deciding tier and, for
+Out, a witness W with ``<W, x> < 0``; it returns Unknown honestly when no
+tier is decisive (separability is not decidable at tolerance in general).
+The named oracles decide to :data:`DEFAULT_TOL`, 1e-9.  A hull whose K
+has a conic description (PSD, CLASSICAL_ORTHANT, SEP_DUAL at dA dB <= 6)
+is decided by that description alone, at the one conic tolerance, 1e-8.
 """
 
 from __future__ import annotations
@@ -111,9 +111,9 @@ class MeasurementValidationError(ValidationError):
 @dataclass
 class Measurement:
     """Effects, checked when built with a model: nonempty, summing to its
-    unit within 1e-10, none Out of its cone's dual (else
-    :class:`MeasurementValidationError`, for an Out with ``index`` and
-    ``verdict``).  Without a model they are taken as given."""
+    unit within 1e-10, one dual-cone verdict per effect and none of them
+    Out (else :class:`MeasurementValidationError`, for an Out with
+    ``index`` and ``verdict``).  Without a model they are taken as given."""
 
     effects: list
     model: GptModel | None = None
@@ -130,7 +130,11 @@ class Measurement:
         if dev > 1e-10:
             raise MeasurementValidationError(
                 f"effects sum to the unit only within {dev:.3e}")
-        for k, verdict in enumerate(self._dual_verdicts()):
+        verdicts = list(self._dual_verdicts())
+        if len(verdicts) != len(self.effects):
+            raise MeasurementValidationError(
+                f"{len(verdicts)} dual-cone verdicts for {len(self)} effects")
+        for k, verdict in enumerate(verdicts):
             if verdict.status == OUT:
                 raise MeasurementValidationError(
                     f"effect {k} is outside the dual cone "
@@ -365,13 +369,17 @@ _RANK = {OUT: 0, UNKNOWN: 1, IN: 2}  # the worst verdict first
 def _evaluate(cone: ConeRep, x, dual: bool) -> MembershipVerdict:
     """Checked ``x`` in ``cone``, or in its dual when ``dual`` is set.
 
-    Without generators K's oracle answers alone.  The hull
-    ``K + cone(G)`` is In when K says In, Out when K's Out witness clears
-    every generator, else decided by one conic solve over
-    K's program and G (without a program, In only when x decomposes over G).
-    The intersection ``K* intersect G*`` takes the worst of its parts.
+    Without generators K's oracle answers alone.  A hull ``K + cone(G)``
+    is decided by its conic description alone, at 1e-8, so an In carries a
+    :class:`~gptcone.dual.ConicCertificate`.  Without a description it is
+    In when K says In, Out when K's Out witness clears every generator,
+    else In only when x decomposes over G.  The intersection
+    ``K* intersect G*`` takes the worst of its parts.
     """
     gens = cone.generators
+    program = gens and not dual and conic_program(cone)
+    if program:
+        return _feasibility(x, *program)
     v = _NAMED[cone.oracle][dual](x, cone)
     if not gens:
         return v
@@ -383,9 +391,6 @@ def _evaluate(cone: ConeRep, x, dual: bool) -> MembershipVerdict:
     if v.status == IN or v.status == OUT and all(
             _inner(v.witness, g) >= -DEFAULT_TOL for g in gens):
         return v
-    program = conic_program(cone)
-    if program is not None:
-        return _feasibility(x, *program)
     w = _feasibility(x, gens, ())  # cone(G)'s separator certifies nothing
     if w.status == IN:
         return w

@@ -9,12 +9,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dual import (
-    _dual_membership,
-    _feasibility,
-    _gram_check,
-    identity,
-)
+from .cones import ConeRep, _evaluate
+from .dual import _dual_membership, _gram_check
 from .herm import (
     BipartiteDims,
     ValidationError,
@@ -57,11 +53,13 @@ class MeopFamily:
 @dataclass
 class PsesParams:
     """A subset of MEOP families on ``dims`` together with the finite
-    deformation size ``r >= 0``."""
+    deformation size ``r >= 0``; ``cone`` is the deformed effect cone
+    ``PSD + cone(N_k)`` over the endpoints, built once with them."""
 
     family_set: list
     r: float
     dims: BipartiteDims
+    cone: ConeRep = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.family_set:
@@ -70,6 +68,8 @@ class PsesParams:
             raise ValidationError("r must be finite and nonnegative")
         if any(fam.dims != self.dims for fam in self.family_set):
             raise ValidationError("every family must have the params' dims")
+        self.cone = ConeRep(generators=npm_endpoint_generators(self),
+                            dims=self.dims)
 
 
 def generalized_bell(m: int) -> MeopFamily:
@@ -149,16 +149,14 @@ def r_of_eps(eps: float) -> float:
 
 
 def cr_membership(x, params: PsesParams) -> MembershipVerdict:
-    """Membership in the deformed cone ``(C_r^(0)* + NPM_r)*``.
+    """The endpoint screen, then ``membership(params.cone, x)``: In means
+    x pairs nonnegatively with every endpoint N_k and lies in
+    ``PSD + cone(N_k)``.
 
-    The dual of SES + NPM_r is ``PSD intersect {<., N_k> >= 0}``, whose
-    own dual is ``PSD + cone(N_k)``.  So x is In exactly when it pairs
-    nonnegatively with every deformation endpoint N_k and decomposes as
-    ``x = sum_k lam_k N_k + P`` with ``lam >= 0`` and P PSD.  An endpoint
-    pairing below -1e-9 gives Out with that endpoint as witness.
-    Otherwise :func:`conic_feasibility` over ``PSD + cone(N_k)`` decides,
-    to 1e-8: a PSD x, or an x with ``x - N_k`` PSD such as the endpoint
-    N_k itself, is In by its vertex tier without a solve (tier
+    A pairing ``<x, N_k>`` below -1e-9 gives Out with that endpoint as
+    witness (tier ``npm-endpoint``).  Otherwise the cone's conic
+    description decides, to 1e-8: a PSD x, or an x with ``x - N_k`` PSD
+    such as N_k itself, is In by the vertex tier without a solve (tier
     ``decomposition``, 0 iterations), and any other x gets the verdict of
     the first solver iterate that re-verifies, with that solve's ``gap``,
     ``iterations`` and ``converged``.  An Out margin ``<W, x>`` there is
@@ -168,11 +166,10 @@ def cr_membership(x, params: PsesParams) -> MembershipVerdict:
 
 
 def _cr_membership(x, params):
-    gens = npm_endpoint_generators(params)
-    v = _dual_membership(gens, x)
+    v = _dual_membership(params.cone.generators, x)
     if v.status == OUT:
         return replace(v, tier="npm-endpoint")
-    return _feasibility(x, gens, (identity,))
+    return _evaluate(params.cone, x, dual=False)
 
 
 @dataclass
@@ -208,7 +205,7 @@ def predual_audit(params: PsesParams, product_samples: int = 10_000,
     if product_samples < 1:
         raise ValidationError("product_samples must be at least 1")
     report = AuditReport()
-    gens = npm_endpoint_generators(params)
+    gens = params.cone.generators
     D = params.dims.total
     rng = np.random.default_rng(seed)
 
@@ -233,15 +230,15 @@ def hierarchy_audit(r_list, family_set, dims: BipartiteDims) -> AuditReport:
     """Strictness certificates for the inclusion chain over decreasing r.
 
     For consecutive r1 > r2 the endpoint ``N(r1)`` lies outside
-    ``PSD + cone(r2 endpoints)``.  A step is strict when
-    :func:`conic_feasibility`, at its 1e-8, answers Out with a separator W
-    that passes direct checks: W PSD, ``<W, N> >= -1e-9`` for every r2
-    endpoint N and ``<W, N(r1)> < -1e-9``.  W and the checked values are
-    recorded.  W comes from the first solver iterate whose separator
-    re-verified, so ``separator_pairing`` and ``infeasibility_bound``
-    (minus the Out margin ``<W, N(r1)>`` over ``||W||_HS``, a lower bound
-    on the distance from N(r1) to the inner cone) are checked values, not
-    the optimum.
+    ``PSD + cone(r2 endpoints)``, the r2 :attr:`PsesParams.cone`.  A step
+    is strict when that cone's conic description, at its 1e-8, answers
+    Out with a separator W that passes direct checks: W PSD,
+    ``<W, N> >= -1e-9`` for every r2 endpoint N and ``<W, N(r1)> < -1e-9``.
+    W and the checked values are recorded.  W comes from the first solver
+    iterate whose separator re-verified, so ``separator_pairing`` and
+    ``infeasibility_bound`` (minus the Out margin ``<W, N(r1)>`` over
+    ``||W||_HS``, a lower bound on the distance from N(r1) to the inner
+    cone) are checked values, not the optimum.
     A passing chain certifies (by the general theory, existence only) an
     n-independent family of self-dual modifications.
     """
@@ -257,10 +254,10 @@ def hierarchy_audit(r_list, family_set, dims: BipartiteDims) -> AuditReport:
         report.add("single_level", True, r=r_list[0])
         return report
     for i, (r1, r2) in enumerate(zip(r_list, r_list[1:])):
-        p2 = PsesParams(family_set=family_set, r=r2, dims=dims)
-        gens = npm_endpoint_generators(p2)
+        inner = PsesParams(family_set=family_set, r=r2, dims=dims).cone
+        gens = inner.generators
         n_outer = npm_element(r1, family_set[0])
-        v = _feasibility(n_outer, gens, (identity,))
+        v = _evaluate(inner, n_outer, dual=False)
         lam_w = float(np.linalg.eigvalsh(n_outer)[0])
         detail = {}
         strict = v.status == OUT
@@ -292,8 +289,8 @@ def distance_upper_bound(params: PsesParams, sigma, restarts: int = 32):
 
     Constructs the isotropic-like mixture
     ``rho0 = a sigma + (1 - a)(I - sigma)/(D - 1)`` with ``a = 1/(2r+1)``,
-    checks that its best maximally entangled fidelity is ``a``, checks the
-    dual-side pairings against the deformation endpoints, and returns
+    checks that its best maximally entangled fidelity is ``a``, checks that
+    it lies in the dual of ``params.cone``, and returns
     ``(||rho0 - sigma||_1, rho0)``.  That fidelity is exactly
     ``max(a, (1 - a)/(D - 1))``: ``<phi|rho0|phi>`` is affine in
     ``|<phi|sigma>|^2``, which spans [0, 1] on maximally entangled phi
@@ -316,7 +313,7 @@ def distance_upper_bound(params: PsesParams, sigma, restarts: int = 32):
 
     if max(a, (1.0 - a) / (D - 1.0)) > a + 1e-8:
         raise ValidationError("fidelity certificate exceeded the target level")
-    if not _dual_membership(npm_endpoint_generators(params), rho0):
+    if not _evaluate(params.cone, rho0, dual=True):
         raise ValidationError("rho0 failed a dual-side endpoint pairing")
     dist = float(np.sum(np.abs(np.linalg.eigvalsh(rho0 - sigma))))
     if dist > eps_of_r(params.r) + 1e-8:
@@ -358,9 +355,8 @@ def dist_example(r: float, family: MeopFamily, tol: float = 1e-10):
     gram = np.array([[_inner(r, M) for M in (M1, M2)] for r in (rho1, rho2)])
     if np.max(np.abs(gram - np.eye(2))) > tol:
         raise ValidationError("discrimination table deviated from identity")
-    params = PsesParams(family_set=swap_pair(family), r=r, dims=dims)
-    gens = npm_endpoint_generators(params)
-    if not all(_dual_membership(gens, rho) for rho in (rho1, rho2)):
+    cone = PsesParams(family_set=swap_pair(family), r=r, dims=dims).cone
+    if not all(_evaluate(cone, rho, dual=True) for rho in (rho1, rho2)):
         raise ValidationError("state failed a dual-side pairing")
     overlap = float(abs(np.vdot(phi1, phi2)) ** 2)
     return (M1, M2), (rho1, rho2), overlap
@@ -404,27 +400,27 @@ def self_duality_verifier(candidate_generators, outer: PsesParams,
     modification of the standard structure).  (a) ``candidate_gram``:
     pairwise Gram nonnegativity to 1e-9 (candidates inside their own
     dual); (b) ``sandwich``: no candidate is Out of the deformed cone by
-    :func:`cr_membership`, and the deformation endpoints are
-    conic-feasible over the candidate cone, to 1e-8 like every conic
-    solve.  The dual side needs no check of its own: every element of the
-    dual is PSD, so it lies in the candidate cone already.  ``samples``
-    is ignored.  Verification predicate only; it never constructs the
-    modified cone.
+    :func:`cr_membership`, and every deformation endpoint is In the
+    candidate :class:`~gptcone.cones.ConeRep`, validated once, to 1e-8
+    like every conic solve.  The dual side needs no check of its own:
+    every element of the dual is PSD, so it lies in the candidate cone
+    already.  ``samples`` is ignored.  Verification predicate only; it
+    never constructs the modified cone.
     """
     if not len(candidate_generators):
         raise ValidationError("candidate set must be nonempty")
-    cands = ensure_herm(list(candidate_generators), dim=outer.dims.total)
+    candidate = ConeRep(generators=list(candidate_generators), dims=outer.dims)
     report = AuditReport()
 
-    ok, (pair, value) = _gram_check(cands)
+    ok, (pair, value) = _gram_check(candidate.generators)
     report.add("candidate_gram", ok, min_pair=list(pair), min_value=value)
 
     sandwich_ok = all(np.linalg.norm(g) < 1e-12
                       or _cr_membership(g, outer).status != OUT
-                      for g in cands)
+                      for g in candidate.generators)
     endpoint_fail = next(
-        (k for k, N in enumerate(npm_endpoint_generators(outer))
-         if not _feasibility(N, cands, (identity,))), None)
+        (k for k, N in enumerate(outer.cone.generators)
+         if not _evaluate(candidate, N, dual=False)), None)
     report.add("sandwich", sandwich_ok and endpoint_fail is None,
                candidates_inside_outer=sandwich_ok,
                failed_endpoint=endpoint_fail)

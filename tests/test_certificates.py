@@ -17,6 +17,7 @@ from gptcone.cones import (
     SEP_DUAL,
     SHRUNK_BLOCH,
     ConeRep,
+    conic_program,
     dual_cone_membership,
     make_named_cone,
     membership,
@@ -290,9 +291,7 @@ def test_psd_hull_membership_matches_cr_membership(seed, m, r_frac, shift):
     assert v.status == cr_membership(x, params).status
     if v.status == OUT:
         _check_separator(v.witness, x, gens, (identity,))
-    elif v.witness is None:  # In by the PSD oracle
-        assert np.linalg.eigvalsh(x)[0] >= -1e-9
-    else:
+    else:  # also a PSD x is In by a certificate over the description
         _check_certificate(v.witness, x, gens, (identity,))
 
 
@@ -343,6 +342,34 @@ def test_block_positivity_certifies_decomposable_inputs(dA, dB):
         v = membership(make_named_cone(SEP_DUAL, dims=dims), x)
         assert v.status == IN and v.tier == "decomposition"
         _check_certificate(v.witness, x, [], decomposable)
+
+
+@given(seeds, st.sampled_from([PSD, CLASSICAL_ORTHANT, SEP_DUAL]),
+       st.integers(1, 4), st.booleans(), st.floats(-0.5, 2.0))
+@settings(max_examples=40, deadline=None)
+def test_every_described_hull_in_carries_a_certificate(seed, tag, m, inside,
+                                                       shift):
+    # A hull K + cone(G) whose K has a conic description is decided by that
+    # description alone, so even an x in K is In by a certificate over it.
+    rng = np.random.default_rng(seed)
+    dims = BipartiteDims(2, 2)
+    gens = _generators(4, m, rng)
+    cone = make_named_cone(tag, dims=dims, generators=gens)
+    if inside:  # a point of cone(G) plus a point of K
+        x = sum(w * g for w, g in zip(rng.uniform(1e-3, 1, m), gens))
+        if tag == CLASSICAL_ORTHANT:
+            x = x + np.diag(rng.uniform(0, 1, 4))
+        else:
+            x = x + random_psd(4, rng)
+        if tag == SEP_DUAL:
+            x = x + partial_transpose(random_psd(4, rng), dims)
+    else:
+        x = random_herm(4, rng) + shift * np.eye(4)
+    v = membership(cone, x)
+    assert v.status == IN or not inside
+    if v.status == IN:
+        assert isinstance(v.witness, ConicCertificate)
+        _check_certificate(v.witness, x, *conic_program(cone))
 
 
 def _psd(W):

@@ -301,20 +301,38 @@ def test_fixed_tolerances_at_their_boundary(decide, eps, expected, e_dovm):
     assert decide(eps, e_dovm) == expected
 
 
-@pytest.mark.parametrize("eps", [1.5e-9, 2e-9, 3e-9])
-def test_one_conic_question_has_one_answer(eps):
-    # x = N(0.1) - eps I pairs nonnegatively with every endpoint, and x less
-    # the endpoint N(0.1) misses PSD by 2 eps, above 1e-9 but below the
-    # conic tolerance 1e-8: every spelling of x in PSD + cone(endpoints)
-    # answers In at that one tolerance.
+def _below_endpoint(fam, eps):
+    return npm_element(0.1, fam) - eps * np.eye(4)
+
+
+def _cut_identity(fam, delta):
+    x = np.eye(4, dtype=complex)
+    x[0, 0] -= 1.0 + delta
+    return x
+
+
+@pytest.mark.parametrize("build,eps,expected", [
+    # x = N(0.1) - eps I: x less the endpoint N(0.1) misses PSD by 2 eps.
+    *(pytest.param(_below_endpoint, eps, IN, id=str(eps))
+      for eps in (1.5e-9, 2e-9, 3e-9)),
+    # x = I - (1 + delta)|00><00| misses PSD by delta, so the PSD oracle
+    # alone would answer Out at its 1e-9.
+    *(pytest.param(_cut_identity, delta, expected, id=f"cut-{delta}")
+      for delta, expected in ((2e-9, IN), (5e-9, IN), (9e-9, IN),
+                              (2e-8, OUT))),
+])
+def test_one_conic_question_has_one_answer(build, eps, expected):
+    # Each x pairs nonnegatively with every endpoint and misses the hull
+    # PSD + cone(endpoints) by eps, 2 eps or delta: every spelling of x in
+    # that hull answers at the one conic tolerance 1e-8.
     fam = generalized_bell(2)
     params = PsesParams(swap_pair(fam), 0.1, fam.dims)
     gens = npm_endpoint_generators(params)
-    x = npm_element(0.1, fam) - eps * np.eye(4)
+    x = build(fam, eps)
     statuses = {cr_membership(x, params).status,
                 conic_feasibility(x, gens, (identity,)).status,
                 membership(ConeRep(dim=4, generators=gens), x).status}
-    assert statuses == {IN}
+    assert statuses == {expected}
 
 
 def test_hull_contains_its_own_generators():

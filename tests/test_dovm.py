@@ -4,9 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from gptcone.cones import (
     SEP,
+    SEP_DUAL,
     Measurement,
     MeasurementValidationError,
     gurvits_ball_contains,
+    make_named_cone,
+    membership,
     sep_model,
 )
 from gptcone.dovm import (
@@ -104,6 +107,19 @@ def test_dovm_rejects_non_blockpositive(dims22, bell_state, e_pair):
     with pytest.raises(MeasurementValidationError) as exc:
         Dovm(m1=e_pair[0], m2=e_pair[1], dims=dims22, block_positivity_evidence=ev)
     assert exc.value.index == 1 and exc.value.verdict is ev[1]
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_dovm_needs_one_verdict_per_effect(dims22, bell_state, count):
+    # Evidence of the wrong length would leave an effect unchecked: here
+    # the first effect, Phi - I/2, is outside the dual cone.
+    bad = bell_state - 0.5 * np.eye(4)
+    assert membership(make_named_cone(SEP_DUAL, dims=dims22), bad).status == OUT
+    ev = (MembershipVerdict(IN, tier="given"),) * count
+    with pytest.raises(MeasurementValidationError,
+                       match=f"{count} dual-cone verdicts for 2 effects"):
+        Dovm(m1=bad, m2=np.eye(4) - bad, dims=dims22,
+             block_positivity_evidence=ev)
 
 
 def test_a_dovm_is_a_measurement_of_the_sep_model(e_dovm, e_pair, dims22):
