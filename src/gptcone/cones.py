@@ -43,11 +43,12 @@ CS_NEG = "CS_NEG"
 DEFAULT_TOL = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConeRep:
     """The cone ``K + cone(generators)`` of dim x dim Hermitian matrices,
     K named by the tag ``oracle``, which defaults to PSD; ``dim`` defaults
-    to ``dims.total``, else to the generators' size."""
+    to ``dims.total``, else to the generators' size.  Frozen: the fields
+    are set once, when built and checked."""
 
     dim: int | None = None
     generators: list = field(default_factory=list)
@@ -56,12 +57,14 @@ class ConeRep:
     dims: BipartiteDims | None = None
 
     def __post_init__(self):
-        self.oracle = self.oracle or PSD
+        if not self.oracle:
+            object.__setattr__(self, "oracle", PSD)
         if self.dim is None and self.dims is not None:
-            self.dim = self.dims.total
+            object.__setattr__(self, "dim", self.dims.total)
         if self.generators:
-            self.generators = list(ensure_herm(self.generators, dim=self.dim))
-            self.dim = len(self.generators[0])
+            gens = list(ensure_herm(self.generators, dim=self.dim))
+            object.__setattr__(self, "generators", gens)
+            object.__setattr__(self, "dim", len(gens[0]))
         if self.dim is None:
             raise ValidationError("dimension required")
         if self.dims is not None and self.dims.total != self.dim:
@@ -89,13 +92,16 @@ class GptModel:
 
     def __post_init__(self):
         self.unit = ensure_herm(self.unit, dim=self.cone.dim)
-        if self.cone.oracle == PSD and np.linalg.eigvalsh(self.unit)[0] <= 0:
+        psd = self.cone.oracle == PSD
+        if psd and np.linalg.eigvalsh(self.unit)[0] <= 0:
             raise ValidationError("order unit must be positive definite")
         for g in self.cone.generators:
             if np.linalg.norm(g) > 1e-12 and _inner(self.unit, g) <= 0:
                 raise ValidationError("order unit not interior to the dual cone")
-        verdict = _evaluate(self.cone, self.unit, dual=True)
-        if verdict.status == OUT:
+        # That spectrum puts a PSD unit in PSD* = PSD, and the loop above
+        # in every generator's halfspace: only other tags need a verdict.
+        if not psd and _evaluate(self.cone, self.unit,
+                                 dual=True).status == OUT:
             raise ValidationError("order unit outside the dual cone")
 
 

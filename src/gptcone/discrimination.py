@@ -55,8 +55,13 @@ def min_error_over_cone(rho1, rho2,
     The effect cone is its :func:`~gptcone.cones.conic_program`; a cone
     without a program raises :class:`ValidationError`.  The error sum of
     ``{M, I - M}`` is ``1 + <rho2 - rho1, M>``, minimised by
-    :func:`~gptcone.dual.min_over_effects` to a certified duality gap.
-    The returned effects ``M`` and ``I - M`` are exactly Hermitian.
+    :func:`~gptcone.dual.min_over_effects`.  In a cone that contains PSD
+    its Helstrom tier answers without a solve when Helstrom's dual point
+    is feasible: both parts of ``rho2 - rho1`` lie in the dual cone, so
+    Helstrom's projector pair and that dual point have a zero gap and
+    Helstrom's error is the optimum.  Otherwise one solve answers, to a
+    certified duality gap.  The returned effects ``M`` and ``I - M`` are
+    exactly Hermitian.
     """
     rho1, rho2 = _check_states(rho1, rho2, dim=dual_cone.dim)
     program = conic_program(dual_cone)

@@ -445,15 +445,27 @@ def min_over_effects(c, generators, maps=(identity,)):
     """``(min <c, M>, M)`` over M with M and ``I - M`` in the cone
     ``(generators, maps)``: ``M = sum mu_k g_k + sum_L L(T_L)``, ``I - M``
     alike with nu and S_L, T_L and S_L PSD.  M is exactly Hermitian.
-    Raises :class:`ValidationError` when the solve does not converge."""
+
+    With maps, the Helstrom tier answers first, without a solve: M is the
+    projector onto c's negative eigenspace when both parts of
+    ``c = c_+ - c_-`` lie in the dual cone (each pairing with a generator,
+    and the least eigenvalue of each image under a map after the
+    identity, at least 0 exactly), since the dual point ``-c_-`` then has
+    the value ``<c, M>``.  Otherwise one solve answers, to its gap target;
+    raises :class:`ValidationError` when it does not converge.
+    """
     S = ensure_herm([c, *generators])
     return _min_over_effects(S[0], S[1:], maps)
 
 
 def _min_over_effects(c, gens, maps):
     d = c.shape[0]
-    E = _basis(d)
     gens = _stack(gens, d)
+    if maps:
+        M = _helstrom_optimum(c, gens, maps)
+        if M is not None:
+            return _inner(c, M), M
+    E = _basis(d)
     m = len(gens)
     blocks = []
     for L in maps:
@@ -476,6 +488,20 @@ def _min_over_effects(c, gens, maps):
     M = _herm(_adj(gens, sol.u[:m]) + sum(
         (L(T) for L, T in zip(maps, sol.X[::2])), np.zeros_like(c)))
     return _inner(c, M), M
+
+
+def _helstrom_optimum(c, gens, maps):
+    """The Helstrom tier of :func:`min_over_effects`: its M, or None when
+    ``c_+`` or ``c_-``, both PSD by construction, misses the dual cone."""
+    w, V = np.linalg.eigh(c)
+    parts = np.stack([(V * np.maximum(s * w, 0.0)) @ V.conj().T
+                      for s in (1.0, -1.0)])
+    if np.any(_op(gens, parts) < 0.0) or any(
+            np.linalg.eigvalsh(np.stack([L(P) for P in parts]))[:, 0].min()
+            < 0.0 for L in maps[1:]):
+        return None
+    N = V[:, w < 0.0]
+    return _herm(N @ N.conj().T)
 
 
 def _max_over_mixed_marginals(rho, m: int):

@@ -21,11 +21,12 @@ from .herm import (
 from .verdict import OUT, MembershipVerdict
 
 
-@dataclass
+@dataclass(frozen=True)
 class MeopFamily:
     """An orthonormal family of maximally entangled rank-1 projectors
     spanning the composite space (dA = dB = m, count = m^2), checked when
-    built to 1e-10: trace-orthonormal, resolving I, marginals I/m."""
+    built to 1e-10: trace-orthonormal, resolving I, marginals I/m.
+    Frozen, so it stays the family that was checked."""
 
     dims: BipartiteDims
     projectors: list
@@ -36,7 +37,7 @@ class MeopFamily:
         if len(self.projectors) != self.dims.total:
             raise ValidationError("family must span the composite space")
         stack = ensure_herm(list(self.projectors), dim=self.dims.total)
-        self.projectors = list(stack)
+        object.__setattr__(self, "projectors", list(stack))
         m, D = self.dims.dA, self.dims.total
         flat = stack.reshape(D, -1)
         if np.max(np.abs(np.real(flat.conj() @ flat.T) - np.eye(D))) > 1e-10:
@@ -50,11 +51,13 @@ class MeopFamily:
                     raise ValidationError("projector is not maximally entangled")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PsesParams:
     """A subset of MEOP families on ``dims`` together with the finite
     deformation size ``r >= 0``; ``cone`` is the deformed effect cone
-    ``PSD + cone(N_k)`` over the endpoints, built once with them."""
+    ``PSD + cone(N_k)`` over the endpoints, built once with them.  Frozen,
+    so ``cone`` cannot go stale: ``dataclasses.replace`` builds new
+    params with their own cone."""
 
     family_set: list
     r: float
@@ -68,8 +71,8 @@ class PsesParams:
             raise ValidationError("r must be finite and nonnegative")
         if any(fam.dims != self.dims for fam in self.family_set):
             raise ValidationError("every family must have the params' dims")
-        self.cone = ConeRep(generators=npm_endpoint_generators(self),
-                            dims=self.dims)
+        object.__setattr__(self, "cone", ConeRep(
+            generators=npm_endpoint_generators(self), dims=self.dims))
 
 
 def generalized_bell(m: int) -> MeopFamily:

@@ -215,6 +215,15 @@ def test_gpt_model_rejects_a_unit_outside_the_dual_interior():
         GptModel(make_named_cone(CLASSICAL_ORTHANT, dim=2), np.diag([1.0, -1.0]))
 
 
+def test_gpt_model_reads_one_spectrum_of_a_psd_unit(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda x: calls.append(x) or eigvalsh(x))
+    GptModel(ConeRep(dim=2, generators=[np.eye(2)]), np.eye(2))
+    assert len(calls) == 1
+
+
 def test_cone_rep_infers_its_dimension():
     assert ConeRep(dims=BipartiteDims(2, 3)).dim == 6
     assert ConeRep(generators=[np.eye(3)]).dim == 3

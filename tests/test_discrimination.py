@@ -30,7 +30,6 @@ from gptcone.pses import (
     PsesParams,
     dist_example,
     generalized_bell,
-    npm_endpoint_generators,
     swap_pair,
 )
 from gptcone.sampling import random_pure_state, random_state
@@ -121,18 +120,24 @@ def test_min_error_over_cone_antitone_in_generators():
         assert e_big <= e_small + 1e-7
 
 
-def test_min_error_over_cone_dist_example_3x3():
-    # The non-orthogonal 3x3 pair is perfectly discriminated in C_r, and
-    # the returned effects are exactly Hermitian.
-    fam = generalized_bell(3)
-    params = PsesParams(family_set=swap_pair(fam), r=0.1, dims=fam.dims)
-    cone = ConeRep(dim=9, generators=npm_endpoint_generators(params),
-                   oracle=None)
+def _cr_params(m, r):
+    fam = generalized_bell(m)
+    return fam, PsesParams(family_set=swap_pair(fam), r=r, dims=fam.dims)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_min_error_over_cone_dist_example(m):
+    # The non-orthogonal pair fails the Helstrom tier, so it is solved:
+    # C_r discriminates it perfectly, below Helstrom's error, and the
+    # returned effects are exactly Hermitian.
+    fam, params = _cr_params(m, 0.1)
     _, (rho1, rho2), _ = dist_example(0.1, fam)
-    cval, meas = min_error_over_cone(rho1, rho2, cone)
+    hval, _ = helstrom(rho1, rho2)
+    cval, meas = min_error_over_cone(rho1, rho2, params.cone)
     m1, m2 = meas.effects
+    assert hval == pytest.approx(0.0796, abs=1e-4)
     assert abs(cval) <= 1e-8
-    assert np.max(np.abs(m1 + m2 - np.eye(9))) <= 1e-8
+    assert np.max(np.abs(m1 + m2 - np.eye(m * m))) <= 1e-8
     assert np.array_equal(m1, m1.conj().T) and np.array_equal(m2, m2.conj().T)
     assert err_of_measurement(rho1, rho2, meas) == pytest.approx(cval,
                                                                  abs=1e-8)
@@ -140,10 +145,36 @@ def test_min_error_over_cone_dist_example_3x3():
 
 def test_min_error_over_cone_reports_a_solve_that_does_not_converge(
         monkeypatch):
+    # Helstrom's dual point fails on dist_example's pair, so it is solved.
+    fam, params = _cr_params(2, 0.1)
+    _, (rho1, rho2), _ = dist_example(0.1, fam)
     monkeypatch.setattr(dual, "_MAX_ITER", 1)
-    rho1, rho2 = np.diag([1.0, 0.0]), np.full((2, 2), 0.5)
     with pytest.raises(ValidationError, match="did not converge"):
-        min_error_over_cone(rho1, rho2, make_named_cone(PSD, dim=2))
+        min_error_over_cone(rho1, rho2, params.cone)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("r", [0.1, 0.3])
+def test_helstrom_tier_answers_random_pairs_in_c_r_without_a_solve(
+        m, r, monkeypatch):
+    # Both parts of c = rho2 - rho1 clear every endpoint, so -c_- is a
+    # dual point of Helstrom's value and Helstrom's projectors are optimal.
+    _, params = _cr_params(m, r)
+    monkeypatch.setattr(dual, "_solve", None)  # any solve would raise
+    rng = np.random.default_rng(10 * m + int(10 * r))
+    for _ in range(3):
+        a, b = random_state(m * m, rng), random_state(m * m, rng)
+        w, V = np.linalg.eigh(b - a)
+        for sign in (1.0, -1.0):
+            part = (V * np.maximum(sign * w, 0.0)) @ V.conj().T
+            assert min(trace_inner(g, part)
+                       for g in params.cone.generators) >= 0.0
+        hval, hmeas = helstrom(a, b)
+        cval, meas = min_error_over_cone(a, b, params.cone)
+        assert cval == pytest.approx(hval, abs=1e-12)
+        for m_c, m_h in zip(meas.effects, hmeas.effects):
+            assert np.allclose(m_c, m_h, atol=1e-10)
+            assert membership(params.cone, m_c).status == IN
 
 
 def test_min_error_restricted_cone_at_least_helstrom():

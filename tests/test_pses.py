@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -357,3 +359,17 @@ def test_pses_params_reject_families_of_other_dims(bell_family):
                            ([bell_family, fam3], bell_family.dims)):
         with pytest.raises(ValidationError, match="dims"):
             PsesParams(family_set=families, r=0.1, dims=dims)
+
+
+def test_pses_params_and_families_are_frozen(bell_family, params01):
+    # params.cone is built from r once, so r cannot change under it.
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params01.r = 0.3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params01.cone.generators = []
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        bell_family.projectors = []
+    wider = dataclasses.replace(params01, r=0.3)
+    assert np.allclose(wider.cone.generators[1], npm_element(0.3, bell_family))
+    assert np.allclose(params01.cone.generators[1],
+                       npm_element(0.1, bell_family))
