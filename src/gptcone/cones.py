@@ -18,7 +18,7 @@ is decided by that description alone, at the one conic tolerance, 1e-8.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -83,15 +83,18 @@ class ConeRep:
             raise ValidationError(f"{self.oracle} needs {needs}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class GptModel:
-    """A GPT model: a proper cone together with an order unit."""
+    """A GPT model: a proper cone together with an order unit.  Frozen,
+    with a read-only copy of the unit, so a shared model cannot change."""
 
     cone: ConeRep
     unit: np.ndarray
 
     def __post_init__(self):
-        self.unit = ensure_herm(self.unit, dim=self.cone.dim)
+        unit = np.array(ensure_herm(self.unit, dim=self.cone.dim))
+        unit.flags.writeable = False
+        object.__setattr__(self, "unit", unit)
         psd = self.cone.oracle == PSD
         if psd and np.linalg.eigvalsh(self.unit)[0] <= 0:
             raise ValidationError("order unit must be positive definite")
@@ -218,9 +221,11 @@ def _block_positivity(x, dims, lam):
     """Membership of checked x, with least eigenvalue lam, in SEP_DUAL,
     the block-positive cone.
 
-    PSD x is In; a product vector from :func:`min_product_expectation`
-    with a negative expectation gives Out with its projector as witness.
-    At dA dB <= 6, where block positivity is decomposability (Woronowicz,
+    PSD x is In, and at every size so is x with a PSD partial transpose
+    (tier ``partial-transpose``, witness x^Gamma), as Gamma(PSD) lies in
+    SEP*.  A product vector from :func:`min_product_expectation` with a
+    negative expectation gives Out with its projector as witness.  At
+    dA dB <= 6, where block positivity is decomposability (Woronowicz,
     Rep. Math. Phys. 10, 165, 1976), that search is one descent and a
     conic solve over PSD + PSD^Gamma decides the rest: ``x = P + Q^Gamma``
     or a separator W with W, W^Gamma PSD.  Above 6 the search makes 64
@@ -228,6 +233,11 @@ def _block_positivity(x, dims, lam):
     """
     if lam >= -DEFAULT_TOL:
         return MembershipVerdict(IN, margin=float(lam), tier="psd")
+    xg = partial_transpose(x, dims)
+    lam_pt = float(np.linalg.eigvalsh(xg)[0])
+    if lam_pt >= -DEFAULT_TOL:
+        return MembershipVerdict(IN, witness=xg, margin=lam_pt,
+                                 tier="partial-transpose")
     exact = dims.total <= 6
     val, a, b = min_product_expectation(x, dims, restarts=1 if exact else 64)
     if val < -DEFAULT_TOL:
@@ -418,15 +428,17 @@ def dual_cone_membership(cone: ConeRep, x) -> MembershipVerdict:
     return _evaluate(cone, ensure_herm(x, dim=cone.dim), dual=True)
 
 
+@cache
 def ses_model(dims: BipartiteDims) -> GptModel:
-    """Standard quantum theory on the composite space (PSD cone, unit I)."""
-    cone = make_named_cone(PSD, dims=dims)
-    return GptModel(cone=cone, unit=np.eye(dims.total, dtype=complex))
+    """Standard quantum theory on the composite space (PSD cone, unit I),
+    one model per dims."""
+    return GptModel(make_named_cone(PSD, dims=dims), np.eye(dims.total))
 
 
+@cache
 def sep_model(dims: BipartiteDims) -> GptModel:
-    cone = make_named_cone(SEP, dims=dims)
-    return GptModel(cone=cone, unit=np.eye(dims.total, dtype=complex))
+    """States SEP, effects in SEP* and unit I, one model per dims."""
+    return GptModel(make_named_cone(SEP, dims=dims), np.eye(dims.total))
 
 
 def capacity_demo(model: GptModel):

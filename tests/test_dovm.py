@@ -126,6 +126,7 @@ def test_a_dovm_is_a_measurement_of_the_sep_model(e_dovm, e_pair, dims22):
     assert isinstance(e_dovm, Measurement)
     assert e_dovm.model.cone.oracle == SEP
     assert e_dovm.dims == e_dovm.model.cone.dims == dims22
+    assert e_dovm.model is sep_model(dims22)
     assert e_dovm.m1 is e_dovm.effects[0] and e_dovm.m2 is e_dovm.effects[1]
     np.testing.assert_allclose(e_dovm.m1, e_pair[0], atol=0)
     assert [v.status for v in e_dovm.block_positivity_evidence] == [IN, IN]
@@ -253,7 +254,7 @@ def test_random_dovm_rejects_unknown_targets(dims22, target):
 
 
 @given(st.integers(0, 10_000), st.sampled_from([None, BQ, AQ, NAQ, POVM]),
-       st.sampled_from([(2, 2), (2, 3), (3, 3)]))
+       st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 4)]))
 @settings(max_examples=40, deadline=None)
 def test_random_dovm_certificates_reverify(seed, target, split):
     dims = BipartiteDims(*split)
