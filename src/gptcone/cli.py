@@ -311,14 +311,17 @@ def cmd_verify_all(args) -> int:
     n_pairs = 10 if fast else 50
     psd_cone = make_named_cone(PSD, dim=4)
     with _check(checks, "helstrom_equivalence"):
-        worst = 0.0
+        worst = ref_worst = 0.0
         for _ in range(n_pairs):
             s1, s2 = random_state(4, rng), random_state(4, rng)
             hval, _ = helstrom(s1, s2)
             cval, _ = min_error_over_cone(s1, s2, psd_cone)
+            ref = 1.0 - 0.5 * float(np.linalg.svd(s1 - s2, compute_uv=False).sum())
             worst = max(worst, abs(hval - cval))
-        checks["helstrom_equivalence"] = {"ok": worst <= 1e-6,
-                                          "worst": worst, "pairs": n_pairs}
+            ref_worst = max(ref_worst, abs(hval - ref), abs(cval - ref))
+        checks["helstrom_equivalence"] = {
+            "ok": worst <= 1e-6 and ref_worst <= 1e-6, "worst": worst,
+            "reference_worst": ref_worst, "pairs": n_pairs}
 
     fam = pses.generalized_bell(2)
     params = pses.PsesParams(family_set=pses.swap_pair(fam), r=0.1,

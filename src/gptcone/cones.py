@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, partial
+from types import MappingProxyType
 
 import numpy as np
 
@@ -47,11 +48,11 @@ DEFAULT_TOL = 1e-9
 class ConeRep:
     """The cone ``K + cone(generators)`` of dim x dim Hermitian matrices,
     K named by the tag ``oracle``, which defaults to PSD; ``dim`` defaults
-    to ``dims.total``, else to the generators' size.  Frozen: the fields
-    are set once, when built and checked."""
+    to ``dims.total``, else to the generators' size.  Frozen, with read-only
+    copies of ``generators`` (a tuple) and ``params``: a shared cone is fixed."""
 
     dim: int | None = None
-    generators: list = field(default_factory=list)
+    generators: tuple = ()
     oracle: str | None = None
     params: dict = field(default_factory=dict)
     dims: BipartiteDims | None = None
@@ -61,10 +62,12 @@ class ConeRep:
             object.__setattr__(self, "oracle", PSD)
         if self.dim is None and self.dims is not None:
             object.__setattr__(self, "dim", self.dims.total)
-        if self.generators:
-            gens = list(ensure_herm(self.generators, dim=self.dim))
-            object.__setattr__(self, "generators", gens)
-            object.__setattr__(self, "dim", len(gens[0]))
+        gens = ()
+        if len(self.generators):  # a list makes ensure_herm build a copy
+            gens = ensure_herm(list(self.generators), dim=self.dim)
+            gens.flags.writeable = False
+            object.__setattr__(self, "dim", gens.shape[1])
+        object.__setattr__(self, "generators", tuple(gens))
         if self.dim is None:
             raise ValidationError("dimension required")
         if self.dims is not None and self.dims.total != self.dim:
@@ -72,8 +75,9 @@ class ConeRep:
                                   f"not match dimension {self.dim}")
         if self.oracle not in _NAMED:
             raise ValidationError(f"unknown cone tag {self.oracle!r}")
-        if not isinstance(self.params, dict):
+        if not isinstance(self.params, (dict, MappingProxyType)):
             raise ValidationError("params must be a dict")
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
         _, _, valid, needs, _ = _NAMED[self.oracle]
         try:
             ok = valid is None or valid(self)
@@ -161,8 +165,9 @@ def make_named_cone(tag: str, params: dict | None = None,
                     dims: BipartiteDims | None = None, dim: int | None = None,
                     generators=None) -> ConeRep:
     """Build an oracle-backed ConeRep for one of the named cones."""
-    return ConeRep(dim=dim, generators=list(generators or []), oracle=tag,
-                   params=dict(params or {}), dims=dims)
+    return ConeRep(dim=dim, oracle=tag, dims=dims,
+                   generators=() if generators is None else generators,
+                   params={} if params is None else params)
 
 
 def min_product_expectation(X, dims: BipartiteDims, restarts: int = 64):
@@ -361,7 +366,7 @@ _NAMED = {
                lambda c: None if c.dim > 6 else (c.generators, (
                    identity, partial(partial_transpose, dims=c.dims)))),
     CLASSICAL_ORTHANT: (_orthant, _diagonal, None, "",
-                        lambda c: (_units(c.dim) + c.generators, ())),
+                        lambda c: ([*_units(c.dim), *c.generators], ())),
     SHRUNK_BLOCH: (_shrunk_bloch, partial(_shrunk_bloch, dual=True),
                    lambda c: c.dim == 2 and 0 < c.params.get("p", 0) < 1,
                    "dimension 2 and 0 < p < 1", None),

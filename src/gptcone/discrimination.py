@@ -72,14 +72,19 @@ def min_error_over_cone(rho1, rho2,
     return 1.0 + value, Measurement(effects=[M, np.eye(len(M)) - M])
 
 
-def perfectly_distinguishable(states, measurement, tol: float = 1e-9) -> bool:
-    """True iff the outcome Gram matrix is the identity to ``tol``."""
+def _table_residual(states, measurement) -> float:
+    """Largest deviation of the outcome table ``Tr rho_i M_j`` from I."""
     effects = _effects(measurement)
     if len(states) != len(effects):
         raise ValidationError("state and effect counts differ")
     S, n = ensure_herm([*states, *effects]), len(states)
     gram = np.array([[_inner(s, e) for e in S[n:]] for s in S[:n]])
-    return float(np.max(np.abs(gram - np.eye(len(states))))) <= tol
+    return float(np.max(np.abs(gram - np.eye(n))))
+
+
+def perfectly_distinguishable(states, measurement, tol: float = 1e-9) -> bool:
+    """True iff the outcome Gram matrix is the identity to ``tol``."""
+    return _table_residual(states, measurement) <= tol
 
 
 def arai_criterion(rhoA1, rhoB1, rhoA2, rhoB2) -> tuple[bool, float]:
@@ -136,8 +141,6 @@ def preceding_measurement(alpha1: float, alpha2: float,
     if not (0.0 < alpha1 <= 1.0 and 0.0 < alpha2 <= 1.0):
         raise ValidationError("alpha_i must lie in (0, 1]")
     g = alpha1 + alpha2
-    if g <= 0.0:
-        raise ValidationError("alpha1 + alpha2 must be positive")
     b1a1 = beta1 / alpha1
     b2a2 = beta2 / alpha2
     T1 = np.array([

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cones import GptModel, Measurement, sep_model
-from .herm import BipartiteDims, ValidationError, _inner, ensure_herm
+from .herm import BipartiteDims, ValidationError, ensure_herm
 
 BQ = "BQ"
 AQ = "AQ"
@@ -125,7 +125,7 @@ def aq_advantage_states(dovm: Measurement):
     is the quantum optimum minus the DOVM's error sum,
     ``(l_d - l_1 - 1)/(sqrt(2) d) > 0``.
     """
-    from .discrimination import helstrom
+    from .discrimination import err_of_measurement, helstrom
 
     cls = classify(dovm)
     if cls.tag not in (BQ, AQ):
@@ -143,8 +143,7 @@ def aq_advantage_states(dovm: Measurement):
     # Orient outcomes so the deciding effect (which underweights rho2)
     # answers for rho1.
     effects = dovm.effects if k == 0 else dovm.effects[::-1]
-    err = _inner(rho1, effects[1]) + _inner(rho2, effects[0])
-    return rho1, rho2, hval - err
+    return rho1, rho2, hval - err_of_measurement(rho1, rho2, effects)
 
 
 def aq_from_subcone_witness(T, dims: BipartiteDims) -> Dovm:

@@ -58,7 +58,7 @@ def load_matrix(path) -> np.ndarray:
 def cone_to_json(cone) -> dict:
     return {
         "tag": cone.oracle,
-        "params": cone.params,
+        "params": dict(cone.params),
         "dim": cone.dim,
         "dims": [cone.dims.dA, cone.dims.dB] if cone.dims else None,
         "generators": [matrix_to_json(g) for g in cone.generators],
@@ -98,7 +98,8 @@ def load_cone(path):
     return cone_from_json(json.loads(Path(path).read_text()))
 
 
-def measurement_to_json(effects) -> dict:
+def measurement_to_json(measurement) -> dict:
+    effects = getattr(measurement, "effects", measurement)
     return {"effects": [matrix_to_json(e) for e in effects]}
 
 

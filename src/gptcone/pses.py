@@ -10,12 +10,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cones import ConeRep, _evaluate
+from .discrimination import perfectly_distinguishable
 from .dual import _dual_membership, _gram_check
 from .herm import (
     BipartiteDims,
     ValidationError,
     _inner,
     ensure_herm,
+    maximally_entangled_vector,
     partial_trace,
 )
 from .verdict import OUT, MembershipVerdict
@@ -84,7 +86,7 @@ def generalized_bell(m: int) -> MeopFamily:
     omega = np.exp(2j * np.pi / m)
     shift = np.roll(np.eye(m, dtype=complex), 1, axis=0)
     clock = np.diag(omega ** np.arange(m))
-    phi = np.eye(m, dtype=complex).reshape(-1) / np.sqrt(m)
+    phi = maximally_entangled_vector(m)
     projectors = []
     for a in range(m):
         for b in range(m):
@@ -337,10 +339,8 @@ def dist_example(r: float, family: MeopFamily, tol: float = 1e-10):
     dims = family.dims
     if not 0.0 < r <= r0(dims) + 1e-12:
         raise ValidationError("r must lie in (0, r0]")
-    M1 = npm_element(r, family)
-    M2 = npm_element(r, swap_family(family))
-    if np.max(np.abs(M1 + M2 - np.eye(dims.total))) > 1e-10:
-        raise ValidationError("deformation pair failed sum-to-identity")
+    params = PsesParams(family_set=swap_pair(family), r=r, dims=dims)
+    M1, M2 = (npm_element(r, f) for f in params.family_set)
 
     def top_vector(P):
         vals, vecs = np.linalg.eigh(P)
@@ -355,11 +355,9 @@ def dist_example(r: float, family: MeopFamily, tol: float = 1e-10):
     rho1 = np.outer(phi1, phi1.conj())
     rho2 = np.outer(phi2, phi2.conj())
 
-    gram = np.array([[_inner(r, M) for M in (M1, M2)] for r in (rho1, rho2)])
-    if np.max(np.abs(gram - np.eye(2))) > tol:
+    if not perfectly_distinguishable((rho1, rho2), (M1, M2), tol=tol):
         raise ValidationError("discrimination table deviated from identity")
-    cone = PsesParams(family_set=swap_pair(family), r=r, dims=dims).cone
-    if not all(_evaluate(cone, rho, dual=True) for rho in (rho1, rho2)):
+    if not all(_evaluate(params.cone, rho, dual=True) for rho in (rho1, rho2)):
         raise ValidationError("state failed a dual-side pairing")
     overlap = float(abs(np.vdot(phi1, phi2)) ** 2)
     return (M1, M2), (rho1, rho2), overlap
@@ -412,7 +410,7 @@ def self_duality_verifier(candidate_generators, outer: PsesParams,
     """
     if not len(candidate_generators):
         raise ValidationError("candidate set must be nonempty")
-    candidate = ConeRep(generators=list(candidate_generators), dims=outer.dims)
+    candidate = ConeRep(generators=candidate_generators, dims=outer.dims)
     report = AuditReport()
 
     ok, (pair, value) = _gram_check(candidate.generators)

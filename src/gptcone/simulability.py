@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import Measurement
+from .cones import SHRUNK_BLOCH, Measurement, dual_cone_membership, make_named_cone
+from .discrimination import _table_residual, perfectly_distinguishable
 from .dovm import BQ, TOL, bq_witness_states, classify
 from .herm import ValidationError, _inner, ensure_herm
 
@@ -67,9 +68,7 @@ def non_simulability_certificate(measurement: Measurement,
     if overlap <= TOL:
         return SimulabilityCertificate(
             status="Inconclusive", detail="witness pair is orthogonal")
-    gram = np.array([[_inner(r, m) for m in measurement.effects]
-                     for r in (rho1, rho2)])
-    if np.max(np.abs(gram - np.eye(2))) > 1e-8:
+    if not perfectly_distinguishable((rho1, rho2), measurement, tol=1e-8):
         raise ValidationError("witness pair is not perfectly distinguished")
     return SimulabilityCertificate(status="NonSimulable",
                                    states=(rho1, rho2),
@@ -89,26 +88,24 @@ def shrunk_bloch_example(p: float, samples: int = 1000) -> dict:
 
     ``{M, I - M}`` is a :class:`~gptcone.cones.Measurement` without a
     model, not a DOVM: M has a negative eigenvalue.  Validity on the
-    domain is checked exactly: ``Tr (p rho + (1-p) I/2) M`` is least at
-    rho = M's bottom eigenprojector, where it equals
-    ``p lambda_min(M) + (1-p)/2 Tr M``.  ``samples`` is ignored.
+    domain is each effect's verdict in the SHRUNK_BLOCH cone's dual, whose
+    margin is the least of ``Tr (p rho + (1-p) I/2) M`` over states, at
+    rho = M's bottom eigenprojector.  ``samples`` is ignored.
     """
-    if not 0.0 < p < 1.0:
-        raise ValidationError("p must lie in (0, 1)")
+    cone = make_named_cone(SHRUNK_BLOCH, dim=2, params={"p": p})  # checks 0 < p < 1
     P1 = np.diag([1.0, 0.0]).astype(complex)
     P2 = np.diag([0.0, 1.0]).astype(complex)
     eye = np.eye(2, dtype=complex)
     m1 = -((1.0 - p) / (2.0 * p)) * P1 + ((1.0 + p) / (2.0 * p)) * P2
     meas = Measurement([m1, eye - m1])
 
-    worst = min(p * np.linalg.eigvalsh(m)[0]
-                + (1.0 - p) / 2.0 * np.trace(m).real for m in meas.effects)
-    valid_on_domain = worst >= -1e-9
+    worst = min((dual_cone_membership(cone, m) for m in meas.effects),
+                key=lambda v: v.margin)
+    valid_on_domain = bool(worst)
 
     rho1 = p * P2 + (1.0 - p) / 2.0 * eye
     rho2 = p * P1 + (1.0 - p) / 2.0 * eye
-    table = np.array([[_inner(r, m) for m in meas.effects] for r in (rho1, rho2)])
-    table_residual = float(np.max(np.abs(table - np.eye(2))))
+    table_residual = _table_residual((rho1, rho2), meas)
     overlap = _inner(rho1, rho2)
     expected = p * (1.0 - p) + (1.0 - p) ** 2 / 2.0
     cert = non_simulability_certificate(meas, states=(rho1, rho2))
@@ -117,7 +114,7 @@ def shrunk_bloch_example(p: float, samples: int = 1000) -> dict:
         "measurement": meas,
         "boundary_states": (rho1, rho2),
         "valid_on_domain": valid_on_domain,
-        "domain_min_probability": float(worst),
+        "domain_min_probability": worst.margin,
         "table_residual": table_residual,
         "overlap": float(overlap),
         "overlap_closed_form": expected,

@@ -46,7 +46,7 @@ class TransformSpec:
             U = np.kron(haar_unitary(dA, rng), haar_unitary(dB, rng))
             conj = self.kind == LOCAL_WITH_TRANSPOSE and rng.integers(2) == 1
 
-            def act(X, U=U, conj=conj):
+            def act(X):
                 if conj:
                     X = X.T
                 return U @ X @ U.conj().T
@@ -54,11 +54,7 @@ class TransformSpec:
             return act
         # SWAP_FACTORS
         perm = np.arange(dA * dB).reshape(dA, dB).T.reshape(-1)
-
-        def swap(X, perm=perm):
-            return X[np.ix_(perm, perm)]
-
-        return swap
+        return lambda X: X[np.ix_(perm, perm)]
 
 
 def orbit_invariance_check(cone: ConeRep, spec: TransformSpec,
@@ -167,13 +163,9 @@ def two_symmetry_counterexample(samples: int = 200, tol: float = 1e-10,
     Verifies overlap invariance on ``samples`` sampled transforms as a
     finite stand-in for the full group, and returns the overlap gap.
     """
-    dims = BipartiteDims(2, 2)
-    v00 = np.zeros(4, dtype=complex)
-    v00[0] = 1.0
-    plus = np.full(2, 1.0 / np.sqrt(2.0), dtype=complex)
-    vpp = np.kron(plus, plus)
-    rho1 = np.outer(v00, v00.conj())
-    rho2 = np.outer(vpp, vpp.conj())
+    from .fixtures import DIMS_22, appendix_states
+
+    rho1, rho2 = appendix_states()[:2]  # |00><00| and |++><++|
 
     w = np.array([3.0 + np.sqrt(3.0), 3.0 - np.sqrt(3.0)]) / 6.0
     u1 = np.array([np.sqrt(w[0]), np.sqrt(w[1]), 0, 0], dtype=complex)
@@ -189,7 +181,7 @@ def two_symmetry_counterexample(samples: int = 200, tol: float = 1e-10,
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
-        f = _form_three_map(dims, rng)
+        f = _form_three_map(DIMS_22, rng)
         a, b = _herm(np.array([f(rho1), f(rho2)]))
         worst = max(worst, abs(_inner(a, b) - g_rho))
     if worst > tol:

@@ -312,6 +312,20 @@ def test_verify_all_keeps_report_when_a_check_raises(capsys, monkeypatch):
     assert rep["checks"]["pses_distance"]["ok"]
 
 
+def test_verify_all_checks_helstrom_against_its_own_reference(capsys,
+                                                             monkeypatch):
+    # Helstrom and the cone program agreeing on a wrong value fail.
+    def wrong(*args):
+        return 0.5, None
+
+    monkeypatch.setattr(cli, "helstrom", wrong)
+    monkeypatch.setattr(cli, "min_error_over_cone", wrong)
+    assert cli.run(["verify-all", "--fast"]) == 2
+    check = _stdout_report(capsys)["checks"]["helstrom_equivalence"]
+    assert check["ok"] is False and check["worst"] == 0.0
+    assert check["reference_worst"] > 1e-6
+
+
 def _raise_validation(*args, **kwargs):
     raise ValidationError("check failed")
 

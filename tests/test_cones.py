@@ -1,3 +1,4 @@
+import json
 import sys
 from dataclasses import FrozenInstanceError
 from functools import partial
@@ -27,6 +28,7 @@ from gptcone.cones import (
     sep_model,
     ses_model,
 )
+from gptcone.dovm import Dovm
 from gptcone.dual import conic_feasibility, identity
 from gptcone.herm import BipartiteDims, ValidationError, partial_transpose, trace_inner
 from gptcone.pses import (
@@ -37,6 +39,7 @@ from gptcone.pses import (
     npm_endpoint_generators,
     swap_pair,
 )
+from gptcone.io import cone_from_json, cone_to_json
 from gptcone.sampling import random_herm, random_separable_state, random_state
 from gptcone.simulability import domain_contains
 from gptcone.verdict import IN, OUT, UNKNOWN
@@ -663,3 +666,23 @@ def test_named_oracles_match_an_eigh_reference(tag, dims, seed, shift, kind):
         if v.status == OUT:
             assert np.real(np.vdot(v.witness, x)) < 0
             assert np.real(np.vdot(witness, x)) < 0
+
+
+def test_a_cone_holds_read_only_copies_of_its_values(dims22):
+    g = np.diag([1.0, -0.5, 0.25, 0.25]).astype(complex)
+    params = {"s": 0.25}
+    cone = make_named_cone(CS_NEG, params=params, dims=dims22, generators=[g])
+    for shared in (cone, sep_model(dims22).cone):
+        with pytest.raises(AttributeError):
+            shared.generators.append(-np.eye(4))
+    with pytest.raises(ValueError, match="read-only"):
+        cone.generators[0][0, 0] = 5.0
+    with pytest.raises(TypeError):
+        cone.params["s"] = 1
+    g[0, 0], params["s"] = 2.0, 1.0  # the caller's values stay writable
+    assert cone.generators[0][0, 0] == 1.0 and cone.params["s"] == 0.25
+    back = cone_from_json(json.loads(json.dumps(cone_to_json(cone))))
+    assert back.oracle == CS_NEG and back.params == {"s": 0.25}
+    assert np.array_equal(back.generators[0], cone.generators[0])
+    # The cached SEP model's cone is unchanged, so a DOVM still builds.
+    assert len(Dovm(m1=np.eye(4) / 2, m2=np.eye(4) / 2, dims=dims22)) == 2

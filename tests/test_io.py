@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gptcone.cones import SEP, ConeRep
+from gptcone.dovm import random_dovm
 from gptcone.herm import BipartiteDims, ValidationError
 from gptcone.io import (
     cone_from_json,
@@ -100,6 +101,11 @@ def test_measurement_roundtrip():
     assert all(np.max(np.abs(a - b)) < 1e-16 for a, b in zip(back, effects))
     with pytest.raises(ValidationError):
         measurement_from_json({"operators": []})
+
+
+def test_measurement_to_json_takes_a_measurement():
+    dovm = random_dovm(BipartiteDims(2, 2), seed=0)
+    assert measurement_to_json(dovm) == measurement_to_json(dovm.effects)
 
 
 def test_cone_from_json_rejects_unknown_tags_and_missing_params():

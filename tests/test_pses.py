@@ -248,6 +248,26 @@ def test_dist_example(bell_family):
     assert np.max(np.abs(gram - np.eye(2))) <= 1e-10
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_deformation_pair_sums_to_identity(m):
+    # N(r) + N_swap(r) = I on [0, r0]: dist_example's effects form a
+    # measurement by this algebra alone.
+    fam = generalized_bell(m)
+    swapped, eye = swap_family(fam), np.eye(m * m)
+    for r in np.linspace(0.0, r0(fam.dims), 200):
+        total = npm_element(r, fam) + npm_element(r, swapped)
+        assert np.max(np.abs(total - eye)) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_dist_example_effects_are_the_r_endpoints(m):
+    fam = generalized_bell(m)
+    (M1, M2), _, _ = dist_example(0.1, fam)
+    cone = PsesParams(family_set=swap_pair(fam), r=0.1, dims=fam.dims).cone
+    assert np.array_equal(M1, cone.generators[1])
+    assert np.array_equal(M2, cone.generators[3])
+
+
 def test_dist_example_small_r_nearly_orthogonal(bell_family):
     _, _, overlap = dist_example(1e-6, bell_family)
     assert overlap < 1e-5

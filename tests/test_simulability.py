@@ -124,6 +124,19 @@ def test_shrunk_bloch_domain_minimum_is_exact(p):
             assert trace_inner(sigma, m) >= rep["domain_min_probability"] - 1e-12
 
 
+def test_shrunk_bloch_margin_is_the_closed_form():
+    # The SHRUNK_BLOCH dual oracle's margin is the least probability on the
+    # shrunk states, p lambda_min(M) + (1-p)/2 Tr M, over a grid of p.
+    for p in np.linspace(0.01, 0.99, 99):
+        rep = shrunk_bloch_example(p)
+        closed = min(p * np.linalg.eigvalsh(m)[0]
+                     + (1.0 - p) / 2.0 * np.trace(m).real
+                     for m in rep["measurement"].effects)
+        assert rep["domain_min_probability"] == pytest.approx(closed,
+                                                              abs=1e-14)
+        assert rep["valid_on_domain"] == (closed >= -1e-9)
+
+
 def test_shrunk_bloch_overlap_vanishes_near_quantum():
     rep = shrunk_bloch_example(0.999, samples=50)
     assert rep["overlap"] < 2e-3

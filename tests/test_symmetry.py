@@ -9,6 +9,7 @@ from gptcone.cones import (
     make_named_cone,
     membership,
 )
+from gptcone.fixtures import appendix_states
 from gptcone.herm import BipartiteDims, ValidationError, trace_inner
 from gptcone.pses import generalized_bell, npm_element
 from gptcone.sampling import random_separable_state
@@ -132,3 +133,8 @@ def test_two_symmetry_counterexample():
     assert out["pair_two_overlap"] == pytest.approx(0.0, abs=1e-10)
     assert out["invariance_violation"] <= 1e-10
     assert not out["equivalent"]
+
+
+def test_two_symmetry_pair_one_is_the_appendix_pair():
+    out = two_symmetry_counterexample(samples=10)
+    assert out["pair_one_overlap"] == trace_inner(*appendix_states()[:2]) == 0.25
