@@ -249,7 +249,7 @@ def test_dist_example(bell_family):
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
-def test_deformation_pair_sums_to_identity(m):
+def test_deformation_pair_sums_to_identity_on_generalized_bell(m):
     # N(r) + N_swap(r) = I on [0, r0]: dist_example's effects form a
     # measurement by this algebra alone.
     fam = generalized_bell(m)
