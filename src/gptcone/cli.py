@@ -1,6 +1,6 @@
 """Command-line front end: classification, discrimination, cone
 construction and audits, simulability and symmetry checks, and the
-bundled verification suites, all emitting versioned JSON reports."""
+paper's claims, all emitting versioned JSON reports."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import pses, simulability, symmetry
-from .cones import PSD, make_named_cone, ses_model
+from .cones import PSD, Measurement, make_named_cone, ses_model
 from .discrimination import (
     entropy_example_audit,
     err_of_measurement,
@@ -23,7 +23,7 @@ from .dovm import Dovm, aq_advantage_states, bq_witness_states, classify
 from .fixtures import DIMS_22, appendix_measurement
 from .herm import BipartiteDims, ValidationError
 from .io import load_cone, load_matrix, load_measurement, matrix_to_json
-from .sampling import random_herm, random_state
+from .sampling import random_herm, random_max_entangled_state, random_state
 
 SCHEMA = "gptcone/1"
 
@@ -40,30 +40,20 @@ class UsageError(Exception):
     pass
 
 
-def _jsonify(obj):
+def _json_default(obj):
+    """``json.dumps``'s fallback: a square array as ``matrix_to_json``
+    writes it, other arrays as lists, numpy scalars as Python ones and
+    anything else as its repr."""
     if isinstance(obj, np.ndarray):
-        if obj.ndim == 2 and obj.shape[0] == obj.shape[1]:
-            return matrix_to_json(obj)
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if obj is None or isinstance(obj, str):
-        return obj
-    return repr(obj)
+        square = obj.ndim == 2 and obj.shape[0] == obj.shape[1]
+        return matrix_to_json(obj) if square else obj.tolist()
+    return obj.item() if isinstance(obj, np.generic) else repr(obj)
 
 
 def _emit(args, report: dict) -> None:
     """Write ``report`` in the versioned envelope of ``args.command``."""
     report = {"schema": SCHEMA, "command": args.command, **report}
-    text = json.dumps(_jsonify(report), indent=2)
+    text = json.dumps(report, indent=2, default=_json_default)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -122,13 +112,9 @@ def cmd_classify_dovm(args) -> int:
 
 
 def cmd_discriminate(args) -> int:
-    rho1 = load_matrix(args.rho1)
-    rho2 = load_matrix(args.rho2)
+    rho1, rho2 = load_matrix(args.rho1), load_matrix(args.rho2)
     hval, hmeas = helstrom(rho1, rho2)
-    report = {
-        "helstrom_error": hval,
-        "helstrom_measurement": hmeas.effects,
-    }
+    report = {"helstrom_error": hval, "helstrom_measurement": hmeas.effects}
     if args.cone:
         cone = load_cone(args.cone)
         cval, cmeas = min_error_over_cone(rho1, rho2, cone)
@@ -187,16 +173,9 @@ def cmd_simulability(args) -> int:
     if (args.measurement is None) == (args.shrunk_bloch is None):
         raise UsageError("give a measurement file or --shrunk-bloch p")
     if args.shrunk_bloch is not None:
-        rep = simulability.shrunk_bloch_example(args.shrunk_bloch)
-        cert = rep["certificate"]
-        report = {
-            "shrunk_bloch_p": rep["p"],
-            "valid_on_domain": rep["valid_on_domain"],
-            "table_residual": rep["table_residual"],
-            "overlap": rep["overlap"],
-            "status": cert.status,
-        }
-        return _finish(args, report, rep["pass"], {})
+        report = _shrunk_bloch(args.shrunk_bloch)
+        ok = report.pop("ok")
+        return _finish(args, report, ok, {})
     dovm = _load_dovm(args.measurement, args.dims)
     report, failed, ok = {}, {}, False
     with _check(failed, "certificate"):
@@ -216,8 +195,8 @@ def cmd_symmetry(args) -> int:
     report, failed, ok = {"check": args.check}, {}, False
     with _check(failed, args.check):
         if args.check == "two-symmetry":
-            rep = symmetry.two_symmetry_counterexample(seed=args.seed)
-            ok = _two_symmetry_holds(rep)
+            rep = two_symmetry(args.seed, False)
+            ok = rep.pop("ok")
         else:  # ses-orbit
             dims = DIMS_22
             model = ses_model(dims)
@@ -230,12 +209,6 @@ def cmd_symmetry(args) -> int:
             ok = rep["invariant"]
         report.update(rep)
     return _finish(args, report, ok, failed)
-
-
-def _two_symmetry_holds(rep: dict) -> bool:
-    """The two-symmetry counterexample holds: its two symmetries are
-    inequivalent and each leaves the structure invariant."""
-    return not rep["equivalent"] and rep["invariance_violation"] <= 1e-10
 
 
 @contextmanager
@@ -256,105 +229,130 @@ def _finish(args, report: dict, ok: bool, failed: dict) -> int:
     return PASS if ok else FAIL
 
 
-def _appendix_checks(seed: int) -> dict:
-    checks = {}
+# The paper's claims: each takes (seed, fast), seeds its own generator and
+# returns its report with ``ok``, named by the function; the docstring says
+# what it claims.  The 2x2 PSES is the Bell family and its swap at r = 0.1.
+
+
+def classification(seed, fast) -> dict:
+    """e1, e2 are a BQ DOVM, and e1 has spectrum (-1/2, 1/2, 1/2, 3/2)."""
     e1, e2 = appendix_measurement()
-    dovm = Dovm(m1=e1, m2=e2, dims=DIMS_22)
-    with _check(checks, "classification"):
-        cls = classify(dovm)
-        spec = np.linalg.eigvalsh(e1)
-        checks["classification"] = {
-            "ok": cls.tag == "BQ"
-            and np.max(np.abs(spec - [-0.5, 0.5, 0.5, 1.5])) <= 1e-9,
-            "class": cls.tag,
-            "spectrum": spec,
-        }
-    with _check(checks, "perfect_discrimination"):
-        r1, r2, ov = bq_witness_states(dovm)
-        checks["perfect_discrimination"] = {
-            "ok": abs(ov - 0.75) <= 1e-9,
-            "overlap": ov,
-        }
-    with _check(checks, "quantum_advantage"):
-        a1, a2, margin = aq_advantage_states(dovm)
-        checks["quantum_advantage"] = {
-            "ok": abs(margin - 1.0 / (np.sqrt(2.0) * 4.0)) <= 1e-6,
-            "margin": margin,
-        }
-    with _check(checks, "entropy_example"):
-        ent = entropy_example_audit()
-        checks["entropy_example"] = {"ok": ent["pass"], **ent}
-    with _check(checks, "two_symmetry"):
-        sym = symmetry.two_symmetry_counterexample(seed=seed)
-        checks["two_symmetry"] = {"ok": _two_symmetry_holds(sym), **sym}
-    with _check(checks, "shrunk_bloch"):
-        sb = simulability.shrunk_bloch_example(0.5)
-        checks["shrunk_bloch"] = {
-            "ok": sb["pass"],
-            "overlap": sb["overlap"],
-            "status": sb["certificate"].status,
-        }
-    return checks
+    cls = classify(Dovm(m1=e1, m2=e2, dims=DIMS_22))
+    spec = np.linalg.eigvalsh(e1)
+    ok = cls.tag == "BQ" and np.max(
+        np.abs(spec - [-0.5, 0.5, 0.5, 1.5])) <= 1e-9
+    return {"ok": ok, "class": cls.tag, "spectrum": spec}
 
 
-def cmd_verify_appendix(args) -> int:
-    checks = _appendix_checks(args.seed)
-    ok = all(c["ok"] for c in checks.values())
-    return _finish(args, {"checks": checks}, ok, {})
+def perfect_discrimination(seed, fast) -> dict:
+    """{e1, e2} perfectly discriminates two states overlapping by 3/4."""
+    *_, ov = bq_witness_states(Measurement(list(appendix_measurement())))
+    return {"ok": abs(ov - 0.75) <= 1e-9, "overlap": ov}
 
 
-def cmd_verify_all(args) -> int:
-    seed, fast = args.seed, args.fast
-    checks = _appendix_checks(seed)
-    rng = np.random.default_rng(seed)
+def quantum_advantage(seed, fast) -> dict:
+    """{e1, e2} beats Helstrom on a separable pair by 1/(4 sqrt 2)."""
+    *_, gap = aq_advantage_states(Measurement(list(appendix_measurement())))
+    return {"ok": abs(gap - 1.0 / (np.sqrt(2.0) * 4.0)) <= 1e-6, "margin": gap}
 
-    n_pairs = 10 if fast else 50
+
+def entropy_example(seed, fast) -> dict:
+    """A state splits two ways into perfect pairs, of unequal entropy."""
+    ent = entropy_example_audit()
+    return {"ok": ent["pass"], **ent}
+
+
+def two_symmetry(seed, fast) -> dict:
+    """No symmetry maps |00>, |++> (overlap 1/4) to an orthogonal pair."""
+    sym = symmetry.two_symmetry_counterexample(seed=seed)
+    ok = not sym["equivalent"] and sym["invariance_violation"] <= 1e-10
+    return {"ok": ok, **sym}
+
+
+def shrunk_bloch(seed, fast) -> dict:
+    """A p = 1/2 shrunk-Bloch effect pair splits states overlapping 3/8."""
+    return _shrunk_bloch(0.5)
+
+
+def _shrunk_bloch(p: float) -> dict:
+    rep = simulability.shrunk_bloch_example(p)
+    return {"ok": rep["pass"], "shrunk_bloch_p": p,
+            "valid_on_domain": rep["valid_on_domain"],
+            "table_residual": rep["table_residual"],
+            "overlap": rep["overlap"], "status": rep["certificate"].status}
+
+
+def helstrom_equivalence(seed, fast) -> dict:
+    """Helstrom's and the PSD cone's errors are 1 - ||rho1 - rho2||_1/2."""
+    rng, n_pairs = np.random.default_rng(seed), 10 if fast else 50
     psd_cone = make_named_cone(PSD, dim=4)
-    with _check(checks, "helstrom_equivalence"):
-        worst = ref_worst = 0.0
-        for _ in range(n_pairs):
-            s1, s2 = random_state(4, rng), random_state(4, rng)
-            hval, _ = helstrom(s1, s2)
-            cval, _ = min_error_over_cone(s1, s2, psd_cone)
-            ref = 1.0 - 0.5 * float(np.linalg.svd(s1 - s2, compute_uv=False).sum())
-            worst = max(worst, abs(hval - cval))
-            ref_worst = max(ref_worst, abs(hval - ref), abs(cval - ref))
-        checks["helstrom_equivalence"] = {
-            "ok": worst <= 1e-6 and ref_worst <= 1e-6, "worst": worst,
+    worst = ref_worst = 0.0
+    for _ in range(n_pairs):
+        s1, s2 = random_state(4, rng), random_state(4, rng)
+        hval, _ = helstrom(s1, s2)
+        cval, _ = min_error_over_cone(s1, s2, psd_cone)
+        ref = 1.0 - 0.5 * float(np.linalg.svd(s1 - s2, compute_uv=False).sum())
+        worst = max(worst, abs(hval - cval))
+        ref_worst = max(ref_worst, abs(hval - ref), abs(cval - ref))
+    return {"ok": worst <= 1e-6 and ref_worst <= 1e-6, "worst": worst,
             "reference_worst": ref_worst, "pairs": n_pairs}
 
+
+def _bell_swap_pses() -> pses.PsesParams:
     fam = pses.generalized_bell(2)
-    params = pses.PsesParams(family_set=pses.swap_pair(fam), r=0.1,
-                             dims=fam.dims)
-    with _check(checks, "pses_audit"):
-        audit = pses.predual_audit(
-            params, product_samples=1000 if fast else 10_000, seed=seed)
-        checks["pses_audit"] = audit.to_json() | {"ok": audit.ok}
+    return pses.PsesParams(family_set=pses.swap_pair(fam), r=0.1,
+                           dims=fam.dims)
 
-    with _check(checks, "pses_discrimination"):
-        _, _, overlap = pses.dist_example(0.1, fam)
-        checks["pses_discrimination"] = {
-            "ok": abs(overlap - pses.overlap_closed_form(0.1)) <= 1e-12,
-            "overlap": overlap,
-        }
 
-    from .sampling import random_max_entangled_state
+def pses_audit(seed, fast) -> dict:
+    """The 2x2 PSES is pre-dual: its endpoints' pairings are nonnegative."""
+    audit = pses.predual_audit(_bell_swap_pses(), seed=seed,
+                               product_samples=1000 if fast else 10_000)
+    return audit.to_json() | {"ok": audit.ok}
 
-    sigma = random_max_entangled_state(2, rng)
-    with _check(checks, "pses_distance"):
-        dist, _ = pses.distance_upper_bound(params, sigma)
-        checks["pses_distance"] = {
-            "ok": abs(dist - 1.0 / 3.0) <= 1e-9
-            and dist <= pses.eps_of_r(0.1),
-            "distance": dist,
-        }
 
-    with _check(checks, "hierarchy"):
-        hier = pses.hierarchy_audit([0.2, 0.1], pses.swap_pair(fam), fam.dims)
-        checks["hierarchy"] = hier.to_json() | {"ok": hier.ok}
+def pses_discrimination(seed, fast) -> dict:
+    """The 2x2 PSES splits two states overlapping by 2r(r+1)/(2r+1)^2."""
+    _, _, overlap = pses.dist_example(0.1, pses.generalized_bell(2))
+    ok = abs(overlap - pses.overlap_closed_form(0.1)) <= 1e-12
+    return {"ok": ok, "overlap": overlap}
 
-    ok = all(c["ok"] for c in checks.values())
-    return _finish(args, {"fast": fast, "checks": checks}, ok, {})
+
+def pses_distance(seed, fast) -> dict:
+    """A maximally entangled state is 1/3 <= eps(r) from the PSES's dual."""
+    sigma = random_max_entangled_state(2, np.random.default_rng(seed))
+    dist, _ = pses.distance_upper_bound(_bell_swap_pses(), sigma)
+    ok = abs(dist - 1.0 / 3.0) <= 1e-9 and dist <= pses.eps_of_r(0.1)
+    return {"ok": ok, "distance": dist}
+
+
+def hierarchy(seed, fast) -> dict:
+    """The 2x2 PSES cones strictly shrink from r = 0.2 to r = 0.1."""
+    fam = pses.generalized_bell(2)
+    hier = pses.hierarchy_audit([0.2, 0.1], pses.swap_pair(fam), fam.dims)
+    return hier.to_json() | {"ok": hier.ok}
+
+
+# Every claim in report order, with whether verify-appendix runs it;
+# verify-all runs them all.
+CLAIMS = ((classification, True), (perfect_discrimination, True),
+          (quantum_advantage, True), (entropy_example, True),
+          (two_symmetry, True), (shrunk_bloch, True),
+          (helstrom_equivalence, False), (pses_audit, False),
+          (pses_discrimination, False), (pses_distance, False),
+          (hierarchy, False))
+
+
+def cmd_verify(args) -> int:
+    """Run verify-all's claims, or verify-appendix's, each under ``_check``."""
+    every, checks = args.command == "verify-all", {}
+    for claim, appendix in CLAIMS:
+        if every or appendix:
+            with _check(checks, claim.__name__):
+                checks[claim.__name__] = claim(args.seed, args.fast)
+    report = {"fast": args.fast} if every else {}
+    report["checks"] = checks
+    return _finish(args, report, all(c["ok"] for c in checks.values()), {})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,10 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--check", choices=["two-symmetry", "ses-orbit"],
                     default="two-symmetry")
 
-    add("verify-appendix", cmd_verify_appendix,
-        help="run the worked-example verification bundle")
+    add("verify-appendix", cmd_verify,
+        help="run the worked-example claims").set_defaults(fast=False)
 
-    sp = add("verify-all", cmd_verify_all, help="run every verification suite")
+    sp = add("verify-all", cmd_verify, help="run every verification suite")
     sp.add_argument("--fast", action="store_true",
                     help="reduced sample counts")
     return p

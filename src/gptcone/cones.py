@@ -44,12 +44,13 @@ CS_NEG = "CS_NEG"
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConeRep:
     """The cone ``K + cone(generators)`` of dim x dim Hermitian matrices,
     K named by the tag ``oracle``, which defaults to PSD; ``dim`` defaults
     to ``dims.total``, else to the generators' size.  Frozen, with read-only
-    copies of ``generators`` (a tuple) and ``params``: a shared cone is fixed."""
+    copies of ``generators`` (a tuple) and ``params``: a shared cone is fixed.
+    Compared and hashed by identity."""
 
     dim: int | None = None
     generators: tuple = ()
@@ -87,10 +88,11 @@ class ConeRep:
             raise ValidationError(f"{self.oracle} needs {needs}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GptModel:
     """A GPT model: a proper cone together with an order unit.  Frozen,
-    with a read-only copy of the unit, so a shared model cannot change."""
+    with a read-only copy of the unit, so a shared model cannot change.
+    Compared and hashed by identity."""
 
     cone: ConeRep
     unit: np.ndarray

@@ -23,23 +23,26 @@ from .herm import (
 from .verdict import OUT, MembershipVerdict
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeopFamily:
     """An orthonormal family of maximally entangled rank-1 projectors
     spanning the composite space (dA = dB = m, count = m^2), checked when
     built to 1e-10: trace-orthonormal, resolving I, marginals I/m.
-    Frozen, so it stays the family that was checked."""
+    Frozen, with read-only copies of the projectors (a tuple), so it stays
+    the family that was checked.  Compared and hashed by identity."""
 
     dims: BipartiteDims
-    projectors: list
+    projectors: tuple
 
     def __post_init__(self):
         if self.dims.dA != self.dims.dB:
             raise ValidationError("maximally entangled families need dA == dB")
         if len(self.projectors) != self.dims.total:
             raise ValidationError("family must span the composite space")
+        # A list makes ensure_herm build a copy.
         stack = ensure_herm(list(self.projectors), dim=self.dims.total)
-        object.__setattr__(self, "projectors", list(stack))
+        stack.flags.writeable = False
+        object.__setattr__(self, "projectors", tuple(stack))
         m, D = self.dims.dA, self.dims.total
         flat = stack.reshape(D, -1)
         if np.max(np.abs(np.real(flat.conj() @ flat.T) - np.eye(D))) > 1e-10:
@@ -53,20 +56,22 @@ class MeopFamily:
                     raise ValidationError("projector is not maximally entangled")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PsesParams:
     """A subset of MEOP families on ``dims`` together with the finite
     deformation size ``r >= 0``; ``cone`` is the deformed effect cone
     ``PSD + cone(N_k)`` over the endpoints, built once with them.  Frozen,
-    so ``cone`` cannot go stale: ``dataclasses.replace`` builds new
-    params with their own cone."""
+    with ``family_set`` kept as a tuple of frozen families, so ``cone``
+    cannot go stale: ``dataclasses.replace`` builds new params with their
+    own cone.  Compared and hashed by identity."""
 
-    family_set: list
+    family_set: tuple
     r: float
     dims: BipartiteDims
-    cone: ConeRep = field(init=False, repr=False, compare=False)
+    cone: ConeRep = field(init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "family_set", tuple(self.family_set))
         if not self.family_set:
             raise ValidationError("family_set must be nonempty")
         if not 0.0 <= self.r < np.inf:  # also rejects NaN

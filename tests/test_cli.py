@@ -272,6 +272,43 @@ def test_verify_all_fast(capsys):
     assert rep["pass"]
 
 
+def test_verify_appendix_runs_the_appendix_claims_of_verify_all(capsys):
+    assert cli.run(["verify-appendix", "--seed", "3"]) == 0
+    appendix = _stdout_report(capsys)["checks"]
+    assert cli.run(["verify-all", "--seed", "3"]) == 0
+    every = _stdout_report(capsys)["checks"]
+    assert list(every) == [claim.__name__ for claim, _ in cli.CLAIMS]
+    names = [claim.__name__ for claim, marked in cli.CLAIMS if marked]
+    assert list(appendix) == names
+    assert appendix == {name: every[name] for name in names}
+
+
+def test_pses_distance_does_not_depend_on_fast(capsys):
+    # Each claim seeds its own generator: the state pses_distance draws
+    # does not depend on how many pairs helstrom_equivalence drew first.
+    distances = []
+    for fast in ([], ["--fast"]):
+        assert cli.run(["verify-all", "--seed", "3", *fast]) == 0
+        rep = _stdout_report(capsys)
+        distances.append(rep["checks"]["pses_distance"]["distance"])
+    assert distances[0] == distances[1]
+    assert abs(distances[0] - 1.0 / 3.0) <= 1e-9
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["symmetry", "--check", "two-symmetry"], "two_symmetry"),
+    (["simulability", "--shrunk-bloch", "0.5"], "shrunk_bloch"),
+])
+def test_a_subcommand_reports_what_its_claim_reports(argv, name, capsys):
+    assert cli.run(["verify-appendix", "--seed", "3"]) == 0
+    claim = _stdout_report(capsys)["checks"][name]
+    ok = claim.pop("ok")
+    assert cli.run([*argv, "--seed", "3"]) == 0
+    rep = _stdout_report(capsys)
+    assert {key: rep[key] for key in claim} == claim
+    assert rep["pass"] is ok
+
+
 def test_usage_errors(capsys):
     assert cli.run(["no-such-command"]) == 1
     assert cli.run([]) == 1
@@ -390,7 +427,7 @@ def test_malformed_measurement_files_exit_one(tmp_path, capsys, content):
 
 def test_jsonify_writes_non_hermitian_square_arrays(bell_state, dims22):
     rep = symmetry.gu_falsifier(partial_transpose(bell_state, dims22), dims22)
-    out = json.loads(json.dumps(cli._jsonify(rep)))
+    out = json.loads(json.dumps(rep, default=cli._json_default))
     U = np.array(out["unitary"]["re"]) + 1j * np.array(out["unitary"]["im"])
     assert np.allclose(U, rep["unitary"], atol=1e-15)
     assert np.allclose(U @ U.conj().T, np.eye(4))

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from gptcone.cones import ConeRep, GptModel
 from gptcone.dual import ConicCertificate, conic_feasibility, identity
 from gptcone.herm import (
     BipartiteDims,
@@ -393,3 +394,29 @@ def test_pses_params_and_families_are_frozen(bell_family, params01):
     assert np.allclose(wider.cone.generators[1], npm_element(0.3, bell_family))
     assert np.allclose(params01.cone.generators[1],
                        npm_element(0.1, bell_family))
+
+
+@pytest.mark.parametrize("build", [
+    lambda fam: ConeRep(generators=[np.eye(4), npm_element(0.1, fam)]),
+    lambda fam: GptModel(ConeRep(dim=4), np.eye(4)),
+    lambda fam: MeopFamily(dims=fam.dims, projectors=fam.projectors),
+    lambda fam: PsesParams(family_set=swap_pair(fam), r=0.1, dims=fam.dims),
+], ids=["ConeRep", "GptModel", "MeopFamily", "PsesParams"])
+def test_value_types_compare_and_hash_by_identity(build, bell_family):
+    # Equal values would otherwise compare arrays with == and raise.
+    a, b = build(bell_family), build(bell_family)
+    assert (a == b) is False and a == a
+    assert {a: "a", b: "b"}[a] == "a"
+
+
+def test_a_pses_cannot_go_stale(bell_family, params01):
+    with pytest.raises(AttributeError):
+        params01.family_set.append(generalized_bell(2))
+    assert len(params01.cone.generators) == 4
+    assert len(npm_endpoint_generators(params01)) == 4
+    mine = [P.copy() for P in bell_family.projectors]
+    fam = MeopFamily(dims=bell_family.dims, projectors=mine)
+    with pytest.raises(ValueError, match="read-only"):
+        fam.projectors[0][0, 0] = 5.0
+    mine[0][0, 0] = 5.0  # the caller's arrays stay writable
+    assert np.trace(npm_element(0.1, fam)).real == pytest.approx(2.0, abs=1e-12)
