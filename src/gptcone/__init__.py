@@ -61,7 +61,6 @@ from .herm import (
     BipartiteDims,
     ValidationError,
     ensure_herm,
-    fidelity,
     max_entangled_fidelity,
     maximally_entangled_vector,
     nege,

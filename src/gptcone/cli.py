@@ -122,51 +122,28 @@ def cmd_discriminate(args) -> int:
         report["cone_measurement"] = cmeas.effects
         report["cone_check"] = abs(
             err_of_measurement(rho1, rho2, cmeas.effects) - cval) <= 1e-8
-    _emit(args, report)
-    return PASS
-
-
-def _family_set(m: int, count: int):
-    """Family k is the Bell family with projectors 0 and k exchanged."""
-    if not 1 <= count <= m * m:
-        raise UsageError("--families must be at least 1" if count < 1 else
-                         "too many families requested for this local dim")
-    base = pses.generalized_bell(m)
-    fams = []
-    for k in range(count):
-        proj = list(base.projectors)
-        proj[0], proj[k] = proj[k], proj[0]
-        fams.append(pses.MeopFamily(dims=base.dims, projectors=proj))
-    return fams
+    return _finish(args, report, report.get("cone_check", True), {})
 
 
 def cmd_build_pses(args) -> int:
     if (args.r is None) == (args.eps is None):
         raise UsageError("exactly one of --r or --eps is required")
     r = args.r if args.r is not None else pses.r_of_eps(args.eps)
-    fams = _family_set(args.local_dim, args.families)
-    dims = fams[0].dims
-    params = pses.PsesParams(family_set=fams, r=r, dims=dims)
-    audit = pses.predual_audit(params, seed=args.seed)
+    params = _pses(args.local_dim, args.families, r)
     report = {
         "local_dim": args.local_dim,
         "families": args.families,
         "r": r,
         "eps": pses.eps_of_r(r),
-        "r0": pses.r0(dims),
-        "audit": audit.to_json(),
+        "r0": pses.r0(params.dims),
+        "audit": _predual_audit(params, args.seed, 10_000),
     }
-    failed = {}
-    if audit.ok and 0.0 < r <= pses.r0(dims) + 1e-12:
+    ok, failed = report["audit"]["ok"], {}
+    if ok and 0.0 < r <= report["r0"] + 1e-12:
         with _check(failed, "discrimination_example"):
-            meas, states, overlap = pses.dist_example(r, fams[0])
-            report["discrimination_example"] = {
-                "measurement": list(meas),
-                "states": list(states),
-                "overlap": overlap,
-                "overlap_closed_form": pses.overlap_closed_form(r),
-            }
-    return _finish(args, report, audit.ok, failed)
+            example = report["discrimination_example"] = _dist_example(params)
+            ok = example["ok"]
+    return _finish(args, report, ok, failed)
 
 
 def cmd_simulability(args) -> int:
@@ -231,7 +208,8 @@ def _finish(args, report: dict, ok: bool, failed: dict) -> int:
 
 # The paper's claims: each takes (seed, fast), seeds its own generator and
 # returns its report with ``ok``, named by the function; the docstring says
-# what it claims.  The 2x2 PSES is the Bell family and its swap at r = 0.1.
+# what it claims.  The 2x2 PSES, _pses(2, 2, 0.1), is the Bell family and
+# its swap at r = 0.1.
 
 
 def classification(seed, fast) -> dict:
@@ -298,38 +276,59 @@ def helstrom_equivalence(seed, fast) -> dict:
             "reference_worst": ref_worst, "pairs": n_pairs}
 
 
-def _bell_swap_pses() -> pses.PsesParams:
-    fam = pses.generalized_bell(2)
-    return pses.PsesParams(family_set=pses.swap_pair(fam), r=0.1,
-                           dims=fam.dims)
+def _pses(m: int, families: int, r: float) -> pses.PsesParams:
+    """The PSES on m x m at r whose family k is the Bell family with
+    projectors 0 and k exchanged, for k < ``families``."""
+    if not 1 <= families <= m * m:
+        raise UsageError("--families must be at least 1" if families < 1 else
+                         "too many families requested for this local dim")
+    bell = pses.generalized_bell(m)
+    fams = []
+    for k in range(families):
+        proj = list(bell.projectors)
+        proj[0], proj[k] = proj[k], proj[0]
+        fams.append(pses.MeopFamily(dims=bell.dims, projectors=proj))
+    return pses.PsesParams(family_set=fams, r=r, dims=bell.dims)
+
+
+def _predual_audit(params: pses.PsesParams, seed: int, samples: int) -> dict:
+    audit = pses.predual_audit(params, product_samples=samples, seed=seed)
+    return audit.to_json() | {"ok": audit.ok}
+
+
+def _dist_example(params: pses.PsesParams) -> dict:
+    meas, states, overlap = pses.dist_example(params.r, params.family_set[0])
+    closed = pses.overlap_closed_form(params.r)
+    return {"ok": abs(overlap - closed) <= 1e-12, "overlap": overlap,
+            "overlap_closed_form": closed, "measurement": list(meas),
+            "states": list(states)}
 
 
 def pses_audit(seed, fast) -> dict:
     """The 2x2 PSES is pre-dual: its endpoints' pairings are nonnegative."""
-    audit = pses.predual_audit(_bell_swap_pses(), seed=seed,
-                               product_samples=1000 if fast else 10_000)
-    return audit.to_json() | {"ok": audit.ok}
+    return _predual_audit(_pses(2, 2, 0.1), seed, 1000 if fast else 10_000)
 
 
 def pses_discrimination(seed, fast) -> dict:
     """The 2x2 PSES splits two states overlapping by 2r(r+1)/(2r+1)^2."""
-    _, _, overlap = pses.dist_example(0.1, pses.generalized_bell(2))
-    ok = abs(overlap - pses.overlap_closed_form(0.1)) <= 1e-12
-    return {"ok": ok, "overlap": overlap}
+    return _dist_example(_pses(2, 2, 0.1))
 
 
 def pses_distance(seed, fast) -> dict:
-    """A maximally entangled state is 1/3 <= eps(r) from the PSES's dual."""
+    """A maximally entangled state is 4r/(2r+1) <= eps(r) from the
+    PSES's dual."""
+    params = _pses(2, 2, 0.1)
     sigma = random_max_entangled_state(2, np.random.default_rng(seed))
-    dist, _ = pses.distance_upper_bound(_bell_swap_pses(), sigma)
-    ok = abs(dist - 1.0 / 3.0) <= 1e-9 and dist <= pses.eps_of_r(0.1)
+    dist, _ = pses.distance_upper_bound(params, sigma)
+    r = params.r
+    ok = abs(dist - 4 * r / (2 * r + 1)) <= 1e-9 and dist <= pses.eps_of_r(r)
     return {"ok": ok, "distance": dist}
 
 
 def hierarchy(seed, fast) -> dict:
     """The 2x2 PSES cones strictly shrink from r = 0.2 to r = 0.1."""
-    fam = pses.generalized_bell(2)
-    hier = pses.hierarchy_audit([0.2, 0.1], pses.swap_pair(fam), fam.dims)
+    params = _pses(2, 2, 0.1)
+    hier = pses.hierarchy_audit([0.2, 0.1], params.family_set, params.dims)
     return hier.to_json() | {"ok": hier.ok}
 
 

@@ -541,7 +541,11 @@ class DualIdentityReport:
 
 def dual_identity_check(g1, g2, samples: int = 1000,
                         seed: int = 0) -> DualIdentityReport:
-    """Membership in dual(g1 u g2) must equal dual(g1) AND dual(g2)."""
+    """Membership in dual(g1 u g2) must equal dual(g1) AND dual(g2).
+
+    Both sides are read from the same pairings ``<x, g>``, so they can
+    differ only by rounding: the check guards this code, not the identity.
+    """
     from .sampling import random_herm
 
     G = ensure_herm([*g1, *g2])

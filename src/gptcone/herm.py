@@ -155,15 +155,6 @@ def sco(v, dims: BipartiteDims) -> float:
     return float(lam[0] * lam[1])
 
 
-def fidelity(rho, sigma) -> float:
-    """Fidelity ``Tr rho sigma`` of a state with a *pure* state sigma."""
-    rho, sigma = ensure_herm([rho, sigma])
-    vals = np.linalg.eigvalsh(sigma)
-    if np.sum(vals > 1e-9) != 1 or vals[0] < -1e-9:
-        raise ValidationError("sigma must be a rank-1 PSD matrix")
-    return _inner(rho, sigma)
-
-
 def maximally_entangled_vector(m: int) -> np.ndarray:
     """Canonical maximally entangled vector on an m x m system."""
     v = np.eye(m, dtype=complex).reshape(-1)

@@ -412,6 +412,12 @@ def self_duality_verifier(candidate_generators, outer: PsesParams,
     every element of the dual is PSD, so it lies in the candidate cone
     already.  ``samples`` is ignored.  Verification predicate only; it
     never constructs the modified cone.
+
+    Its ``ok`` is no evidence of self-duality: no check asks whether the
+    candidates pair nonnegatively with PSD.  The 2x2 Bell-pair endpoints
+    at r = 0.1 pass (Gram minimum 0.28), although two have least
+    eigenvalue -0.1, so their cone contains that eigenprojector, which
+    pairs negatively with them: the cone is not inside its own dual.
     """
     if not len(candidate_generators):
         raise ValidationError("candidate set must be nonempty")

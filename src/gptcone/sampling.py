@@ -49,13 +49,6 @@ def random_psd(n: int, seed=None) -> np.ndarray:
     return (G @ G.conj().T) / n
 
 
-def random_product_vector(dims: BipartiteDims, seed=None) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    a = random_pure_vector(dims.dA, rng)
-    b = random_pure_vector(dims.dB, rng)
-    return np.kron(a, b)
-
-
 def random_product_vectors(dims: BipartiteDims, count: int, seed=None) -> np.ndarray:
     """``count`` normalized product vectors, stacked as rows."""
     rng = np.random.default_rng(seed)

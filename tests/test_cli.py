@@ -73,6 +73,25 @@ def test_discriminate(tmp_path, capsys):
     expected = 1.0 - np.sqrt(1.0 - overlap)
     assert rep["helstrom_error"] == pytest.approx(expected, abs=1e-9)
     assert len(rep["helstrom_measurement"]) == 2
+    assert rep["pass"] is True
+
+
+def test_discriminate_fails_when_its_cone_check_fails(tmp_path, capsys,
+                                                     monkeypatch):
+    fx = build_fixtures()
+    p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
+    save_matrix(p1, fx["rho1"])
+    save_matrix(p2, fx["rho2"])
+    cone_path = tmp_path / "psd4.json"
+    cone_path.write_text(json.dumps({"tag": "PSD", "dim": 4}))
+    argv = ["discriminate", str(p1), str(p2), "--cone", str(cone_path)]
+    assert cli.run(argv) == 0
+    assert _stdout_report(capsys)["pass"] is True
+    monkeypatch.setattr(cli, "err_of_measurement", lambda *args: 1.0)
+    assert cli.run(argv) == 2
+    rep = _stdout_report(capsys)
+    assert rep["cone_check"] is False and rep["pass"] is False
+    assert rep["cone_error"] == pytest.approx(rep["helstrom_error"], abs=1e-9)
 
 
 def test_discriminate_rejects_states_of_different_sizes(tmp_path, capsys):
@@ -309,6 +328,17 @@ def test_a_subcommand_reports_what_its_claim_reports(argv, name, capsys):
     assert rep["pass"] is ok
 
 
+def test_build_pses_reports_what_the_pses_claims_report(capsys):
+    assert cli.run(["verify-all", "--seed", "3"]) == 0
+    checks = _stdout_report(capsys)["checks"]
+    assert cli.run(["build-pses", "--r", "0.1", "--local-dim", "2",
+                    "--seed", "3"]) == 0
+    rep = _stdout_report(capsys)
+    assert rep["audit"] == checks["pses_audit"]
+    assert rep["discrimination_example"] == checks["pses_discrimination"]
+    assert rep["pass"] is True
+
+
 def test_usage_errors(capsys):
     assert cli.run(["no-such-command"]) == 1
     assert cli.run([]) == 1
@@ -385,6 +415,20 @@ def test_build_pses_keeps_report_when_the_check_raises(capsys, monkeypatch):
     assert rep["discrimination_example"] == {"ok": False,
                                              "error": "check failed"}
     assert rep["pass"] is False
+
+
+def test_build_pses_fails_when_the_overlap_misses_its_closed_form(
+        capsys, monkeypatch):
+    closed_form = cli.pses.overlap_closed_form
+    monkeypatch.setattr(cli.pses, "overlap_closed_form",
+                        lambda r: closed_form(r) + 1e-6)
+    assert cli.run(["build-pses", "--r", "0.1"]) == 2
+    rep = _stdout_report(capsys)
+    example = rep["discrimination_example"]
+    assert example["ok"] is False
+    assert example["overlap"] == pytest.approx(closed_form(0.1), abs=1e-12)
+    assert len(example["states"]) == len(example["measurement"]) == 2
+    assert rep["audit"]["ok"] is True and rep["pass"] is False
 
 
 def test_simulability_keeps_report_when_the_check_raises(tmp_path, capsys,

@@ -11,7 +11,6 @@ from gptcone.herm import (
     BipartiteDims,
     ValidationError,
     ensure_herm,
-    fidelity,
     max_entangled_fidelity,
     maximally_entangled_vector,
     nege,
@@ -123,14 +122,6 @@ def test_nege_and_sco():
     assert sco(bell, BipartiteDims(2, 2)) == pytest.approx(0.5, abs=1e-12)
     prod = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
     assert sco(prod, BipartiteDims(2, 2)) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_fidelity_pure_target():
-    rho = np.diag([0.25, 0.75]).astype(complex)
-    sigma = np.diag([0.0, 1.0]).astype(complex)
-    assert fidelity(rho, sigma) == pytest.approx(0.75, abs=1e-12)
-    with pytest.raises(ValidationError):
-        fidelity(rho, np.eye(2) / 2)  # mixed target unsupported
 
 
 def test_max_entangled_fidelity_of_bell(bell_state, dims22):
