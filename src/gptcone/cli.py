@@ -12,7 +12,8 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import pses, simulability, symmetry
-from .cones import PSD, Measurement, make_named_cone, ses_model
+from .cones import (PSD, Measurement, dual_cone_membership, make_named_cone,
+                    membership, ses_model)
 from .discrimination import (
     entropy_example_audit,
     err_of_measurement,
@@ -24,6 +25,7 @@ from .fixtures import DIMS_22, appendix_measurement
 from .herm import BipartiteDims, ValidationError
 from .io import load_cone, load_matrix, load_measurement, matrix_to_json
 from .sampling import random_herm, random_max_entangled_state, random_state
+from .verdict import IN
 
 SCHEMA = "gptcone/1"
 
@@ -299,9 +301,12 @@ def _predual_audit(params: pses.PsesParams, seed: int, samples: int) -> dict:
 def _dist_example(params: pses.PsesParams) -> dict:
     meas, states, overlap = pses.dist_example(params.r, params.family_set[0])
     closed = pses.overlap_closed_form(params.r)
-    return {"ok": abs(overlap - closed) <= 1e-12, "overlap": overlap,
-            "overlap_closed_form": closed, "measurement": list(meas),
-            "states": list(states)}
+    effects = [membership(params.cone, M).status for M in meas]
+    duals = [dual_cone_membership(params.cone, rho).status for rho in states]
+    ok = abs(overlap - closed) <= 1e-12 and {*effects, *duals} == {IN}
+    return {"ok": ok, "overlap": overlap, "overlap_closed_form": closed,
+            "measurement": list(meas), "states": list(states),
+            "effect_verdicts": effects, "state_verdicts": duals}
 
 
 def pses_audit(seed, fast) -> dict:

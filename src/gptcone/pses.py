@@ -5,13 +5,13 @@ discrimination example they support."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cones import ConeRep, _evaluate
 from .discrimination import perfectly_distinguishable
-from .dual import _dual_membership, _gram_check
+from .dual import _gram_check
 from .herm import (
     BipartiteDims,
     ValidationError,
@@ -159,27 +159,20 @@ def r_of_eps(eps: float) -> float:
 
 
 def cr_membership(x, params: PsesParams) -> MembershipVerdict:
-    """The endpoint screen, then ``membership(params.cone, x)``: In means
-    x pairs nonnegatively with every endpoint N_k and lies in
-    ``PSD + cone(N_k)``.
-
-    A pairing ``<x, N_k>`` below -1e-9 gives Out with that endpoint as
-    witness (tier ``npm-endpoint``).  Otherwise the cone's conic
-    description decides, to 1e-8: a PSD x, or an x with ``x - N_k`` PSD
-    such as N_k itself, is In by the vertex tier without a solve (tier
-    ``decomposition``, 0 iterations), and any other x gets the verdict of
-    the first solver iterate that re-verifies, with that solve's ``gap``,
-    ``iterations`` and ``converged``.  An Out margin ``<W, x>`` there is
-    that of a checked separator W, not the least pairing over the dual.
+    """``membership(params.cone, x)``: x in the deformed effect cone C_r =
+    ``params.cone`` = ``PSD + cone(N_k)``, the cone ``min_error_over_cone``
+    takes.  A state verdict, for the dual ``PSD ∩ cone(N_k)*``, is
+    ``dual_cone_membership(params.cone, x)`` until a PSES type carrying
+    both cones adds one here.  The conic description decides, to 1e-8: a
+    PSD x, or an x with ``x - N_k`` PSD such as N_k, is In by the vertex
+    tier without a solve (tier ``decomposition``, 0 iterations), any
+    other x gets the verdict of the first solver iterate that re-verifies,
+    with that solve's ``gap``, ``iterations`` and ``converged``.  An Out
+    margin ``<W, x>`` is that of a checked separator W, not the least
+    pairing over the dual.
     """
-    return _cr_membership(ensure_herm(x, dim=params.dims.total), params)
-
-
-def _cr_membership(x, params):
-    v = _dual_membership(params.cone.generators, x)
-    if v.status == OUT:
-        return replace(v, tier="npm-endpoint")
-    return _evaluate(params.cone, x, dual=False)
+    return _evaluate(params.cone, ensure_herm(x, dim=params.dims.total),
+                     dual=False)
 
 
 @dataclass
@@ -221,9 +214,10 @@ def predual_audit(params: PsesParams, product_samples: int = 10_000,
 
     V = random_product_vectors(params.dims, product_samples, rng)
     worst = np.inf
-    for N in gens:
-        vals = np.real(np.einsum("ni,ij,nj->n", V.conj(), N, V))
-        worst = min(worst, float(np.min(vals)))
+    for rows in np.split(V, range(1024, product_samples, 1024)):
+        for N in gens:  # <v|N|v> = Re sum_i v_i conj((N v)_i), in chunks
+            vals = np.einsum("ni,ni->n", rows, (rows @ N.T).conj()).real
+            worst = min(worst, float(np.min(vals)))
     bound1 = (np.sqrt(D) - 1.0) / 2.0
     report.add("product_state_nonnegativity", worst >= -1e-9,
                min_value=worst, analytic_bound=bound1,
@@ -405,12 +399,12 @@ def self_duality_verifier(candidate_generators, outer: PsesParams,
     The candidate cone is read as ``cone(candidates) + PSD`` (a finite
     modification of the standard structure).  (a) ``candidate_gram``:
     pairwise Gram nonnegativity to 1e-9 (candidates inside their own
-    dual); (b) ``sandwich``: no candidate is Out of the deformed cone by
-    :func:`cr_membership`, and every deformation endpoint is In the
-    candidate :class:`~gptcone.cones.ConeRep`, validated once, to 1e-8
-    like every conic solve.  The dual side needs no check of its own:
-    every element of the dual is PSD, so it lies in the candidate cone
-    already.  ``samples`` is ignored.  Verification predicate only; it
+    dual); (b) ``sandwich``: no candidate is Out of ``outer.cone``, the
+    cone :func:`cr_membership` decides, and every deformation endpoint is
+    In the candidate :class:`~gptcone.cones.ConeRep`, validated once,
+    both to 1e-8 like every conic solve.  The dual side needs no check of
+    its own: every element of the dual is PSD, so it lies in the
+    candidate cone already.  ``samples`` is ignored.  Verification predicate only; it
     never constructs the modified cone.
 
     Its ``ok`` is no evidence of self-duality: no check asks whether the
@@ -428,7 +422,7 @@ def self_duality_verifier(candidate_generators, outer: PsesParams,
     report.add("candidate_gram", ok, min_pair=list(pair), min_value=value)
 
     sandwich_ok = all(np.linalg.norm(g) < 1e-12
-                      or _cr_membership(g, outer).status != OUT
+                      or _evaluate(outer.cone, g, dual=False).status != OUT
                       for g in candidate.generators)
     endpoint_fail = next(
         (k for k, N in enumerate(outer.cone.generators)

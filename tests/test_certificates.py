@@ -254,10 +254,9 @@ def test_min_over_spectrahedron_argmin_is_feasible(seed, d, m):
         assert val == pytest.approx(np.linalg.eigvalsh(x)[0], abs=1e-8)
 
 
-@given(seeds, st.sampled_from([2, 3]), st.floats(0.02, 1.0),
-       st.floats(-0.3, 0.3))
-@settings(max_examples=30, deadline=None)
-def test_cr_membership_witnesses(seed, m, r_frac, shift):
+def _cr_case(seed, m, r_frac, shift):
+    """The m x m Bell swap pair at r = r_frac r0, its endpoints, and x, a
+    random nonnegative mix of them, shifted by ``shift`` I, plus noise."""
     rng = np.random.default_rng(seed)
     fam = generalized_bell(m)
     params = PsesParams(family_set=swap_pair(fam), r=r_frac * r0(fam.dims),
@@ -266,14 +265,19 @@ def test_cr_membership_witnesses(seed, m, r_frac, shift):
     D = fam.dims.total
     x = sum(w * g for w, g in zip(rng.uniform(0, 1, len(gens)), gens)) \
         + shift * np.eye(D) + 0.05 * random_herm(D, rng)
+    return params, gens, x
+
+
+@given(seeds, st.sampled_from([2, 3]), st.floats(0.02, 1.0),
+       st.floats(-0.3, 0.3))
+@settings(max_examples=30, deadline=None)
+def test_cr_membership_witnesses(seed, m, r_frac, shift):
+    params, gens, x = _cr_case(seed, m, r_frac, shift)
     v = cr_membership(x, params)
     assert v.status in (IN, OUT)
     if v.status == IN:
-        assert min(trace_inner(x, g) for g in gens) >= -1e-9
         assert v.converged is True
         _check_certificate(v.witness, x, gens, (identity,))
-    elif v.tier == "npm-endpoint":
-        assert trace_inner(v.witness, x) < 0
     else:
         _check_separator(v.witness, x, gens, (identity,))
 
@@ -281,23 +285,25 @@ def test_cr_membership_witnesses(seed, m, r_frac, shift):
 @given(seeds, st.sampled_from([2, 3]), st.floats(0.02, 1.0),
        st.floats(-0.3, 0.3))
 @settings(max_examples=30, deadline=None)
-def test_psd_hull_membership_matches_cr_membership(seed, m, r_frac, shift):
-    # Past the endpoint pairings, C_r is the hull PSD + cone(N_k).
-    rng = np.random.default_rng(seed)
-    fam = generalized_bell(m)
-    params = PsesParams(family_set=swap_pair(fam), r=r_frac * r0(fam.dims),
-                        dims=fam.dims)
-    gens = npm_endpoint_generators(params)
-    D = fam.dims.total
-    x = sum(w * g for w, g in zip(rng.uniform(0, 1, len(gens)), gens)) \
-        + shift * np.eye(D) + 0.05 * random_herm(D, rng)
-    assume(min(trace_inner(x, g) for g in gens) >= 1e-9)
-    v = membership(ConeRep(dim=D, generators=gens, oracle=PSD), x)
-    assert v.status == cr_membership(x, params).status
-    if v.status == OUT:
-        _check_separator(v.witness, x, gens, (identity,))
-    else:  # also a PSD x is In by a certificate over the description
-        _check_certificate(v.witness, x, gens, (identity,))
+def test_cr_membership_is_membership_in_params_cone(seed, m, r_frac, shift):
+    # C_r is the hull PSD + cone(N_k), also for an x that pairs negatively
+    # with an endpoint, such as P, the bottom eigenprojector of N(r): P is
+    # PSD, so it is In, although <P, N(r)> = -r.
+    params, gens, x = _cr_case(seed, m, r_frac, shift)
+    _, vecs = np.linalg.eigh(gens[1])
+    P = np.outer(vecs[:, 0], vecs[:, 0].conj())
+    assert trace_inner(P, gens[1]) == pytest.approx(-params.r, abs=1e-12)
+    hull = ConeRep(dim=params.dims.total, generators=gens, oracle=PSD)
+    for y in (x, P):
+        v = cr_membership(y, params)
+        for ref in (membership(params.cone, y), membership(hull, y)):
+            assert (v.status, v.tier, v.margin) == \
+                (ref.status, ref.tier, ref.margin)
+        if v.status == OUT:
+            _check_separator(v.witness, y, gens, (identity,))
+        else:  # also a PSD y is In by a certificate over the description
+            _check_certificate(v.witness, y, gens, (identity,))
+    assert cr_membership(P, params).status == IN
 
 
 @given(seeds, st.integers(2, 4))

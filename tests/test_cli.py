@@ -189,6 +189,8 @@ def test_build_pses_pass(tmp_path, capsys):
     assert rep["eps"] == pytest.approx(2.0 * np.sqrt(0.2 / 1.2), abs=1e-12)
     assert rep["discrimination_example"]["overlap"] == \
         pytest.approx(0.1527777777777778, abs=1e-9)
+    assert rep["discrimination_example"]["effect_verdicts"] == ["In", "In"]
+    assert rep["discrimination_example"]["state_verdicts"] == ["In", "In"]
 
 
 def test_build_pses_fail_past_threshold(capsys):
@@ -196,6 +198,20 @@ def test_build_pses_fail_past_threshold(capsys):
     rep = _stdout_report(capsys)
     assert not rep["pass"]
     assert "discrimination_example" not in rep
+
+
+def test_build_pses_fails_when_an_effect_is_outside_its_cone(capsys):
+    # The example's second effect is N(r) of the swapped Bell family, which
+    # only a structure holding that family contains.
+    assert cli.run(["build-pses", "--r", "0.1", "--families", "1"]) == 2
+    rep = _stdout_report(capsys)
+    example = rep["discrimination_example"]
+    assert example["ok"] is False and rep["pass"] is False
+    assert example["effect_verdicts"] == ["In", "Out"]
+    assert example["state_verdicts"] == ["In", "In"]
+    assert example["overlap"] == pytest.approx(example["overlap_closed_form"],
+                                               abs=1e-12)
+    assert rep["audit"]["ok"] is True
 
 
 def test_build_pses_needs_exactly_one_parameter(capsys):

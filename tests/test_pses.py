@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from gptcone import sampling
 from gptcone.cones import ConeRep, GptModel
 from gptcone.dual import ConicCertificate, conic_feasibility, identity
 from gptcone.herm import (
@@ -32,7 +33,11 @@ from gptcone.pses import (
     swap_family,
     swap_pair,
 )
-from gptcone.sampling import random_max_entangled_state, random_separable_state
+from gptcone.sampling import (
+    random_max_entangled_state,
+    random_product_vectors,
+    random_separable_state,
+)
 from gptcone.verdict import IN, OUT
 
 
@@ -194,6 +199,23 @@ def test_hierarchy_audit_rejects_an_empty_chain(bell_family):
     # No levels would certify nothing, yet pass vacuously.
     with pytest.raises(ValidationError):
         hierarchy_audit([], swap_pair(bell_family), bell_family.dims)
+
+
+@pytest.mark.parametrize("samples", [1, 1025, 2500])
+def test_predual_audit_pairs_every_sample_with_every_endpoint(
+        params01, samples, monkeypatch):
+    # The product check works in chunks of samples. The worst sample is
+    # put last, so a chunk edge that drops a sample changes min_value.
+    V = random_product_vectors(params01.dims, samples, seed=7)
+    gens = npm_endpoint_generators(params01)
+    pairings = [min(np.vdot(v, N @ v).real for N in gens) for v in V]
+    V = np.concatenate([np.delete(V, np.argmin(pairings), axis=0),
+                        V[[np.argmin(pairings)]]])
+    monkeypatch.setattr(sampling, "random_product_vectors",
+                        lambda *args: V)
+    rep = predual_audit(params01, product_samples=samples)
+    value = rep.checks["product_state_nonnegativity"]["min_value"]
+    assert value == pytest.approx(min(pairings), abs=1e-14)
 
 
 def test_predual_audit_needs_a_product_sample(params01):
