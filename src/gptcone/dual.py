@@ -340,6 +340,12 @@ def conic_feasibility(x, generators, maps=(identity,)):
     - the vertex tier: ``x - v`` within 1e-8 of PSD (of zero without
       maps) for v = 0 or a generator g_k gives In with coefficients e_k
       (0 for v = 0) and 0 iterations, without a solve;
+    - the eigen-shift tier: ``W = (P + t I) / (1 + t d)``, P the bottom
+      eigenprojector of x and t >= 0 the least shift that puts W in the
+      dual (``<W, g_k> >= 0`` and, for a unital map L such as Gamma,
+      ``L(W)`` PSD), gives Out without a solve when every
+      ``<W, g_k> >= 0`` exactly and ``<W, x> <= -1e-8``, with 0
+      iterations;
     - one solve of :func:`_w_form`, stopped at the first iterate whose
       decomposition (its own dual slacks as weights and mapped parts) or
       separator re-verifies.  The verdict's ``gap`` and ``iterations``
@@ -366,9 +372,10 @@ def _feasibility(x, gens, maps) -> MembershipVerdict:
     if maps and maps[0] is not identity:
         raise ValueError("a nonempty list of maps begins with the identity")
     gens = _stack(gens, x.shape[0])
-    vertex = _vertex(x, gens, maps)
-    if vertex is not None:
-        return vertex
+    for tier in (_vertex, _eigen_shift):
+        verdict = tier(x, gens, maps)
+        if verdict is not None:
+            return verdict
     sol = _w_form(x, gens, maps, lambda it: _certificate(x, gens, maps, it))
     if sol.certificate is not None:
         return sol.certificate
@@ -413,13 +420,56 @@ def _certificate(x, gens, maps, sol):
     else:
         W, scale = sol.X[0] - sol.X[1], np.trace(sol.X[0] + sol.X[1]).real
     W = _herm(W) / scale
-    pairing = _inner(W, x)
-    separates = pairing < 0.0 and bool(
-        np.all(_op(gens, W) >= -_CONIC_TOL)) and all(
-        np.linalg.eigvalsh(L(W))[0] >= -_CONIC_TOL for L in maps)
-    if separates:
+    pairing = _separation(x, gens, maps, W, _CONIC_TOL)
+    if pairing is not None:
         return _verdict(OUT, W, pairing, maps, sol)
     return None
+
+
+def _separation(x, gens, maps, W, slack):
+    """``<W, x>`` if W separates x from the cone ``(gens, maps)``: every
+    ``<W, g_k> >= -slack``, each ``L(W)`` PSD to -1e-8 and ``<W, x> < 0``;
+    None otherwise.  The one Out check of :func:`_feasibility`."""
+    pairing = _inner(W, x)
+    if pairing < 0.0 and np.all(_op(gens, W) >= -slack) and all(
+            np.linalg.eigvalsh(L(W))[0] >= -_CONIC_TOL for L in maps):
+        return pairing
+    return None
+
+
+def _eigen_shift(x, gens, maps):
+    """The eigen-shift tier: Out with ``W = (P + t I) / (1 + t d)``,
+    P the bottom eigenprojector of x, from one ``eigh``.  W has trace one
+    and pairs ``(lambda_min + t tr x) / (1 + t d)`` with x; t >= 0 is the
+    least shift with ``<P, g_k> + t tr g_k >= 0`` for every generator and
+    ``L(P) + t I`` PSD for every map after the identity, each of which
+    must be unital.  Answers only when every ``<W, g_k> >= 0`` exactly and
+    ``<W, x> <= -1e-8``, so that rounding cannot put a point of the cone
+    Out; None otherwise, also when a generator with ``<P, g_k> < 0`` has
+    no positive trace."""
+    lam, V = np.linalg.eigh(x)
+    if lam[0] > -_CONIC_TOL:
+        return None
+    d = x.shape[0]
+    eye = np.eye(d)
+    P = np.outer(V[:, 0], V[:, 0].conj())
+    pg = _op(gens, P)
+    tr = np.trace(gens, axis1=1, axis2=2).real
+    low = pg < 0.0
+    if np.any(tr[low] <= 0.0):
+        return None
+    shifts = [0.0, *(-pg[low] / tr[low])]
+    for L in maps[1:]:
+        if not np.array_equal(L(eye), eye):
+            return None
+        shifts.append(-np.linalg.eigvalsh(L(P))[0])
+    # 1e-12 above the least shift keeps every <W, g_k> >= 0 after rounding.
+    t = max(shifts) + 1e-12
+    W = (P + t * eye) / (1.0 + t * d)
+    pairing = _separation(x, gens, maps, W, 0.0)
+    if pairing is None or pairing > -_CONIC_TOL:
+        return None
+    return _verdict(OUT, W, pairing, maps)
 
 
 def min_over_spectrahedron(x, halfspaces=()):

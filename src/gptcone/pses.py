@@ -165,10 +165,12 @@ def cr_membership(x, params: PsesParams) -> MembershipVerdict:
     ``dual_cone_membership(params.cone, x)`` until a PSES type carrying
     both cones adds one here.  The conic description decides, to 1e-8: a
     PSD x, or an x with ``x - N_k`` PSD such as N_k, is In by the vertex
-    tier without a solve (tier ``decomposition``, 0 iterations), any
-    other x gets the verdict of the first solver iterate that re-verifies,
-    with that solve's ``gap``, ``iterations`` and ``converged``.  An Out
-    margin ``<W, x>`` is that of a checked separator W, not the least
+    tier without a solve (tier ``decomposition``, 0 iterations); an x
+    that a shift of its bottom eigenprojector separates is Out by the
+    eigen-shift tier, also without a solve (0 iterations); any other x
+    gets the verdict of the first solver iterate that re-verifies, with
+    that solve's ``gap``, ``iterations`` and ``converged``.  An Out margin
+    ``<W, x>`` is that of a checked separator W, not necessarily the least
     pairing over the dual.
     """
     return _evaluate(params.cone, ensure_herm(x, dim=params.dims.total),
@@ -238,11 +240,15 @@ def hierarchy_audit(r_list, family_set, dims: BipartiteDims) -> AuditReport:
     is strict when that cone's conic description, at its 1e-8, answers
     Out with a separator W that passes direct checks: W PSD,
     ``<W, N> >= -1e-9`` for every r2 endpoint N and ``<W, N(r1)> < -1e-9``.
-    W and the checked values are recorded.  W comes from the first solver
-    iterate whose separator re-verified, so ``separator_pairing`` and
-    ``infeasibility_bound`` (minus the Out margin ``<W, N(r1)>`` over
-    ``||W||_HS``, a lower bound on the distance from N(r1) to the inner
-    cone) are checked values, not the optimum.
+    W and the checked values are recorded, with ``infeasibility_bound``,
+    minus the Out margin ``<W, N(r1)>`` over ``||W||_HS``, a lower bound
+    on the distance from N(r1) to the inner cone.  For the Bell-family
+    swap pair the eigen-shift tier decides each step without a solve:
+    ``W = (E_1 + t I) / (1 + t D)`` with ``t = 2 r2 / D``, which pairs
+    ``-(r1 - r2) / (1 + 2 r2)`` with N(r1), the value of the closed-form
+    ``(1 + r2) E_1 + r2 E_2`` at trace one.  Where no tier decides
+    without a solve, W is the first solver iterate's separator that
+    re-verified: a checked value, not the optimum.
     A passing chain certifies (by the general theory, existence only) an
     n-independent family of self-dual modifications.
     """

@@ -121,11 +121,17 @@ def test_conic_feasibility_certificates(seed, d, m, maps, inside):
 
 
 def test_conic_solves_report_their_diagnostics():
+    # -I is Out by the eigen-shift tier, without a solve.  The sum of the
+    # generators less 1e-2 I is Out too, but no shift of its bottom
+    # eigenprojector separates it, so a solve answers.
     rng = np.random.default_rng(3)
     gens = _generators(3, 2, rng)
     for maps in ((), (identity,)):
+        res = conic_feasibility(-np.eye(3), gens, maps)
+        assert res.status == OUT
+        assert (res.gap, res.iterations, res.converged) == (0.0, 0, True)
         inside = sum(gens) + (random_psd(3, rng) if maps else 0.0)
-        for x, status in ((inside, IN), (-np.eye(3), OUT)):
+        for x, status in ((inside, IN), (sum(gens) - 1e-2 * np.eye(3), OUT)):
             res = conic_feasibility(x, gens, maps)
             assert res.status == status
             assert res.iterations > 0 and res.converged is True
@@ -215,8 +221,41 @@ def test_vertex_tier_decides_generators_without_a_solve(n_maps):
             assert res.iterations == 0 and res.converged is True
             assert np.array_equal(res.witness.coefficients, np.eye(3)[k])
             _check_certificate(res.witness, x, gens, maps)
-        assert conic_feasibility(g - 1e-3 * np.eye(4), gens,
-                                 maps).iterations > 0
+        # g - 1e-3 I is no vertex: a later tier decides it.
+        assert dual._vertex(g - 1e-3 * np.eye(4), dual._stack(gens, 4),
+                            maps) is None
+
+
+@given(seeds, st.sampled_from([2, 4, 6]), st.integers(0, 3),
+       st.integers(0, 2), st.booleans(), st.floats(-0.5, 1.0))
+@settings(max_examples=300, deadline=None)
+def test_eigen_shift_tier_puts_no_point_of_the_hull_out(seed, d, m, n_maps,
+                                                        inside, shift):
+    # The tier answers Out or nothing.  A point of the hull (a nonnegative
+    # mix of the generators plus one PSD part per map) is never Out, and
+    # every Out re-verifies as a separator of a solve would.  Gamma is the
+    # partial transpose of a (d/2) x 2 system.
+    rng = np.random.default_rng(seed)
+    dims = BipartiteDims(d // 2, 2)
+    maps = (identity, lambda X: partial_transpose(X, dims))[:n_maps]
+    gens = _generators(d, m, rng)
+    if inside:
+        x = sum((w * g for w, g in zip(rng.uniform(0, 1, m), gens)),
+                np.zeros((d, d), dtype=complex))
+        for L in maps:
+            x = x + L(random_psd(d, rng))
+    else:
+        x = random_herm(d, rng) + shift * np.eye(d)
+    x = ensure_herm(x)
+    v = dual._eigen_shift(x, dual._stack(gens, d), maps)
+    if v is None:
+        return
+    assert not inside
+    assert v.status == OUT
+    assert (v.gap, v.iterations, v.converged) == (0.0, 0, True)
+    _check_separator(v.witness, x, gens, maps)
+    assert v.margin == pytest.approx(trace_inner(v.witness, x), abs=1e-12)
+    assert v.margin <= -TOL
 
 
 @pytest.mark.parametrize("m", [2, 3])

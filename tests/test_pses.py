@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gptcone import sampling
+from gptcone import dual, sampling
 from gptcone.cones import ConeRep, GptModel
 from gptcone.dual import ConicCertificate, conic_feasibility, identity
 from gptcone.herm import (
@@ -193,6 +193,29 @@ def test_hierarchy_audit(bell_family):
         hierarchy_audit([0.1, 0.1], swap_pair(bell_family), bell_family.dims)
     with pytest.raises(ValidationError):
         hierarchy_audit([0.1, -0.2], swap_pair(bell_family), bell_family.dims)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_hierarchy_steps_reach_the_closed_form_without_a_solve(
+        m, monkeypatch):
+    # The eigen-shift tier decides every step.  Its separator pairs
+    # -(r1 - r2)/(1 + 2 r2) with N(r1), as does the closed-form
+    # W = (1 + r2) E_1 + r2 E_2 at trace one.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a hierarchy step needed a conic solve")
+
+    monkeypatch.setattr(dual, "_solve", no_solve)
+    fam = generalized_bell(m)
+    rep = hierarchy_audit([0.3, 0.2, 0.1], swap_pair(fam), fam.dims)
+    assert rep.ok
+    for name in ("strict_step_0", "strict_step_1"):
+        step = rep.checks[name]
+        r1, r2 = step["r_outer"], step["r_inner"]
+        assert step["ok"]
+        assert step["separator_pairing"] == pytest.approx(
+            -(r1 - r2) / (1.0 + 2.0 * r2), abs=1e-9)
+        assert step["separator_min_pairing"] >= 0.0
+        assert step["separator_min_eigenvalue"] >= 0.0
 
 
 def test_hierarchy_audit_rejects_an_empty_chain(bell_family):
