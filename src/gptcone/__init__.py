@@ -33,7 +33,6 @@ from .discrimination import (
     helstrom,
     min_error_over_cone,
     perfectly_distinguishable,
-    preceding_measurement,
     yah_region,
 )
 from .dovm import (
@@ -47,6 +46,7 @@ from .dovm import (
     aq_from_subcone_witness,
     bq_witness_states,
     classify,
+    preceding_measurement,
     random_dovm,
 )
 from .dual import (
@@ -87,6 +87,7 @@ from .pses import (
     r0,
     r_of_eps,
     self_duality_verifier,
+    swap_families,
     swap_family,
 )
 from .simulability import (

@@ -279,18 +279,13 @@ def helstrom_equivalence(seed, fast) -> dict:
 
 
 def _pses(m: int, families: int, r: float) -> pses.PsesParams:
-    """The PSES on m x m at r whose family k is the Bell family with
-    projectors 0 and k exchanged, for k < ``families``."""
+    """The PSES on m x m at r over ``swap_families`` of the Bell family."""
     if not 1 <= families <= m * m:
         raise UsageError("--families must be at least 1" if families < 1 else
                          "too many families requested for this local dim")
     bell = pses.generalized_bell(m)
-    fams = []
-    for k in range(families):
-        proj = list(bell.projectors)
-        proj[0], proj[k] = proj[k], proj[0]
-        fams.append(pses.MeopFamily(dims=bell.dims, projectors=proj))
-    return pses.PsesParams(family_set=fams, r=r, dims=bell.dims)
+    return pses.PsesParams(family_set=pses.swap_families(bell, families),
+                           r=r, dims=bell.dims)
 
 
 def _predual_audit(params: pses.PsesParams, seed: int, samples: int) -> dict:

@@ -32,6 +32,7 @@ from .herm import (
     ensure_herm,
     partial_transpose,
 )
+from .sampling import random_pure_vector
 from .verdict import IN, OUT, UNKNOWN, MembershipVerdict
 
 PSD = "PSD"
@@ -183,8 +184,6 @@ def min_product_expectation(X, dims: BipartiteDims, restarts: int = 64):
     Only X's shape is checked, as the search reads X's Hermitian part; a
     non-finite entry leaves no finite value and raises.
     """
-    from .sampling import random_pure_vector
-
     T = _as_bipartite(X, dims)
     rng = np.random.default_rng(0)
     best = (np.inf, None, None)
@@ -252,9 +251,13 @@ def _block_positivity(x, dims, lam):
         return MembershipVerdict(OUT, witness=np.outer(ab, ab.conj()),
                                  margin=val, tier="product-search")
     if exact:  # SEP_DUAL's conic description decides
-        program = conic_program(make_named_cone(SEP_DUAL, dims=dims))
-        return _feasibility(x, *program)
+        return _feasibility(x, (), _decomposable(dims))
     return MembershipVerdict(UNKNOWN, margin=val, tier="product-search")
+
+
+def _decomposable(dims):
+    """The maps of PSD + PSD^Gamma, SEP_DUAL's description at dA dB <= 6."""
+    return identity, partial(partial_transpose, dims=dims)
 
 
 def _units(d):
@@ -365,8 +368,8 @@ _NAMED = {
     PSD: (_psd, _psd, None, "", lambda c: (c.generators, (identity,))),
     SEP: (_sep, _block_positive, _bipartite, "bipartite dims", None),
     SEP_DUAL: (_block_positive, _sep, _bipartite, "bipartite dims",
-               lambda c: None if c.dim > 6 else (c.generators, (
-                   identity, partial(partial_transpose, dims=c.dims)))),
+               lambda c: None if c.dim > 6
+               else (c.generators, _decomposable(c.dims))),
     CLASSICAL_ORTHANT: (_orthant, _diagonal, None, "",
                         lambda c: ([*_units(c.dim), *c.generators], ())),
     SHRUNK_BLOCH: (_shrunk_bloch, partial(_shrunk_bloch, dual=True),

@@ -7,7 +7,8 @@ import numpy as np
 
 from .cones import ConeRep, Measurement, conic_program
 from .dual import _min_over_effects
-from .herm import BipartiteDims, ValidationError, _inner, ensure_herm, partial_transpose
+from .fixtures import appendix_measurement, appendix_states
+from .herm import ValidationError, _inner, ensure_herm
 
 
 def _effects(measurement) -> list:
@@ -128,39 +129,6 @@ def sco_param_of_t(t: float) -> float:
     return float(np.sqrt(t) / (1.0 + t))
 
 
-def preceding_measurement(alpha1: float, alpha2: float,
-                          beta1: float, beta2: float):
-    """The two-outcome construction underlying the preceding criteria.
-
-    Builds ``M_i = T_i + pt(T_i)`` on 2 (x) 2 from the printed 4 x 4
-    blocks.  The beta parameters are caller-supplied; the convention
-    ``alpha_i^2 + beta_i^2 = 1`` is recommended but not enforced.
-    """
-    from .dovm import Dovm
-
-    if not (0.0 < alpha1 <= 1.0 and 0.0 < alpha2 <= 1.0):
-        raise ValidationError("alpha_i must lie in (0, 1]")
-    g = alpha1 + alpha2
-    b1a1 = beta1 / alpha1
-    b2a2 = beta2 / alpha2
-    T1 = np.array([
-        [g, 0, 0, -b1a1 * b2a2 * g],
-        [0, g - 1, 0, -(g - 1) * b1a1],
-        [0, 0, g - 1, -(g - 1) * b2a2],
-        [-b1a1 * b2a2 * g, -(g - 1) * b1a1, -(g - 1) * b2a2, 2 - g],
-    ], dtype=complex) / (2 * g)
-    T2 = np.array([
-        [0, 0, 0, 0],
-        [0, 1, b1a1 * b2a2 * g, (g - 1) * b1a1],
-        [0, b1a1 * b2a2 * g, 1, (g - 1) * b2a2],
-        [0, (g - 1) * b1a1, (g - 1) * b2a2, 2 * (g - 1)],
-    ], dtype=complex) / (2 * g)
-    dims = BipartiteDims(2, 2)
-    m1 = T1 + partial_transpose(T1, dims)
-    m2 = T2 + partial_transpose(T2, dims)
-    return Dovm(m1=m1, m2=m2, dims=dims)
-
-
 def entropy_example_audit() -> dict:
     """Audit of the two-entropy decomposition example.
 
@@ -168,8 +136,6 @@ def entropy_example_audit() -> dict:
     in two ways whose weight distributions have different Shannon
     entropies.
     """
-    from .fixtures import appendix_measurement, appendix_states
-
     rho1, rho2, sigma1, sigma2 = appendix_states()
     e1, e2 = appendix_measurement()
     w = np.sqrt(3.0)

@@ -8,7 +8,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cones import GptModel, Measurement, sep_model
-from .herm import BipartiteDims, ValidationError, ensure_herm
+from .discrimination import err_of_measurement, helstrom
+from .herm import BipartiteDims, ValidationError, ensure_herm, partial_transpose
+from .sampling import haar_unitary, random_pure_state, random_state
 
 BQ = "BQ"
 AQ = "AQ"
@@ -125,8 +127,6 @@ def aq_advantage_states(dovm: Measurement):
     is the quantum optimum minus the DOVM's error sum,
     ``(l_d - l_1 - 1)/(sqrt(2) d) > 0``.
     """
-    from .discrimination import err_of_measurement, helstrom
-
     cls = classify(dovm)
     if cls.tag not in (BQ, AQ):
         raise ValidationError(f"advantage construction needs BQ or AQ, got {cls.tag}")
@@ -164,6 +164,37 @@ def aq_from_subcone_witness(T, dims: BipartiteDims) -> Dovm:
     return Dovm(m1=Tp, m2=np.eye(T.shape[0]) - Tp, dims=dims)
 
 
+def preceding_measurement(alpha1: float, alpha2: float,
+                          beta1: float, beta2: float) -> Dovm:
+    """The two-outcome construction underlying the preceding criteria.
+
+    Builds ``M_i = T_i + pt(T_i)`` on 2 (x) 2 from the printed 4 x 4
+    blocks.  The beta parameters are caller-supplied; the convention
+    ``alpha_i^2 + beta_i^2 = 1`` is recommended but not enforced.
+    """
+    if not (0.0 < alpha1 <= 1.0 and 0.0 < alpha2 <= 1.0):
+        raise ValidationError("alpha_i must lie in (0, 1]")
+    g = alpha1 + alpha2
+    b1a1 = beta1 / alpha1
+    b2a2 = beta2 / alpha2
+    T1 = np.array([
+        [g, 0, 0, -b1a1 * b2a2 * g],
+        [0, g - 1, 0, -(g - 1) * b1a1],
+        [0, 0, g - 1, -(g - 1) * b2a2],
+        [-b1a1 * b2a2 * g, -(g - 1) * b1a1, -(g - 1) * b2a2, 2 - g],
+    ], dtype=complex) / (2 * g)
+    T2 = np.array([
+        [0, 0, 0, 0],
+        [0, 1, b1a1 * b2a2 * g, (g - 1) * b1a1],
+        [0, b1a1 * b2a2 * g, 1, (g - 1) * b2a2],
+        [0, (g - 1) * b1a1, (g - 1) * b2a2, 2 * (g - 1)],
+    ], dtype=complex) / (2 * g)
+    dims = BipartiteDims(2, 2)
+    m1 = T1 + partial_transpose(T1, dims)
+    m2 = T2 + partial_transpose(T2, dims)
+    return Dovm(m1=m1, m2=m2, dims=dims)
+
+
 def random_dovm(dims: BipartiteDims, seed=None,
                 target: str | None = None) -> Dovm:
     """Synthetic DOVM sampler whose effects the SEP* oracle certifies.
@@ -177,9 +208,6 @@ def random_dovm(dims: BipartiteDims, seed=None,
     eigenvalue at most 1, so ``m2 = I - m1`` is PSD (tier ``psd``).
     ``target`` is one of the four class tags, or None for a random class.
     """
-    from .herm import partial_transpose
-    from .sampling import haar_unitary, random_pure_state, random_state
-
     if target not in (None, POVM, NAQ, AQ, BQ):
         raise ValidationError(f"unknown DOVM class {target!r}")
     rng = np.random.default_rng(seed)

@@ -18,6 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .herm import ValidationError, _herm, _inner, ensure_herm
+from .sampling import random_herm
 from .verdict import IN, OUT, UNKNOWN, MembershipVerdict
 
 
@@ -235,8 +236,9 @@ def _solve(b, c, A, blocks, certify=None) -> _Solution:
 def dual_membership(generators, x) -> MembershipVerdict:
     """Is ``<x, g> >= -1e-9`` for every generator?
 
-    Decides membership in the dual of the conic hull of ``generators``.
-    An Out verdict carries the violating generator as witness.
+    Decides membership in the dual of the conic hull of ``generators``,
+    with tier ``generator-pairing``.  An Out verdict carries the violating
+    generator as witness.
     """
     if not len(generators):
         raise ValueError("dual_membership needs at least one generator")
@@ -248,9 +250,9 @@ def _dual_membership(gens, x) -> MembershipVerdict:
     gens = _stack(gens, len(x))
     vals = _op(gens, x)
     k = int(np.argmin(vals))
-    if vals[k] >= -1e-9:
-        return MembershipVerdict(IN, margin=float(vals[k]))
-    return MembershipVerdict(OUT, witness=gens[k], margin=float(vals[k]))
+    status, witness = (IN, None) if vals[k] >= -1e-9 else (OUT, gens[k])
+    return MembershipVerdict(status, witness=witness, margin=float(vals[k]),
+                             tier="generator-pairing")
 
 
 def gram_predual_check(generators):
@@ -596,8 +598,6 @@ def dual_identity_check(g1, g2, samples: int = 1000,
     Both sides are read from the same pairings ``<x, g>``, so they can
     differ only by rounding: the check guards this code, not the identity.
     """
-    from .sampling import random_herm
-
     G = ensure_herm([*g1, *g2])
     d, k = G.shape[1], len(g1)
     rng = np.random.default_rng(seed)

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .cones import ConeRep
 from .herm import BipartiteDims, ValidationError, ensure_herm
 
 
@@ -66,8 +67,6 @@ def cone_to_json(cone) -> dict:
 
 
 def cone_from_json(obj: dict):
-    from .cones import ConeRep
-
     if not isinstance(obj, dict):
         raise ValidationError("a cone file holds one JSON object")
     if obj.get("dual_generators"):

@@ -20,6 +20,7 @@ from .herm import (
     maximally_entangled_vector,
     partial_trace,
 )
+from .sampling import random_product_vectors
 from .verdict import OUT, MembershipVerdict
 
 
@@ -101,18 +102,27 @@ def generalized_bell(m: int) -> MeopFamily:
     return MeopFamily(dims=dims, projectors=projectors)
 
 
+def swap_families(family: MeopFamily, k: int) -> list:
+    """The k families whose family j is ``family`` with projectors 0 and j
+    exchanged; family 0 is ``family`` itself."""
+    if not 1 <= k <= len(family.projectors):
+        raise ValidationError("k must lie in [1, number of projectors]")
+    families = [family]
+    for j in range(1, k):
+        proj = list(family.projectors)
+        proj[0], proj[j] = proj[j], proj[0]
+        families.append(MeopFamily(dims=family.dims, projectors=proj))
+    return families
+
+
 def swap_family(family: MeopFamily) -> MeopFamily:
     """Same family with the first two projectors exchanged."""
-    if len(family.projectors) < 2:
-        raise ValidationError("need at least two projectors to swap")
-    proj = list(family.projectors)
-    proj[0], proj[1] = proj[1], proj[0]
-    return MeopFamily(dims=family.dims, projectors=proj)
+    return swap_families(family, 2)[1]
 
 
 def swap_pair(family: MeopFamily) -> list:
     """The two-element family subset {family, swapped family}."""
-    return [family, swap_family(family)]
+    return swap_families(family, 2)
 
 
 def npm_element(lam: float, family: MeopFamily) -> np.ndarray:
@@ -205,8 +215,6 @@ def predual_audit(params: PsesParams, product_samples: int = 10_000,
     endpoint Gram matrix is entrywise nonnegative (the endpoints lie in
     their own dual), with the sufficient bound ``r <= r0`` recorded.
     """
-    from .sampling import random_product_vectors
-
     if product_samples < 1:
         raise ValidationError("product_samples must be at least 1")
     report = AuditReport()

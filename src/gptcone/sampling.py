@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .herm import BipartiteDims, tensor
+from .herm import BipartiteDims, maximally_entangled_vector, tensor
 
 
 def haar_unitary(n: int, seed=None) -> np.ndarray:
@@ -73,8 +73,6 @@ def random_separable_state(dims: BipartiteDims, seed=None) -> np.ndarray:
 
 def random_max_entangled_state(m: int, seed=None) -> np.ndarray:
     """Haar-random maximally entangled pure state on an m x m system."""
-    from .herm import maximally_entangled_vector
-
     U = haar_unitary(m, seed)
     phi = np.kron(np.eye(m, dtype=complex), U) @ maximally_entangled_vector(m)
     return np.outer(phi, phi.conj())

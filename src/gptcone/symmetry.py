@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import ConeRep, _evaluate
+from .fixtures import DIMS_22, appendix_states
 from .herm import BipartiteDims, ValidationError, _herm, _inner, ensure_herm
 from .sampling import haar_unitary
 from .verdict import IN, OUT
@@ -163,8 +164,6 @@ def two_symmetry_counterexample(samples: int = 200, tol: float = 1e-10,
     Verifies overlap invariance on ``samples`` sampled transforms as a
     finite stand-in for the full group, and returns the overlap gap.
     """
-    from .fixtures import DIMS_22, appendix_states
-
     rho1, rho2 = appendix_states()[:2]  # |00><00| and |++><++|
 
     w = np.array([3.0 + np.sqrt(3.0), 3.0 - np.sqrt(3.0)]) / 6.0

@@ -164,6 +164,22 @@ def test_dual_cone_membership_sep_is_blockpos(sep22, bell_state, dims22):
     assert dual_cone_membership(sep22, -np.eye(4)).status == OUT
 
 
+@pytest.mark.parametrize("weight,status,pairing", [
+    (0.8, IN, 0.02), (0.9, OUT, -0.04)])
+def test_hull_dual_verdict_bound_by_a_pairing_names_its_tier(
+        weight, status, pairing):
+    # x = w E_0 + (1 - w) I/4 is positive definite, yet pairs
+    # -0.1 w + (1 - w)/2 with the Bell family's r = 0.1 endpoint, below
+    # x's least eigenvalue (1 - w)/4: the pairing decides the dual verdict.
+    fam = generalized_bell(2)
+    params = PsesParams(swap_pair(fam), 0.1, fam.dims)
+    x = weight * fam.projectors[0] + (1.0 - weight) * np.eye(4) / 4.0
+    assert np.linalg.eigvalsh(x)[0] > pairing
+    v = dual_cone_membership(params.cone, x)
+    assert (v.status, v.tier) == (status, "generator-pairing")
+    assert v.margin == pytest.approx(pairing, abs=1e-12)
+
+
 def test_validate_measurement_povm_on_ses(dims22):
     model = ses_model(dims22)
     p = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)

@@ -20,11 +20,10 @@ from gptcone.discrimination import (
     helstrom,
     min_error_over_cone,
     perfectly_distinguishable,
-    preceding_measurement,
     sco_param_of_t,
     yah_region,
 )
-from gptcone.dovm import classify
+from gptcone.dovm import classify, preceding_measurement
 from gptcone.herm import BipartiteDims, ValidationError, norm, trace_inner
 from gptcone.pses import (
     PsesParams,

@@ -28,9 +28,10 @@ def _diag_gens():
 
 def test_dual_membership_in_and_out():
     gens = _diag_gens()
-    assert dual_membership(gens, np.diag([0.5, 2.0])).status == IN
+    v = dual_membership(gens, np.diag([0.5, 2.0]))
+    assert (v.status, v.tier, v.margin) == (IN, "generator-pairing", 0.5)
     v = dual_membership(gens, np.diag([0.5, -1.0]))
-    assert v.status == OUT
+    assert (v.status, v.tier, v.margin) == (OUT, "generator-pairing", -1.0)
     assert trace_inner(v.witness, np.diag([0.5, -1.0])) < 0
 
 

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gptcone import dual, sampling
+from gptcone import dual, pses
 from gptcone.cones import ConeRep, GptModel
 from gptcone.dual import ConicCertificate, conic_feasibility, identity
 from gptcone.herm import (
@@ -30,6 +30,7 @@ from gptcone.pses import (
     r0,
     r_of_eps,
     self_duality_verifier,
+    swap_families,
     swap_family,
     swap_pair,
 )
@@ -74,6 +75,27 @@ def test_swap_family_involution(bell_family):
 
 def test_swap_preserves_invariants(bell_family):
     swap_family(bell_family)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_swap_families_exchange_projector_zero_with_projector_j(m):
+    bell = generalized_bell(m)
+    for k in range(1, m * m + 1):
+        families = swap_families(bell, k)
+        assert len(families) == k and families[0] is bell
+        for j, fam in enumerate(families):
+            expected = list(bell.projectors)
+            expected[0], expected[j] = expected[j], expected[0]
+            assert all(np.array_equal(P, Q)
+                       for P, Q in zip(fam.projectors, expected))
+    pair, two = swap_pair(bell), swap_families(bell, 2)
+    assert pair[0] is bell
+    for fam in (pair[1], swap_family(bell)):
+        assert all(np.array_equal(P, Q)
+                   for P, Q in zip(fam.projectors, two[1].projectors))
+    for k in (0, m * m + 1):
+        with pytest.raises(ValidationError):
+            swap_families(bell, k)
 
 
 def test_deformation_pair_sums_to_identity(bell_family):
@@ -234,8 +256,7 @@ def test_predual_audit_pairs_every_sample_with_every_endpoint(
     pairings = [min(np.vdot(v, N @ v).real for N in gens) for v in V]
     V = np.concatenate([np.delete(V, np.argmin(pairings), axis=0),
                         V[[np.argmin(pairings)]]])
-    monkeypatch.setattr(sampling, "random_product_vectors",
-                        lambda *args: V)
+    monkeypatch.setattr(pses, "random_product_vectors", lambda *args: V)
     rep = predual_audit(params01, product_samples=samples)
     value = rep.checks["product_state_nonnegativity"]["min_value"]
     assert value == pytest.approx(min(pairings), abs=1e-14)
