@@ -16,7 +16,8 @@ from gptcone.dual import (
     min_over_effects,
     min_over_spectrahedron,
 )
-from gptcone.herm import ValidationError, trace_inner
+from gptcone.herm import (BipartiteDims, ValidationError, partial_transpose,
+                          trace_inner)
 from gptcone.sampling import random_herm, random_psd, random_state
 from gptcone.verdict import IN, OUT, UNKNOWN
 
@@ -119,13 +120,43 @@ def _pairings(As, X):
     return np.einsum("iab,ba->i", As, X).real
 
 
-def _feasible_program(rng, n, nb, d):
+# Dense rows, rows with at most two nonzero entries, or some of each: the
+# solver gathers the Schur complement's sparse rows from d = 5 on.
+ROW_KINDS = ("dense", "basis", "mixed")
+
+
+def _sparse_rows(rng, kind, p):
+    """Which of p rows are sparse in a program of one of ROW_KINDS; a mixed
+    program draws them once, for every block."""
+    if kind == "mixed":
+        return rng.integers(2, size=p) == 1
+    return np.full(p, kind == "basis")
+
+
+def _rows(rng, sparse, d):
+    """One block's rows, one per entry of the mask ``sparse``: distinct
+    elements of the Hermitian basis, or of its partial transpose (on
+    2 x d/2, the full transpose for odd d), where the mask is set, and
+    random Hermitian matrices where it is not."""
+    E = dual._basis(d)
+    if rng.integers(2):
+        dims = BipartiteDims(2, d // 2) if d % 2 == 0 else BipartiteDims(1, d)
+        E = np.array([partial_transpose(e, dims) for e in E])
+    picks = iter(rng.choice(d * d, size=int(sparse.sum()), replace=False))
+    return np.array([E[next(picks)] if s else random_herm(d, rng)
+                     for s in sparse])
+
+
+def _feasible_program(rng, n, nb, d, kind="dense"):
     """A program for ``_solve`` with strictly feasible primal and dual
-    points, so that both optima are attained and equal."""
-    p = int(rng.integers(1, min(n + nb * d * d, 8) + 1))
+    points, so that both optima are attained and equal, with rows of
+    one of ROW_KINDS."""
+    # Sparse rows are distinct basis elements: at most d * d of them.
+    cap = 8 if kind == "dense" else min(8, d * d)
+    p = int(rng.integers(1, min(n + nb * d * d, cap) + 1))
     A = rng.normal(size=(p, n))
-    As = [np.array([random_herm(d, rng) for _ in range(p)])
-          for _ in range(nb)]
+    sparse = _sparse_rows(rng, kind, p)
+    As = [_rows(rng, sparse, d) for _ in range(nb)]
     u, z, y = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n), \
         rng.normal(size=p)
     b = A @ u + sum((_pairings(Aj, random_psd(d, rng) + np.eye(d))
@@ -135,15 +166,41 @@ def _feasible_program(rng, n, nb, d):
     return b, z + A.T @ y, A, blocks
 
 
-@given(st.integers(0, 10_000), st.integers(0, 3), st.sampled_from([2, 3, 4]),
-       st.booleans())
+@pytest.mark.parametrize("d", [4, 6])
+@pytest.mark.parametrize("kind", ROW_KINDS)
+def test_schur_complement_matches_its_definition(kind, d):
+    # M[i, k] = sum_j Re tr(A_j[i] X_j A_j[k] Z_j^-1), summed by a plain
+    # loop, on both sides of the block size from which sparse rows are
+    # gathered.  Blocks 0 and 2 share their rows, as an effect program's
+    # blocks do.  A mixed program's first row has two entries with
+    # complex values, four nonzero parts, so it is dense.
+    rng = np.random.default_rng(d)
+    p = d * d
+    sparse = _sparse_rows(rng, kind, p)
+    first, second = _rows(rng, sparse, d), _rows(rng, sparse, d)
+    if kind == "mixed":
+        first[0] = second[0] = dual._basis(d)[1] + dual._basis(d)[2]
+    Ab = np.array([first, second, first])
+    X = np.array([random_psd(d, rng) + np.eye(d) for _ in Ab])
+    Zinv = np.array([random_psd(d, rng) + np.eye(d) for _ in Ab])
+    Af = np.ascontiguousarray(Ab.swapaxes(0, 1)).reshape(p, -1).view(float)
+    M = dual._schur(Ab, Af)(X, Zinv)
+    expected = np.array([[sum(np.trace(Aj[i] @ Xj @ Aj[k] @ Wj).real
+                              for Aj, Xj, Wj in zip(Ab, X, Zinv))
+                          for k in range(p)] for i in range(p)])
+    assert np.abs(M - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@given(st.integers(0, 10_000), st.integers(0, 3),
+       st.sampled_from([2, 3, 4, 5, 6]), st.booleans(),
+       st.sampled_from(ROW_KINDS))
 @settings(max_examples=60, deadline=None)
-def test_solver_converges_on_feasible_programs(seed, nb, d, orthant):
+def test_solver_converges_on_feasible_programs(seed, nb, d, orthant, rows):
     # Every residual of the returned iterate, and its duality gap, meets
     # the acceptance level; the dual slacks are the implied ones.
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 5)) if orthant or not nb else 0
-    b, c, A, blocks = _feasible_program(rng, n, nb, d)
+    b, c, A, blocks = _feasible_program(rng, n, nb, d, rows)
     sol = _solve(b, c, A, blocks)
     assert sol.converged
     assert len(sol.X) == nb
